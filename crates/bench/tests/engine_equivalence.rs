@@ -1,8 +1,9 @@
 //! Golden engine-equivalence fixtures: the hot-path engine rewrite
 //! (calendar event queue, slab-allocated I/O state, batched RNG draws)
 //! must not change a single observable byte. This suite replays every
-//! scheme over the two BENCH_sim traces — with span recording on and
-//! off, and with the background scrub on and off — and compares the
+//! scheme over two contrasting traces (write-heavy `src2_2`, read-heavy
+//! `hm_1`) — with span recording on and off, and with the background
+//! scrub on and off — and compares the
 //! FNV-1a digest of each run's `deterministic_json` against the digests
 //! committed under `baselines/engine/golden.txt`, which were generated
 //! by the pre-rewrite (binary-heap, HashMap-everywhere) engine.

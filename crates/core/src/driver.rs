@@ -591,7 +591,7 @@ pub fn run_scheme_with_sink(
 }
 
 /// Like [`run_scheme`], but with per-request span recording on — the
-/// entry point of the `span_report` and `bench_report` tools. Returns
+/// entry point of the `span_report` tool. Returns
 /// the report plus every completed request span and background
 /// (destage/rebuild) span of the run.
 pub fn run_scheme_spanned(

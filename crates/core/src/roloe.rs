@@ -101,7 +101,6 @@ pub struct RoloEPolicy {
     logging_token: Option<u64>,
     destaging_token: Option<u64>,
     phase_energy_mark: f64,
-    alternate: bool,
     round_robin: usize,
     draining: bool,
     stats: PolicyStats,
@@ -160,7 +159,6 @@ impl RoloEPolicy {
             logging_token: None,
             destaging_token: None,
             phase_energy_mark: 0.0,
-            alternate: false,
             round_robin: 0,
             draining: false,
             stats: PolicyStats::default(),
@@ -341,7 +339,6 @@ impl RoloEPolicy {
         if disks.is_empty() {
             disks = self.logger_disks(ctx);
         }
-        self.alternate = !self.alternate;
         self.round_robin = self.round_robin.wrapping_add(1);
         disks[self.round_robin % disks.len()]
     }

@@ -19,7 +19,7 @@ use crate::service::{ServiceModel, ServiceParts};
 use crate::DiskId;
 use rolo_sim::{Duration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Read or write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -291,10 +291,18 @@ pub struct DiskIoStats {
     pub idle_gaps: IdleGapHistogram,
 }
 
+/// A request waiting in a queue, with the instant it was submitted.
+#[derive(Debug, Clone, Copy)]
+struct Queued {
+    req: DiskRequest,
+    submit: SimTime,
+}
+
 /// The transfer currently on the media.
 #[derive(Debug, Clone, Copy)]
 struct InService {
     req: DiskRequest,
+    submit: SimTime,
     started: SimTime,
     parts: ServiceParts,
 }
@@ -309,8 +317,8 @@ pub struct Disk {
     service: ServiceModel,
     meter: EnergyMeter,
     spindle: Spindle,
-    foreground: VecDeque<DiskRequest>,
-    background: VecDeque<DiskRequest>,
+    foreground: VecDeque<Queued>,
+    background: VecDeque<Queued>,
     in_service: Option<InService>,
     /// Spin down as soon as the disk drains (see [`Disk::park_when_idle`]).
     pending_park: bool,
@@ -328,9 +336,6 @@ pub struct Disk {
     /// (see [`Disk::last_breakdown`]). Off by default: the untraced hot
     /// path pays nothing beyond this flag check.
     record_breakdown: bool,
-    /// Submit instants of queued/in-flight requests, kept only while
-    /// breakdown recording is on.
-    submit_times: HashMap<u64, SimTime>,
     /// Instant the spindle last reached `Ready` (construction time if it
     /// started ready). Requests submitted before this waited on spin-up.
     ready_since: SimTime,
@@ -399,7 +404,6 @@ impl Disk {
             stats: DiskIoStats::default(),
             dead: false,
             record_breakdown: false,
-            submit_times: HashMap::new(),
             ready_since: now,
             bg_window: (now, now),
             last_breakdown: None,
@@ -486,17 +490,15 @@ impl Disk {
     /// already-scheduled wake will pick the request up.
     pub fn submit(&mut self, req: DiskRequest, now: SimTime) -> Option<DiskWake> {
         assert!(!self.dead, "submit to dead disk {}", self.id);
-        if self.record_breakdown {
-            self.submit_times.insert(req.id, now);
-        }
         // Fresh work cancels any pending park request.
         self.pending_park = false;
+        let queued = Queued { req, submit: now };
         match req.priority {
             Priority::Foreground => {
                 self.last_fg_activity = now;
-                self.foreground.push_back(req);
+                self.foreground.push_back(queued);
             }
-            Priority::Background => self.background.push_back(req),
+            Priority::Background => self.background.push_back(queued),
         }
         let depth = self.queue_len() + usize::from(self.in_service.is_some());
         if depth > self.stats.max_queue_depth {
@@ -611,6 +613,7 @@ impl Disk {
     pub fn on_io_complete(&mut self, now: SimTime) -> CompletionOutcome {
         let InService {
             req,
+            submit,
             started,
             parts,
         } = self
@@ -635,7 +638,7 @@ impl Disk {
             if req.priority == Priority::Background {
                 self.bg_window = (started, now);
             }
-            self.last_breakdown = Some(self.build_breakdown(&req, started, now, parts));
+            self.last_breakdown = Some(self.build_breakdown(&req, submit, started, now, parts));
         }
         let mut next = self.start_next(now);
         match next {
@@ -676,7 +679,7 @@ impl Disk {
     /// guard expires.
     fn start_next(&mut self, now: SimTime) -> Option<DiskWake> {
         debug_assert!(self.in_service.is_none());
-        let req = if !self.foreground.is_empty() {
+        let Queued { req, submit } = if !self.foreground.is_empty() {
             match self.scheduler {
                 SchedulerKind::Fifo => self.foreground.pop_front().expect("checked non-empty"),
                 SchedulerKind::Sstf => {
@@ -687,7 +690,7 @@ impl Disk {
                         .foreground
                         .iter()
                         .enumerate()
-                        .min_by_key(|(_, r)| (r.offset / bpc).abs_diff(head_cyl))
+                        .min_by_key(|(_, q)| (q.req.offset / bpc).abs_diff(head_cyl))
                         .expect("checked non-empty");
                     self.foreground.remove(idx).expect("index valid")
                 }
@@ -712,6 +715,7 @@ impl Disk {
         let done = now + parts.total();
         self.in_service = Some(InService {
             req,
+            submit,
             started: now,
             parts,
         });
@@ -723,13 +727,13 @@ impl Disk {
     /// wait (`start − submit`); they cannot overlap in time anyway — a
     /// background transfer needs spinning platters.
     fn build_breakdown(
-        &mut self,
+        &self,
         req: &DiskRequest,
+        submit: SimTime,
         started: SimTime,
         now: SimTime,
         parts: ServiceParts,
     ) -> ServiceBreakdown {
-        let submit = self.submit_times.remove(&req.id).unwrap_or(started);
         let wait = started.since(submit);
         let spinup_stall = submit.until(self.ready_since).min(wait);
         let bg_interference = if req.priority == Priority::Foreground {
@@ -766,7 +770,6 @@ impl Disk {
     pub fn set_record_breakdown(&mut self, on: bool) {
         self.record_breakdown = on;
         if !on {
-            self.submit_times.clear();
             self.last_breakdown = None;
         }
     }
@@ -807,13 +810,8 @@ impl Disk {
         if let Some(svc) = self.in_service.take() {
             aborted.push(svc.req);
         }
-        aborted.extend(self.foreground.drain(..));
-        aborted.extend(self.background.drain(..));
-        if self.record_breakdown {
-            for req in &aborted {
-                self.submit_times.remove(&req.id);
-            }
-        }
+        aborted.extend(self.foreground.drain(..).map(|q| q.req));
+        aborted.extend(self.background.drain(..).map(|q| q.req));
         aborted
     }
 

@@ -322,50 +322,104 @@ pub enum SimEvent {
     TraceEnded,
 }
 
+/// Number of [`SimEvent`] variants ([`SimEvent::KIND_NAMES`] has one
+/// entry per variant).
+pub const NUM_EVENT_KINDS: usize = 39;
+
 impl SimEvent {
+    /// Every variant's [`SimEvent::kind_name`], indexed by
+    /// [`SimEvent::kind_index`].
+    pub const KIND_NAMES: [&'static str; NUM_EVENT_KINDS] = [
+        "RequestArrive",
+        "RequestDispatch",
+        "RequestComplete",
+        "DiskInit",
+        "DiskState",
+        "LoggerRotation",
+        "DestageStart",
+        "DestageEnd",
+        "LoggingDeactivated",
+        "LoggingReactivated",
+        "ReadMissSpinUp",
+        "ReadRedirected",
+        "DiskFailed",
+        "FaultScheduled",
+        "IoTimeout",
+        "IoRetry",
+        "IoLost",
+        "MediaError",
+        "RebuildStarted",
+        "RebuildCompleted",
+        "SegmentAllocated",
+        "SegmentSealed",
+        "SegmentCompacted",
+        "SegmentArchived",
+        "ArchiveFrameRetired",
+        "CompactionStart",
+        "CompactionEnd",
+        "ReplayStarted",
+        "TornRecordDetected",
+        "ReplayCompleted",
+        "CorruptionInjected",
+        "ShockInjected",
+        "ScrubStart",
+        "ScrubRepair",
+        "ScrubComplete",
+        "ExtentLost",
+        "SloBurnWarning",
+        "SloBreach",
+        "TraceEnded",
+    ];
+
+    /// Stable dense index of the variant into `[_; NUM_EVENT_KINDS]`
+    /// arrays, in declaration order.
+    pub fn kind_index(&self) -> usize {
+        match self {
+            SimEvent::RequestArrive { .. } => 0,
+            SimEvent::RequestDispatch { .. } => 1,
+            SimEvent::RequestComplete { .. } => 2,
+            SimEvent::DiskInit { .. } => 3,
+            SimEvent::DiskState { .. } => 4,
+            SimEvent::LoggerRotation { .. } => 5,
+            SimEvent::DestageStart { .. } => 6,
+            SimEvent::DestageEnd { .. } => 7,
+            SimEvent::LoggingDeactivated => 8,
+            SimEvent::LoggingReactivated => 9,
+            SimEvent::ReadMissSpinUp { .. } => 10,
+            SimEvent::ReadRedirected { .. } => 11,
+            SimEvent::DiskFailed { .. } => 12,
+            SimEvent::FaultScheduled { .. } => 13,
+            SimEvent::IoTimeout { .. } => 14,
+            SimEvent::IoRetry { .. } => 15,
+            SimEvent::IoLost { .. } => 16,
+            SimEvent::MediaError { .. } => 17,
+            SimEvent::RebuildStarted { .. } => 18,
+            SimEvent::RebuildCompleted { .. } => 19,
+            SimEvent::SegmentAllocated { .. } => 20,
+            SimEvent::SegmentSealed { .. } => 21,
+            SimEvent::SegmentCompacted { .. } => 22,
+            SimEvent::SegmentArchived { .. } => 23,
+            SimEvent::ArchiveFrameRetired { .. } => 24,
+            SimEvent::CompactionStart { .. } => 25,
+            SimEvent::CompactionEnd { .. } => 26,
+            SimEvent::ReplayStarted { .. } => 27,
+            SimEvent::TornRecordDetected { .. } => 28,
+            SimEvent::ReplayCompleted { .. } => 29,
+            SimEvent::CorruptionInjected { .. } => 30,
+            SimEvent::ShockInjected { .. } => 31,
+            SimEvent::ScrubStart { .. } => 32,
+            SimEvent::ScrubRepair { .. } => 33,
+            SimEvent::ScrubComplete { .. } => 34,
+            SimEvent::ExtentLost { .. } => 35,
+            SimEvent::SloBurnWarning { .. } => 36,
+            SimEvent::SloBreach { .. } => 37,
+            SimEvent::TraceEnded => 38,
+        }
+    }
+
     /// Short stable name of the variant, for per-kind summaries.
     pub fn kind_name(&self) -> &'static str {
-        match self {
-            SimEvent::RequestArrive { .. } => "RequestArrive",
-            SimEvent::RequestDispatch { .. } => "RequestDispatch",
-            SimEvent::RequestComplete { .. } => "RequestComplete",
-            SimEvent::DiskInit { .. } => "DiskInit",
-            SimEvent::DiskState { .. } => "DiskState",
-            SimEvent::LoggerRotation { .. } => "LoggerRotation",
-            SimEvent::DestageStart { .. } => "DestageStart",
-            SimEvent::DestageEnd { .. } => "DestageEnd",
-            SimEvent::LoggingDeactivated => "LoggingDeactivated",
-            SimEvent::LoggingReactivated => "LoggingReactivated",
-            SimEvent::ReadMissSpinUp { .. } => "ReadMissSpinUp",
-            SimEvent::ReadRedirected { .. } => "ReadRedirected",
-            SimEvent::DiskFailed { .. } => "DiskFailed",
-            SimEvent::FaultScheduled { .. } => "FaultScheduled",
-            SimEvent::IoTimeout { .. } => "IoTimeout",
-            SimEvent::IoRetry { .. } => "IoRetry",
-            SimEvent::IoLost { .. } => "IoLost",
-            SimEvent::MediaError { .. } => "MediaError",
-            SimEvent::RebuildStarted { .. } => "RebuildStarted",
-            SimEvent::RebuildCompleted { .. } => "RebuildCompleted",
-            SimEvent::SegmentAllocated { .. } => "SegmentAllocated",
-            SimEvent::SegmentSealed { .. } => "SegmentSealed",
-            SimEvent::SegmentCompacted { .. } => "SegmentCompacted",
-            SimEvent::SegmentArchived { .. } => "SegmentArchived",
-            SimEvent::ArchiveFrameRetired { .. } => "ArchiveFrameRetired",
-            SimEvent::CompactionStart { .. } => "CompactionStart",
-            SimEvent::CompactionEnd { .. } => "CompactionEnd",
-            SimEvent::ReplayStarted { .. } => "ReplayStarted",
-            SimEvent::TornRecordDetected { .. } => "TornRecordDetected",
-            SimEvent::ReplayCompleted { .. } => "ReplayCompleted",
-            SimEvent::CorruptionInjected { .. } => "CorruptionInjected",
-            SimEvent::ShockInjected { .. } => "ShockInjected",
-            SimEvent::ScrubStart { .. } => "ScrubStart",
-            SimEvent::ScrubRepair { .. } => "ScrubRepair",
-            SimEvent::ScrubComplete { .. } => "ScrubComplete",
-            SimEvent::ExtentLost { .. } => "ExtentLost",
-            SimEvent::SloBurnWarning { .. } => "SloBurnWarning",
-            SimEvent::SloBreach { .. } => "SloBreach",
-            SimEvent::TraceEnded => "TraceEnded",
-        }
+        Self::KIND_NAMES[self.kind_index()]
     }
 
     /// The physical disk this event concerns, if it names one (for
@@ -450,5 +504,14 @@ mod tests {
             "RequestArrive"
         );
         assert_eq!(SimEvent::TraceEnded.kind_name(), "TraceEnded");
+        assert_eq!(SimEvent::IoLost { io: 0 }.kind_name(), "IoLost");
+    }
+
+    #[test]
+    fn kind_names_are_distinct() {
+        let mut names = SimEvent::KIND_NAMES.to_vec();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), NUM_EVENT_KINDS);
     }
 }

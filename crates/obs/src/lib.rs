@@ -45,9 +45,9 @@ pub use slo::{
     WindowObservation,
 };
 pub use span::{
-    critical_path, AttributionSummary, BgSpan, BgSpanKind, LegFlavor, PathAttribution, Phase,
-    PhaseShare, PhaseSlice, PhaseStats, RequestSpan, SpanAnalysis, SpanCollector, SpanLeg, SpanSet,
-    NUM_PHASES,
+    critical_path, AttributionSummary, BgSpan, BgSpanKind, LegFlavor, LegSlices, PathAttribution,
+    Phase, PhaseShare, PhaseSlice, PhaseStats, RequestSpan, SpanAnalysis, SpanCollector, SpanLeg,
+    SpanSet, NUM_PHASES,
 };
 pub use timeseries::{
     ClosedWindow, RollupValue, SeriesId, SeriesKind, SeriesSnapshot, Telemetry, TelemetrySnapshot,

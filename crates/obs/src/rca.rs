@@ -354,7 +354,7 @@ mod tests {
                 submit: begin,
                 start: SimTime::from_micros(stall_us),
                 end,
-                slices: vec![
+                slices: [
                     PhaseSlice {
                         phase: Phase::SpinUpStall,
                         duration: Duration::from_micros(stall_us),
@@ -363,7 +363,9 @@ mod tests {
                         phase: Phase::Transfer,
                         duration: Duration::from_micros(xfer_us),
                     },
-                ],
+                ]
+                .into_iter()
+                .collect(),
                 delayed_by: None,
             }],
         }
@@ -445,7 +447,7 @@ mod tests {
                 submit: begin,
                 start: SimTime::from_micros(4_000),
                 end,
-                slices: vec![
+                slices: [
                     PhaseSlice {
                         phase: Phase::DestageInterference,
                         duration: Duration::from_micros(4_000),
@@ -454,7 +456,9 @@ mod tests {
                         phase: Phase::LogAppend,
                         duration: Duration::from_micros(1_000),
                     },
-                ],
+                ]
+                .into_iter()
+                .collect(),
                 delayed_by: Some(7),
             }],
         };

@@ -5,7 +5,7 @@
 //! so with the default [`NullSink`] the hot path pays a single predicted
 //! branch and never constructs the event value.
 
-use crate::event::{SimEvent, TracedEvent};
+use crate::event::{SimEvent, TracedEvent, NUM_EVENT_KINDS};
 use rolo_sim::SimTime;
 use std::collections::BTreeMap;
 
@@ -63,7 +63,9 @@ impl TraceSink for NullSink {
 ///
 /// When full, the oldest event is overwritten and counted as dropped, so
 /// a long run with a small ring retains its tail — the part that matters
-/// for post-mortem debugging.
+/// for post-mortem debugging. The buffer grows by doubling up to
+/// `capacity` as events arrive, then overwrites in place; an overwrite
+/// costs one array increment for the per-kind drop count.
 #[derive(Debug)]
 pub struct RingSink {
     buf: Vec<TracedEvent>,
@@ -72,9 +74,9 @@ pub struct RingSink {
     head: usize,
     recorded: u64,
     dropped: u64,
-    /// Overwritten events rolled up per [`SimEvent`] kind, so per-kind
+    /// Overwritten events per [`SimEvent::kind_index`], so per-kind
     /// counts over a drained ring can be corrected for wrap-around.
-    dropped_by_kind: BTreeMap<&'static str, u64>,
+    dropped_by_kind: [u64; NUM_EVENT_KINDS],
 }
 
 impl RingSink {
@@ -91,15 +93,19 @@ impl RingSink {
             head: 0,
             recorded: 0,
             dropped: 0,
-            dropped_by_kind: BTreeMap::new(),
+            dropped_by_kind: [0; NUM_EVENT_KINDS],
         }
     }
 
-    /// Overwritten-event counts per [`SimEvent::kind_name`]. A kind's
-    /// true emission count is its count in the drained buffer plus its
-    /// entry here.
-    pub fn dropped_by_kind(&self) -> &BTreeMap<&'static str, u64> {
-        &self.dropped_by_kind
+    /// Overwritten-event counts per [`SimEvent::kind_name`], for the
+    /// kinds that lost at least one event. A kind's true emission count
+    /// is its count in the drained buffer plus its entry here.
+    pub fn dropped_by_kind(&self) -> BTreeMap<&'static str, u64> {
+        SimEvent::KIND_NAMES
+            .into_iter()
+            .zip(self.dropped_by_kind)
+            .filter(|&(_, n)| n > 0)
+            .collect()
     }
 
     /// Number of events currently retained.
@@ -124,10 +130,13 @@ impl TraceSink for RingSink {
         if self.buf.len() < self.capacity {
             self.buf.push(ev);
         } else {
-            let evicted = self.buf[self.head].event.kind_name();
-            *self.dropped_by_kind.entry(evicted).or_default() += 1;
-            self.buf[self.head] = ev;
-            self.head = (self.head + 1) % self.capacity;
+            let slot = &mut self.buf[self.head];
+            self.dropped_by_kind[slot.event.kind_index()] += 1;
+            *slot = ev;
+            self.head += 1;
+            if self.head == self.capacity {
+                self.head = 0;
+            }
             self.dropped += 1;
         }
     }
@@ -145,7 +154,7 @@ impl TraceSink for RingSink {
         self.head = 0;
         self.recorded = 0;
         self.dropped = 0;
-        self.dropped_by_kind.clear();
+        self.dropped_by_kind = [0; NUM_EVENT_KINDS];
         let mut out = std::mem::take(&mut self.buf);
         out.rotate_left(head);
         out
@@ -244,7 +253,7 @@ mod tests {
         );
         // Retained + dropped reconstructs the true per-kind emission
         // counts exactly.
-        let by_kind = s.dropped_by_kind().clone();
+        let by_kind = s.dropped_by_kind();
         let drained = s.drain();
         let mut reconstructed = by_kind;
         for t in &drained {

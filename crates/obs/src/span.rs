@@ -20,13 +20,17 @@
 
 use crate::sketch::QuantileSketch;
 use rolo_disk::{DiskId, ServiceBreakdown};
-use rolo_sim::{Duration, SimTime};
+use rolo_sim::{Duration, IoMap, SimTime};
 use rolo_trace::ReqKind;
-use serde::Serialize;
-use std::collections::HashMap;
+use serde::{Serialize, Value};
 
 /// Number of typed phases ([`Phase::ALL`] has one entry per phase).
 pub const NUM_PHASES: usize = 11;
+
+/// Most slices a leg can hold: [`SpanCollector`] cuts each leg into at
+/// most six (spin-up stall, interference, queue wait, seek, rotation,
+/// transfer).
+pub const MAX_LEG_SLICES: usize = 6;
 
 /// Where a slice of a request's latency went.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
@@ -149,6 +153,76 @@ pub struct PhaseSlice {
     pub duration: Duration,
 }
 
+/// A leg's phase slices, stored inline: at most [`MAX_LEG_SLICES`],
+/// so a leg needs no allocation of its own. Derefs to `[PhaseSlice]`
+/// and serializes as that JSON array.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LegSlices {
+    len: u8,
+    /// Slots from `len` on keep the value [`LegSlices::new`] put there,
+    /// so the derived equality compares the slices alone.
+    buf: [PhaseSlice; MAX_LEG_SLICES],
+}
+
+impl LegSlices {
+    /// No slices.
+    pub const fn new() -> Self {
+        const UNUSED: PhaseSlice = PhaseSlice {
+            phase: Phase::QueueWait,
+            duration: Duration::ZERO,
+        };
+        LegSlices {
+            len: 0,
+            buf: [UNUSED; MAX_LEG_SLICES],
+        }
+    }
+
+    /// Appends a slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the leg already holds [`MAX_LEG_SLICES`] slices.
+    pub fn push(&mut self, slice: PhaseSlice) {
+        let len = usize::from(self.len);
+        assert!(
+            len < MAX_LEG_SLICES,
+            "a leg holds at most {MAX_LEG_SLICES} slices"
+        );
+        self.buf[len] = slice;
+        self.len += 1;
+    }
+}
+
+impl Default for LegSlices {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl std::ops::Deref for LegSlices {
+    type Target = [PhaseSlice];
+
+    fn deref(&self) -> &[PhaseSlice] {
+        &self.buf[..usize::from(self.len)]
+    }
+}
+
+impl FromIterator<PhaseSlice> for LegSlices {
+    fn from_iter<I: IntoIterator<Item = PhaseSlice>>(iter: I) -> Self {
+        let mut out = LegSlices::new();
+        for slice in iter {
+            out.push(slice);
+        }
+        out
+    }
+}
+
+impl Serialize for LegSlices {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+
 /// One sub-I/O of a user request: its interval on one disk, decomposed
 /// into phase slices laid out contiguously from `submit` to `end`.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -164,7 +238,7 @@ pub struct SpanLeg {
     /// When it completed.
     pub end: SimTime,
     /// Typed slices in temporal order; they sum to `end − submit`.
-    pub slices: Vec<PhaseSlice>,
+    pub slices: LegSlices,
     /// Id of the [`BgSpan`] whose transfer delayed this leg, if any.
     pub delayed_by: Option<u64>,
 }
@@ -266,21 +340,35 @@ pub struct BgSpan {
     pub delayed: Vec<u64>,
 }
 
+/// A request span still in flight, with the number of its tagged legs
+/// not yet recorded.
+#[derive(Debug)]
+struct OpenSpan {
+    span: RequestSpan,
+    pending_legs: usize,
+}
+
 /// Accumulates spans during a run: open request spans keyed by user id,
 /// sub-I/O tags keyed by disk-level I/O id, and open background spans
 /// keyed per disk so interference can be linked to its cause.
+///
+/// Every key is an id the simulator allocates, so the maps hash with
+/// [`IoMap`]'s multiply hasher rather than SipHash. A finished span's
+/// `legs` is sized to its leg count: the tags a request collected before
+/// its first leg completes say how many legs to make room for.
 ///
 /// The collector is only ever touched when span recording is on; the
 /// simulation itself never reads it, so it cannot perturb outcomes.
 #[derive(Debug, Default)]
 pub struct SpanCollector {
-    open: HashMap<u64, RequestSpan>,
-    io_tags: HashMap<u64, (u64, LegFlavor)>,
+    open: IoMap<OpenSpan>,
+    io_tags: IoMap<(u64, LegFlavor)>,
     finished: Vec<RequestSpan>,
-    bg_open: HashMap<u64, BgSpan>,
+    bg_open: IoMap<BgSpan>,
     bg_finished: Vec<BgSpan>,
-    /// disk → id of the background span currently active on it.
-    bg_by_disk: HashMap<DiskId, u64>,
+    /// Id of the background span currently active on each disk, indexed
+    /// by disk (grown on demand).
+    bg_by_disk: Vec<Option<u64>>,
     next_bg_id: u64,
 }
 
@@ -294,12 +382,15 @@ impl SpanCollector {
     pub fn open_request(&mut self, id: u64, kind: ReqKind, at: SimTime) {
         self.open.insert(
             id,
-            RequestSpan {
-                id,
-                kind,
-                begin: at,
-                end: at,
-                legs: Vec::new(),
+            OpenSpan {
+                span: RequestSpan {
+                    id,
+                    kind,
+                    begin: at,
+                    end: at,
+                    legs: Vec::new(),
+                },
+                pending_legs: 0,
             },
         );
     }
@@ -309,19 +400,18 @@ impl SpanCollector {
     /// submitting each foreground sub-I/O.
     pub fn tag_io(&mut self, io: u64, user: u64, flavor: LegFlavor) {
         self.io_tags.insert(io, (user, flavor));
-    }
-
-    /// Re-flavors an already tagged I/O (degraded redirects re-submit
-    /// under the same id). No-op if the I/O was never tagged.
-    pub fn retag_io(&mut self, io: u64, flavor: LegFlavor) {
-        if let Some((_, f)) = self.io_tags.get_mut(&io) {
-            *f = flavor;
+        if let Some(open) = self.open.get_mut(&user) {
+            open.pending_legs += 1;
         }
     }
 
     /// Drops the tag of an aborted I/O (e.g. lost to a disk failure).
     pub fn untag_io(&mut self, io: u64) {
-        self.io_tags.remove(&io);
+        if let Some((user, _)) = self.io_tags.remove(&io) {
+            if let Some(open) = self.open.get_mut(&user) {
+                open.pending_legs = open.pending_legs.saturating_sub(1);
+            }
+        }
     }
 
     /// Records a completed sub-I/O leg from the disk's breakdown. No-op
@@ -330,10 +420,10 @@ impl SpanCollector {
         let Some((user, flavor)) = self.io_tags.remove(&io) else {
             return;
         };
-        let Some(span) = self.open.get_mut(&user) else {
+        let Some(open) = self.open.get_mut(&user) else {
             return;
         };
-        let mut slices = Vec::with_capacity(4);
+        let mut slices = LegSlices::new();
         let mut push = |phase: Phase, d: Duration| {
             if !d.is_zero() {
                 slices.push(PhaseSlice { phase, duration: d });
@@ -348,7 +438,7 @@ impl SpanCollector {
         let bg_id = if b.bg_interference.is_zero() {
             None
         } else {
-            self.bg_by_disk.get(&disk).copied()
+            self.bg_by_disk.get(disk).copied().flatten()
         };
         let interference_phase = match bg_id.and_then(|i| self.bg_open.get(&i)) {
             Some(bg) if bg.kind == BgSpanKind::Compaction => Phase::Compaction,
@@ -368,7 +458,10 @@ impl SpanCollector {
         if let Some(bg) = bg_id.and_then(|i| self.bg_open.get_mut(&i)) {
             bg.delayed.push(user);
         }
-        span.legs.push(SpanLeg {
+        // Room for this leg and every other tagged one still in flight.
+        open.span.legs.reserve_exact(open.pending_legs);
+        open.pending_legs = open.pending_legs.saturating_sub(1);
+        open.span.legs.push(SpanLeg {
             io,
             disk,
             submit: b.submit,
@@ -383,13 +476,10 @@ impl SpanCollector {
     /// and moves it to the finished list, returning a view of the
     /// finished span (e.g. for online per-phase telemetry).
     pub fn close_request(&mut self, id: u64, at: SimTime) -> Option<&RequestSpan> {
-        if let Some(mut span) = self.open.remove(&id) {
-            span.end = at;
-            self.finished.push(span);
-            self.finished.last()
-        } else {
-            None
-        }
+        let mut span = self.open.remove(&id)?.span;
+        span.end = at;
+        self.finished.push(span);
+        self.finished.last()
     }
 
     /// Opens a background span of `kind` covering `disks`, returning its
@@ -409,7 +499,10 @@ impl SpanCollector {
             },
         );
         for &d in disks {
-            self.bg_by_disk.insert(d, id);
+            if d >= self.bg_by_disk.len() {
+                self.bg_by_disk.resize(d + 1, None);
+            }
+            self.bg_by_disk[d] = Some(id);
         }
         id
     }
@@ -420,12 +513,11 @@ impl SpanCollector {
             span.end = Some(at);
             self.bg_finished.push(span);
         }
-        self.bg_by_disk.retain(|_, v| *v != bg);
-    }
-
-    /// Number of finished request spans so far.
-    pub fn finished_requests(&self) -> usize {
-        self.finished.len()
+        for active in &mut self.bg_by_disk {
+            if *active == Some(bg) {
+                *active = None;
+            }
+        }
     }
 
     /// Consumes the collector, returning finished request spans (in
@@ -493,7 +585,7 @@ pub fn critical_path(span: &RequestSpan) -> PathAttribution {
         // Attribute the leg's slices over [submit, clip_end), forward in
         // time, clipping the tail if the cursor cut the leg short.
         let mut remaining = clip_end.since(leg.submit).as_micros();
-        for slice in &leg.slices {
+        for slice in leg.slices.iter() {
             if remaining == 0 {
                 break;
             }
@@ -874,6 +966,39 @@ mod tests {
         assert_eq!(s.requests, 10);
         assert!((s.mean_response_ms - 1.0).abs() < 1e-9);
         assert!(s.p95_ms.is_some());
+    }
+
+    #[test]
+    fn legs_are_sized_to_the_tagged_leg_count() {
+        let mut c = SpanCollector::new();
+        c.open_request(5, ReqKind::Write, SimTime::ZERO);
+        c.tag_io(50, 5, LegFlavor::LogAppend);
+        c.tag_io(51, 5, LegFlavor::MirrorCopy);
+        c.record_leg(50, 0, &breakdown(50, 0, 0, 100, 10, 20, 0, 0));
+        c.record_leg(51, 1, &breakdown(51, 0, 0, 120, 10, 20, 0, 0));
+        c.close_request(5, SimTime::from_micros(120));
+        let (spans, _) = c.into_finished();
+        assert_eq!(spans[0].legs.len(), 2);
+        assert_eq!(spans[0].legs.capacity(), 2);
+    }
+
+    #[test]
+    fn inline_slices_serialize_as_a_json_array() {
+        let slices = [
+            PhaseSlice {
+                phase: Phase::Seek,
+                duration: Duration::from_micros(3),
+            },
+            PhaseSlice {
+                phase: Phase::Transfer,
+                duration: Duration::from_micros(7),
+            },
+        ];
+        let inline: LegSlices = slices.into_iter().collect();
+        assert_eq!(
+            serde_json::to_string(&inline).unwrap(),
+            serde_json::to_string(&slices.to_vec()).unwrap()
+        );
     }
 
     #[test]
