@@ -22,11 +22,11 @@
 
 use rolo_bench::{expect_consistent, parallel_map};
 use rolo_core::{FaultPlan, Scheme, SimConfig};
-use rolo_obs::SpanAnalysis;
+use rolo_obs::{NullSink, SpanAnalysis};
 use rolo_sim::Duration;
 use rolo_trace::SyntheticConfig;
 
-/// Same coverage bar as `span_report`.
+/// Same coverage bar as `inspect spans`.
 const MIN_ATTRIBUTED: f64 = 0.95;
 
 /// Crash instants swept for every (scheme, disk) cell: one early (the
@@ -95,7 +95,10 @@ fn main() {
         cfg.faults = FaultPlan::single(disk, Duration::from_secs(at));
         let dur = Duration::from_secs(secs);
         let wl = SyntheticConfig::motivation_write_only(iops);
-        rolo_core::run_scheme_spanned(&cfg, wl.generator(dur, cfg.seed), dur)
+        let records = wl.generator(dur, cfg.seed);
+        let (report, obs) =
+            rolo_core::run_scheme_observed(&cfg, records, dur, Box::new(NullSink), true);
+        (report, obs.spans.expect("span recording was enabled"))
     });
 
     println!(

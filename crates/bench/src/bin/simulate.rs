@@ -10,6 +10,7 @@
 //!
 //! Prints the full report; optionally writes it as JSON.
 
+use rolo_bench::cli::scheme_from_slug;
 use rolo_core::{Scheme, SimConfig, SimReport};
 use rolo_sim::{Duration, SimTime};
 use std::io::BufReader;
@@ -48,17 +49,11 @@ fn parse_args() -> Args {
         };
         match flag.as_str() {
             "--scheme" => {
-                args.scheme = match val("--scheme").as_str() {
-                    "raid10" => Scheme::Raid10,
-                    "graid" => Scheme::Graid,
-                    "rolo-p" => Scheme::RoloP,
-                    "rolo-r" => Scheme::RoloR,
-                    "rolo-e" => Scheme::RoloE,
-                    other => {
-                        eprintln!("unknown scheme {other}");
-                        std::process::exit(2);
-                    }
-                }
+                let slug = val("--scheme");
+                args.scheme = scheme_from_slug(&slug).unwrap_or_else(|| {
+                    eprintln!("unknown scheme {slug}");
+                    std::process::exit(2);
+                })
             }
             "--trace" => args.trace = val("--trace"),
             "--msr" => args.msr = Some(val("--msr")),

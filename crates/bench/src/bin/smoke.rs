@@ -10,19 +10,15 @@
 //! within 10 % (+ scheduling slack) of the untraced run, the budget
 //! DESIGN.md §9 promises.
 
-use rolo_core::{run_scheme_with_sink, Scheme, SimConfig};
+use rolo_bench::cli::scheme_from_slug;
+use rolo_core::{run_scheme_observed, Scheme, SimConfig};
 use rolo_obs::{NullSink, RingSink};
 use rolo_sim::Duration;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let scheme = match args.get(1).map(String::as_str) {
-        Some("raid10") => Scheme::Raid10,
-        Some("graid") => Scheme::Graid,
-        Some("rolo-r") => Scheme::RoloR,
-        Some("rolo-e") => Scheme::RoloE,
-        _ => Scheme::RoloP,
-    };
+    let scheme = args.get(1).and_then(|s| scheme_from_slug(s));
+    let scheme = scheme.unwrap_or(Scheme::RoloP);
     let profile =
         rolo_trace::profiles::by_name(args.get(2).map(String::as_str).unwrap_or("src2_2"))
             .expect("unknown trace profile");
@@ -97,7 +93,7 @@ fn main() {
     let mut null_report = None;
     for _ in 0..OVERHEAD_RUNS {
         let start = std::time::Instant::now();
-        let (r, _) = run_scheme_with_sink(&cfg, records.clone(), dur, Box::new(NullSink));
+        let (r, _) = run_scheme_observed(&cfg, records.clone(), dur, Box::new(NullSink), false);
         null_wall = null_wall.min(start.elapsed());
         null_report = Some(r);
     }
@@ -106,12 +102,12 @@ fn main() {
     let mut ring_run = None;
     for _ in 0..OVERHEAD_RUNS {
         let start = std::time::Instant::now();
-        let out =
-            run_scheme_with_sink(&cfg, records.clone(), dur, Box::new(RingSink::new(1 << 20)));
+        let sink = Box::new(RingSink::new(1 << 20));
+        let out = run_scheme_observed(&cfg, records.clone(), dur, sink, false);
         ring_wall = ring_wall.min(start.elapsed());
         ring_run = Some(out);
     }
-    let (ring_report, sink) = ring_run.expect("at least one run");
+    let (ring_report, obs) = ring_run.expect("at least one run");
     assert_eq!(
         null_report.deterministic_json(),
         ring_report.deterministic_json(),
@@ -120,8 +116,8 @@ fn main() {
     println!(
         "tracing overhead (min of {OVERHEAD_RUNS}): null {null_wall:.2?} vs \
          ring {ring_wall:.2?} ({} events, {} dropped)",
-        sink.recorded(),
-        sink.dropped()
+        obs.sink.recorded(),
+        obs.sink.dropped()
     );
     // 10 % budget plus absolute slack so sub-second runs are not judged
     // on scheduler noise.

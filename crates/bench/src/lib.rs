@@ -4,7 +4,10 @@
 //! paper (see DESIGN.md §4 for the index). They all follow the same
 //! shape: build configs, run the simulator (in parallel across a sweep),
 //! print the same rows/series the paper reports, and write
-//! `results/<name>.json` for EXPERIMENTS.md.
+//! `results/<name>.json` for EXPERIMENTS.md. The observability tools
+//! are one binary, `inspect`, whose command line lives in [`cli`].
+
+pub mod cli;
 
 use rolo_core::{SimConfig, SimReport};
 use rolo_sim::Duration;
@@ -141,16 +144,32 @@ pub fn mj(j: f64) -> String {
     format!("{:.2} MJ", j / 1e6)
 }
 
-/// FNV-1a (64-bit) digest of `bytes` as fixed-width hex — the digest
-/// the golden engine-equivalence fixtures commit instead of multi-MB
-/// `deterministic_json` bodies.
+/// FNV-1a (64-bit) offset basis: the hash of no bytes.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the FNV-1a (64-bit) state `hash`; start from
+/// [`FNV_OFFSET`]. Stable and dependency-free, so digests can be
+/// committed and compared across builds.
+pub fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    fnv1a_with(0x0000_0100_0000_01b3, hash, bytes)
+}
+
+/// Digest of `bytes` as fixed-width hex — what the golden
+/// engine-equivalence fixtures commit instead of multi-MB
+/// `deterministic_json` bodies. It folds with 2^44 + 0x1b3, a mistyped
+/// FNV prime (2^40 + 0x1b3), kept so the committed digests stay valid;
+/// the multiplier is odd, so each step is still a bijection.
 pub fn fnv1a_hex(bytes: &[u8]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    format!("{:016x}", fnv1a_with(0x1000_0000_01b3, FNV_OFFSET, bytes))
+}
+
+fn fnv1a_with(prime: u64, hash: u64, bytes: &[u8]) -> u64 {
+    let mut h = hash;
     for &b in bytes {
         h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
+        h = h.wrapping_mul(prime);
     }
-    format!("{h:016x}")
+    h
 }
 
 /// Compact summary row used by several binaries.

@@ -9,8 +9,8 @@
 //! tracing on vs off.
 
 use rolo_bench::{run_jobs, run_records, RunJob};
-use rolo_core::{run_scheme_with_sink, Scheme, SimConfig};
-use rolo_obs::{RingSink, TracedEvent};
+use rolo_core::{run_scheme_observed, Scheme, SimConfig};
+use rolo_obs::{NullSink, RingSink, TracedEvent};
 use rolo_sim::Duration;
 use rolo_trace::{profiles, TraceRecord};
 
@@ -72,13 +72,14 @@ fn trace_event_sequence_is_deterministic() {
     let dur = Duration::from_secs(900);
     let run = || -> (String, Vec<TracedEvent>) {
         let cfg = small_cfg(Scheme::RoloP);
-        let (report, mut sink) = run_scheme_with_sink(
+        let (report, mut obs) = run_scheme_observed(
             &cfg,
             workload(dur, 21),
             dur,
             Box::new(RingSink::new(1 << 20)),
+            false,
         );
-        (report.deterministic_json(), sink.drain())
+        (report.deterministic_json(), obs.sink.drain())
     };
     let (ja, ea) = run();
     let (jb, eb) = run();
@@ -116,13 +117,7 @@ fn telemetry_does_not_perturb_the_simulation() {
     // identical runs export identical snapshots and alert lists.
     let cfg = small_cfg(Scheme::RoloE);
     let observe = || {
-        let (_, obs) = rolo_core::run_scheme_observed(
-            &cfg,
-            workload(dur, 33),
-            dur,
-            Box::new(rolo_obs::NullSink),
-            false,
-        );
+        let (_, obs) = run_scheme_observed(&cfg, workload(dur, 33), dur, Box::new(NullSink), false);
         (obs.telemetry.expect("telemetry on"), obs.slo_alerts)
     };
     let (snap_a, alerts_a) = observe();
@@ -145,13 +140,7 @@ fn forensics_do_not_perturb_the_simulation() {
         cfg_off.exemplars_per_window = 0;
         cfg_off.rca_enabled = false;
         let observe = |cfg: &SimConfig| {
-            rolo_core::run_scheme_observed(
-                cfg,
-                workload(dur, 51),
-                dur,
-                Box::new(rolo_obs::NullSink),
-                false,
-            )
+            run_scheme_observed(cfg, workload(dur, 51), dur, Box::new(NullSink), false)
         };
         let (on, obs_on) = observe(&cfg_on);
         let (off, obs_off) = observe(&cfg_off);
@@ -184,7 +173,9 @@ fn span_recording_does_not_perturb_the_simulation() {
     for scheme in Scheme::all() {
         let cfg = small_cfg(scheme);
         let plain = run_records(&cfg, workload(dur, 13), dur);
-        let (spanned, spans) = rolo_core::run_scheme_spanned(&cfg, workload(dur, 13), dur);
+        let (spanned, obs) =
+            run_scheme_observed(&cfg, workload(dur, 13), dur, Box::new(NullSink), true);
+        let spans = obs.spans.expect("span recording was enabled");
         assert_eq!(
             plain.deterministic_json(),
             spanned.deterministic_json(),

@@ -14,7 +14,8 @@
 //! silent engine divergence.
 
 use rolo_bench::fnv1a_hex;
-use rolo_core::{run_scheme, run_scheme_spanned, Scheme, SimConfig};
+use rolo_core::{run_scheme, run_scheme_observed, Scheme, SimConfig};
+use rolo_obs::NullSink;
 use rolo_sim::Duration;
 use rolo_trace::{profiles, TraceRecord};
 use std::collections::BTreeMap;
@@ -52,7 +53,8 @@ fn current_digests() -> BTreeMap<String, String> {
                 for spans in [false, true] {
                     let c = cfg(scheme, scrub);
                     let json = if spans {
-                        let (report, _) = run_scheme_spanned(&c, records.clone(), dur);
+                        let sink = Box::new(NullSink);
+                        let (report, _) = run_scheme_observed(&c, records.clone(), dur, sink, true);
                         report.deterministic_json()
                     } else {
                         run_scheme(&c, records.clone(), dur).deterministic_json()

@@ -100,79 +100,19 @@ pub fn run_trace<P: Policy>(
     policy: P,
     duration: Duration,
 ) -> SimReport {
-    run_trace_returning(cfg, records, policy, duration).0
+    run_trace_observed(cfg, records, policy, duration, Box::new(NullSink), false).0
 }
 
-/// Like [`run_trace`], but also hands the policy back so callers can
-/// inspect its end state (e.g. feed a live logger history into
-/// [`crate::recovery::recovery_plan`]).
-pub fn run_trace_returning<P: Policy>(
-    cfg: &SimConfig,
-    records: impl IntoIterator<Item = TraceRecord>,
-    policy: P,
-    duration: Duration,
-) -> (SimReport, P) {
-    let (report, policy, _sink) =
-        run_trace_with_sink(cfg, records, policy, duration, Box::new(NullSink));
-    (report, policy)
-}
-
-/// Like [`run_trace_returning`], but exposes every out-of-band
-/// observation stream at once — trace sink, spans (when `spans`),
-/// telemetry snapshot and SLO alerts. This is the entry point of the
-/// `metrics_export` tool, which needs all of them for one run.
+/// Like [`run_trace`], but hands back the policy, so callers can inspect
+/// its end state (e.g. feed a live logger history into
+/// [`crate::recovery::recovery_plan`]), and every out-of-band
+/// observation stream: the trace sink for draining, spans (when
+/// `spans`), the telemetry snapshot, SLO alerts, exemplars and RCA.
+///
+/// Observation never perturbs the simulation: with any sink and with
+/// spans on or off the [`SimReport`] is the same, modulo the wall-clock
+/// [`RunProfile`].
 pub fn run_trace_observed<P: Policy>(
-    cfg: &SimConfig,
-    records: impl IntoIterator<Item = TraceRecord>,
-    policy: P,
-    duration: Duration,
-    sink: Box<dyn TraceSink>,
-    spans: bool,
-) -> (SimReport, P, RunObservations) {
-    run_trace_inner(cfg, records, policy, duration, sink, spans)
-}
-
-/// Like [`run_trace_returning`], but records structured [`SimEvent`]s
-/// into `sink` and hands the sink back for draining (see `rolo_obs`).
-///
-/// With a recording sink the run produces the *same* [`SimReport`]
-/// modulo the wall-clock [`RunProfile`]: tracing must never perturb the
-/// simulation.
-pub fn run_trace_with_sink<P: Policy>(
-    cfg: &SimConfig,
-    records: impl IntoIterator<Item = TraceRecord>,
-    policy: P,
-    duration: Duration,
-    sink: Box<dyn TraceSink>,
-) -> (SimReport, P, Box<dyn TraceSink>) {
-    let (report, policy, obs) = run_trace_inner(cfg, records, policy, duration, sink, false);
-    (report, policy, obs.sink)
-}
-
-/// Like [`run_trace_returning`], but records a per-request span tree
-/// (see [`rolo_obs::RequestSpan`]): each user request is followed from
-/// admission to completion, every foreground sub-I/O becomes a typed
-/// leg, and destage/rebuild cycles become background spans linked to
-/// the foreground requests they delayed.
-///
-/// Span recording is observational only: the returned [`SimReport`] is
-/// byte-identical (modulo the wall-clock profile) to an unspanned run.
-pub fn run_trace_spanned<P: Policy>(
-    cfg: &SimConfig,
-    records: impl IntoIterator<Item = TraceRecord>,
-    policy: P,
-    duration: Duration,
-) -> (SimReport, P, SpanSet) {
-    let (report, policy, obs) =
-        run_trace_inner(cfg, records, policy, duration, Box::new(NullSink), true);
-    (
-        report,
-        policy,
-        obs.spans.expect("span recording was enabled"),
-    )
-}
-
-fn run_trace_inner<P: Policy>(
     cfg: &SimConfig,
     records: impl IntoIterator<Item = TraceRecord>,
     mut policy: P,
@@ -575,38 +515,11 @@ pub fn run_scheme(
     records: impl IntoIterator<Item = TraceRecord>,
     duration: Duration,
 ) -> SimReport {
-    run_scheme_with_sink(cfg, records, duration, Box::new(NullSink)).0
+    run_scheme_observed(cfg, records, duration, Box::new(NullSink), false).0
 }
 
-/// Like [`run_scheme`], but records trace events into `sink` and hands
-/// it back for draining — the entry point of the `trace_dump` tool.
-pub fn run_scheme_with_sink(
-    cfg: &SimConfig,
-    records: impl IntoIterator<Item = TraceRecord>,
-    duration: Duration,
-    sink: Box<dyn TraceSink>,
-) -> (SimReport, Box<dyn TraceSink>) {
-    let (report, obs) = run_scheme_observed(cfg, records, duration, sink, false);
-    (report, obs.sink)
-}
-
-/// Like [`run_scheme`], but with per-request span recording on — the
-/// entry point of the `span_report` tool. Returns
-/// the report plus every completed request span and background
-/// (destage/rebuild) span of the run.
-pub fn run_scheme_spanned(
-    cfg: &SimConfig,
-    records: impl IntoIterator<Item = TraceRecord>,
-    duration: Duration,
-) -> (SimReport, SpanSet) {
-    let (report, obs) = run_scheme_observed(cfg, records, duration, Box::new(NullSink), true);
-    (report, obs.spans.expect("span recording was enabled"))
-}
-
-/// Like [`run_scheme`], but exposes every out-of-band observation
-/// stream at once: the trace sink, spans (when `spans` is set), the
-/// telemetry snapshot and the run's SLO alerts — the entry point of
-/// the `metrics_export` tool.
+/// Like [`run_trace_observed`], with the policy [`run_scheme`] builds for
+/// `cfg.scheme` — the one replay path of the `inspect` tool.
 pub fn run_scheme_observed(
     cfg: &SimConfig,
     records: impl IntoIterator<Item = TraceRecord>,
@@ -618,7 +531,7 @@ pub fn run_scheme_observed(
     let geo = cfg.geometry().expect("invalid geometry");
     match cfg.scheme {
         Scheme::Raid10 => {
-            let (report, _, obs) = run_trace_inner(
+            let (report, _, obs) = run_trace_observed(
                 cfg,
                 records,
                 crate::raid10::Raid10Policy::new(),
@@ -637,7 +550,7 @@ pub fn run_scheme_observed(
                 cfg.destage_chunk,
             );
             policy.set_segment_tuning(cfg.log_segment, cfg.archive_ttl);
-            let (report, _, obs) = run_trace_inner(cfg, records, policy, duration, sink, spans);
+            let (report, _, obs) = run_trace_observed(cfg, records, policy, duration, sink, spans);
             (report, obs)
         }
         Scheme::RoloP | Scheme::RoloR => {
@@ -659,7 +572,7 @@ pub fn run_scheme_observed(
             if cfg.rolo_on_duty > 1 {
                 policy.set_on_duty_loggers(cfg.rolo_on_duty);
             }
-            let (report, _, obs) = run_trace_inner(cfg, records, policy, duration, sink, spans);
+            let (report, _, obs) = run_trace_observed(cfg, records, policy, duration, sink, spans);
             (report, obs)
         }
         Scheme::RoloE => {
@@ -677,7 +590,7 @@ pub fn run_scheme_observed(
             if cfg.rolo_on_duty > 1 {
                 policy.set_on_duty_pairs(cfg.rolo_on_duty);
             }
-            let (report, _, obs) = run_trace_inner(cfg, records, policy, duration, sink, spans);
+            let (report, _, obs) = run_trace_observed(cfg, records, policy, duration, sink, spans);
             (report, obs)
         }
     }

@@ -46,11 +46,7 @@ pub mod slot;
 
 pub use config::{ConfigError, Scheme, SimConfig};
 pub use ctx::SimCtx;
-pub use driver::{
-    run_scheme, run_scheme_observed, run_scheme_spanned, run_scheme_with_sink, run_trace,
-    run_trace_observed, run_trace_returning, run_trace_spanned, run_trace_with_sink,
-    RunObservations,
-};
+pub use driver::{run_scheme, run_scheme_observed, run_trace, run_trace_observed, RunObservations};
 pub use faults::{surviving_partner, FaultMetrics, FaultPlan, FaultPlanError};
 pub use graid::GraidPolicy;
 pub use paraid::ParaidPolicy;

@@ -2,7 +2,7 @@
 //! lifecycle events DESIGN.md §9 promises, in time order, without ever
 //! perturbing the simulation itself.
 
-use rolo_core::{run_scheme_with_sink, Scheme, SimConfig};
+use rolo_core::{run_scheme_observed, Scheme, SimConfig};
 use rolo_obs::{NullSink, RingSink, SimEvent, TracedEvent};
 use rolo_sim::Duration;
 use rolo_trace::SyntheticConfig;
@@ -18,14 +18,15 @@ fn small_cfg(scheme: Scheme) -> SimConfig {
 fn traced_run(cfg: &SimConfig, iops: f64, secs: u64, capacity: usize) -> Vec<TracedEvent> {
     let dur = Duration::from_secs(secs);
     let wl = SyntheticConfig::motivation_write_only(iops);
-    let (report, mut sink) = run_scheme_with_sink(
+    let (report, mut obs) = run_scheme_observed(
         cfg,
         wl.generator(dur, 3),
         dur,
         Box::new(RingSink::new(capacity)),
+        false,
     );
     report.consistency.as_ref().expect("consistent");
-    sink.drain()
+    obs.sink.drain()
 }
 
 fn kinds(events: &[TracedEvent]) -> Vec<&'static str> {
@@ -39,14 +40,15 @@ fn null_and_ring_sinks_produce_identical_reports() {
     for scheme in Scheme::all() {
         let cfg = small_cfg(scheme);
         let (null_report, _) =
-            run_scheme_with_sink(&cfg, wl.generator(dur, 9), dur, Box::new(NullSink));
-        let (ring_report, sink) = run_scheme_with_sink(
+            run_scheme_observed(&cfg, wl.generator(dur, 9), dur, Box::new(NullSink), false);
+        let (ring_report, obs) = run_scheme_observed(
             &cfg,
             wl.generator(dur, 9),
             dur,
             Box::new(RingSink::new(1 << 20)),
+            false,
         );
-        assert!(sink.recorded() > 0, "{scheme}: nothing recorded");
+        assert!(obs.sink.recorded() > 0, "{scheme}: nothing recorded");
         assert_eq!(
             null_report.deterministic_json(),
             ring_report.deterministic_json(),

@@ -424,7 +424,7 @@ impl SimEvent {
 
     /// The physical disk this event concerns, if it names one (for
     /// redirects, the disk the I/O was originally addressed to). Used by
-    /// `trace_dump --check` to validate per-disk timestamp monotonicity.
+    /// `inspect dump --check` to validate per-disk timestamp monotonicity.
     pub fn disk(&self) -> Option<DiskId> {
         match self {
             SimEvent::RequestDispatch { disk, .. }
@@ -458,7 +458,7 @@ impl SimEvent {
 /// A [`SimEvent`] paired with the simulated time it was recorded at.
 ///
 /// This is the unit stored by sinks and the shape of one JSONL line in
-/// `trace_dump` output: `{"at":<micros>,"event":{...}}`.
+/// `inspect dump` output: `{"at":<micros>,"event":{...}}`.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TracedEvent {
     /// Simulated timestamp of the event.

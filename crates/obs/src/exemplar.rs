@@ -60,15 +60,10 @@ pub struct ExemplarSpan {
 
 impl ExemplarSpan {
     /// The phase with the largest critical-path share of this span, if
-    /// any time was attributed (ties break toward the earlier phase in
-    /// [`crate::span::Phase::ALL`] order, deterministically).
+    /// any time was attributed ([`crate::span::dominant_phase`]'s tie
+    /// rule).
     pub fn dominant_phase(&self) -> Option<crate::span::Phase> {
-        let (i, &us) = self
-            .phase_us
-            .iter()
-            .enumerate()
-            .max_by(|(ia, a), (ib, b)| a.cmp(b).then(ib.cmp(ia)))?;
-        (us > 0).then(|| crate::span::Phase::ALL[i])
+        crate::span::dominant_phase(&self.phase_us)
     }
 }
 
@@ -118,7 +113,7 @@ pub fn ranks_before(a_response_us: u64, a_rid: u64, b_response_us: u64, b_rid: u
 
 /// The `k` slowest spans of a finished set under [`ranks_before`],
 /// slowest first — the offline (whole-run) form of the recorder's
-/// per-window selection, shared by `span_report --top`.
+/// per-window selection, shared by `inspect spans --top`.
 pub fn slowest_spans(spans: &[RequestSpan], k: usize) -> Vec<&RequestSpan> {
     let mut top: Vec<&RequestSpan> = Vec::with_capacity(k.min(spans.len()));
     for s in spans {

@@ -8,8 +8,8 @@
 //! context. The default sink is [`NullSink`], so an untraced run pays a
 //! single predicted branch per emit point and never constructs the event
 //! value. Swapping in a [`RingSink`] captures the most recent events in a
-//! bounded ring buffer for post-mortem analysis (see the `trace_dump`
-//! binary in `rolo-bench`).
+//! bounded ring buffer for post-mortem analysis (see `inspect dump` in
+//! `rolo-bench`).
 //!
 //! Alongside the event stream, a [`MetricsRegistry`] holds named
 //! counters, gauges and histograms that controllers and the driver
@@ -45,9 +45,9 @@ pub use slo::{
     WindowObservation,
 };
 pub use span::{
-    critical_path, AttributionSummary, BgSpan, BgSpanKind, LegFlavor, LegSlices, PathAttribution,
-    Phase, PhaseShare, PhaseSlice, PhaseStats, RequestSpan, SpanAnalysis, SpanCollector, SpanLeg,
-    SpanSet, NUM_PHASES,
+    critical_path, dominant_phase, AttributionSummary, BgSpan, BgSpanKind, LegFlavor, LegSlices,
+    PathAttribution, Phase, PhaseShare, PhaseSlice, PhaseStats, RequestSpan, SpanAnalysis,
+    SpanCollector, SpanLeg, SpanSet, NUM_PHASES,
 };
 pub use timeseries::{
     ClosedWindow, RollupValue, SeriesId, SeriesKind, SeriesSnapshot, Telemetry, TelemetrySnapshot,

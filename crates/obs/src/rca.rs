@@ -22,7 +22,7 @@
 
 use crate::exemplar::{ExemplarSet, ExemplarSpan};
 use crate::slo::{SloAlert, SloSignal};
-use crate::span::{BgSpan, BgSpanKind, Phase, NUM_PHASES};
+use crate::span::{dominant_phase, BgSpan, BgSpanKind, Phase, NUM_PHASES};
 use rolo_disk::{DiskId, PowerState};
 use serde::Serialize;
 
@@ -220,15 +220,7 @@ pub fn analyze(alerts: &[SloAlert], exemplars: &ExemplarSet, background: &[BgSpa
         // Descending by time; Phase::ALL order already breaks ties by
         // construction (stable sort on a pre-ordered list).
         blame.sort_by_key(|b| std::cmp::Reverse(b.us));
-        let dominant = Phase::ALL
-            .iter()
-            .copied()
-            .max_by(|x, y| {
-                phase_us[x.index()]
-                    .cmp(&phase_us[y.index()])
-                    .then(y.index().cmp(&x.index()))
-            })
-            .filter(|p| phase_us[p.index()] > 0);
+        let dominant = dominant_phase(&phase_us);
         report.windows.push(WindowRca {
             window: a.window,
             slo: a.slo.clone(),

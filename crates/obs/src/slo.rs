@@ -12,7 +12,7 @@
 //! burns cross the (higher) breach threshold yields
 //! [`SloSignal::Breach`]. Because the breach condition strictly implies
 //! the warning condition, a breach window always carries its warning
-//! first — the lifecycle ordering `trace_dump --slo` checks.
+//! first — the lifecycle ordering `inspect dump --slo --check` checks.
 //!
 //! The monitor is pure bookkeeping over already-frozen rollups: it
 //! never touches simulator state, so evaluating SLOs online cannot

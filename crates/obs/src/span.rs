@@ -16,7 +16,7 @@
 //! sum to the span's duration (walking backwards from completion along
 //! the longest-running legs), and [`SpanAnalysis`] aggregates those
 //! totals across requests into per-phase latency histograms — the data
-//! behind the `span_report` attribution table.
+//! behind the `inspect spans` attribution table.
 
 use crate::sketch::QuantileSketch;
 use rolo_disk::{DiskId, ServiceBreakdown};
@@ -553,6 +553,18 @@ impl PathAttribution {
     }
 }
 
+/// The phase holding the most time in `phase_us` (indexed by
+/// [`Phase::index`]), or `None` when nothing was attributed. Ties go to
+/// the earlier phase in [`Phase::ALL`] order, so every export names the
+/// same dominant phase for the same totals.
+pub fn dominant_phase(phase_us: &[u64; NUM_PHASES]) -> Option<Phase> {
+    let (i, &us) = phase_us
+        .iter()
+        .enumerate()
+        .max_by(|(ia, a), (ib, b)| a.cmp(b).then(ib.cmp(ia)))?;
+    (us > 0).then(|| Phase::ALL[i])
+}
+
 /// Folds one finished span into per-phase totals along its critical
 /// path.
 ///
@@ -684,14 +696,9 @@ impl PhaseStats {
     }
 
     /// The phase with the largest attributed share, if any time was
-    /// attributed at all.
+    /// attributed at all ([`dominant_phase`]'s tie rule).
     pub fn dominant(&self) -> Option<Phase> {
-        let (i, &us) = self
-            .phase_us
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, &us)| us)?;
-        (us > 0).then(|| Phase::ALL[i])
+        dominant_phase(&self.phase_us)
     }
 
     /// Serializable summary of this aggregate.
@@ -966,6 +973,17 @@ mod tests {
         assert_eq!(s.requests, 10);
         assert!((s.mean_response_ms - 1.0).abs() < 1e-9);
         assert!(s.p95_ms.is_some());
+    }
+
+    #[test]
+    fn dominant_phase_ties_go_to_the_earlier_phase() {
+        let mut us = [0u64; NUM_PHASES];
+        assert_eq!(dominant_phase(&us), None);
+        us[Phase::Rotation.index()] = 7;
+        us[Phase::SpinUpStall.index()] = 7;
+        assert_eq!(dominant_phase(&us), Some(Phase::Rotation));
+        us[Phase::SpinUpStall.index()] = 8;
+        assert_eq!(dominant_phase(&us), Some(Phase::SpinUpStall));
     }
 
     #[test]

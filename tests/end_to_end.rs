@@ -149,7 +149,8 @@ fn live_recovery_plan_after_real_run() {
     // plans from the live policy state captured mid-flight (before the
     // drain reclaims everything, the holder set is what matters; after
     // drain it is empty, so both cases are checked).
-    use rolo::core::run_trace_returning;
+    use rolo::core::run_trace_observed;
+    use rolo::obs::NullSink;
     use rolo::trace::SyntheticConfig;
 
     let mut cfg = small_cfg(Scheme::RoloP);
@@ -165,7 +166,9 @@ fn live_recovery_plan_after_real_run() {
     );
     let dur = Duration::from_secs(300);
     let wl = SyntheticConfig::motivation_write_only(40.0);
-    let (report, policy) = run_trace_returning(&cfg, wl.generator(dur, 31), policy, dur);
+    let records = wl.generator(dur, 31);
+    let (report, policy, _) =
+        run_trace_observed(&cfg, records, policy, dur, Box::new(NullSink), false);
     report.consistency.as_ref().expect("consistent");
     assert!(report.policy.rotations > 0, "must have rotated");
     // After a clean drain every pair's holder set is empty, and the

@@ -193,16 +193,17 @@ fn lifecycle_instants(scheme: Scheme, trace_seed: u64) -> (Instants, Instants) {
     let cfg = crash_cfg(scheme);
     let dur = Duration::from_secs(400);
     let wl = SyntheticConfig::motivation_write_only(40.0);
-    let (report, mut sink) = rolo::core::run_scheme_with_sink(
+    let (report, mut obs) = rolo::core::run_scheme_observed(
         &cfg,
         wl.generator(dur, trace_seed),
         dur,
         Box::new(RingSink::new(1 << 21)),
+        false,
     );
     report.consistency.as_ref().expect("probe run consistent");
     let mut compacted = Vec::new();
     let mut archived = Vec::new();
-    for ev in sink.drain() {
+    for ev in obs.sink.drain() {
         let at = ev.at.as_micros();
         if !(30_000_000..=350_000_000).contains(&at) {
             continue;
