@@ -1,8 +1,9 @@
 //! Quick feasibility smoke run: one scheme, one trace profile, printed
 //! report. Not a paper experiment — a harness check.
 //!
-//! Usage: `smoke [scheme] [trace] [hours]` (defaults: RoLo-P, src2_2, 24).
+//! Usage: `smoke [scheme] [trace] [hours]` (defaults: rolo-p, src2_2, 24).
 //! Set `ROLO_E_SPINDOWN_SECS` to override RoLo-E's idle spin-down timeout.
+//! A malformed argument or timeout exits 2 with a message naming it.
 //!
 //! After the report the binary re-runs the same workload with the no-op
 //! [`NullSink`] and with a [`RingSink`] — three runs each, taking the
@@ -10,24 +11,45 @@
 //! within 10 % (+ scheduling slack) of the untraced run, the budget
 //! DESIGN.md §9 promises.
 
-use rolo_bench::cli::scheme_from_slug;
+use rolo_bench::cli::{self, ArgError};
 use rolo_core::{run_scheme_observed, Scheme, SimConfig};
 use rolo_obs::{NullSink, RingSink};
 use rolo_sim::Duration;
+use rolo_trace::TraceProfile;
+
+const USAGE: &str = "usage: smoke [scheme] [trace] [hours] (defaults: rolo-p src2_2 24)";
+
+/// The paper-default configuration of the scheme `args` names, with
+/// RoLo-E's spin-down timeout set to `spindown_secs` if given, and the
+/// trace profile and whole hours `args` name.
+fn parse(
+    args: &[String],
+    spindown_secs: Option<&str>,
+) -> Result<(SimConfig, TraceProfile, u64), ArgError> {
+    let mut args = args.iter().map(String::as_str);
+    let scheme = args.next().map_or(Ok(Scheme::RoloP), cli::scheme_arg)?;
+    let profile = cli::trace_arg(args.next().unwrap_or("src2_2"))?;
+    let hours = args.next().map_or(Ok(24), |h| cli::number("hours", h))?;
+    if let Some(extra) = args.next() {
+        return Err(ArgError::Positional(format!(
+            "unexpected argument `{extra}`"
+        )));
+    }
+    let mut cfg = SimConfig::paper_default(scheme, 20);
+    if let Some(secs) = spindown_secs {
+        let secs = cli::number("ROLO_E_SPINDOWN_SECS", secs)?;
+        cfg.roloe_idle_spindown = Duration::from_secs(secs);
+    }
+    Ok((cfg, profile, hours))
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scheme = args.get(1).and_then(|s| scheme_from_slug(s));
-    let scheme = scheme.unwrap_or(Scheme::RoloP);
-    let profile =
-        rolo_trace::profiles::by_name(args.get(2).map(String::as_str).unwrap_or("src2_2"))
-            .expect("unknown trace profile");
-    let hours: u64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(24);
-
-    let mut cfg = SimConfig::paper_default(scheme, 20);
-    if let Ok(secs) = std::env::var("ROLO_E_SPINDOWN_SECS") {
-        cfg.roloe_idle_spindown = Duration::from_secs(secs.parse().unwrap());
-    }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let spindown = std::env::var("ROLO_E_SPINDOWN_SECS").ok();
+    let (cfg, profile, hours) = parse(&args, spindown.as_deref()).unwrap_or_else(|e| {
+        eprintln!("smoke: {e}\n{USAGE}");
+        std::process::exit(2)
+    });
     let dur = Duration::from_secs(hours * 3600);
     let start = std::time::Instant::now();
     let report = rolo_core::run_scheme(&cfg, profile.generator(dur, 1), dur);

@@ -1,6 +1,7 @@
 //! The command line of the `inspect` tool: one scheme-slug table, one
 //! run-spec parser shared by every subcommand, and each subcommand's
-//! flags and defaults. `simulate` reads the same slug table.
+//! flags and defaults. `simulate` reads the same slug table; `smoke`
+//! parses its positional arguments with the same checks and errors.
 //!
 //! A run spec is the positional `[scheme] [trace] [hours]` plus
 //! `--seed`/`--pairs`. Each subcommand keeps the defaults of the tool it
@@ -29,6 +30,25 @@ pub fn scheme_from_slug(slug: &str) -> Option<Scheme> {
         .iter()
         .find(|(s, _)| *s == slug)
         .map(|&(_, scheme)| scheme)
+}
+
+/// The scheme `arg` names, or an error naming `arg`.
+///
+/// # Errors
+///
+/// [`ArgError::Value`] if `arg` is no scheme's slug.
+pub fn scheme_arg(arg: &str) -> Result<Scheme, ArgError> {
+    scheme_from_slug(arg)
+        .ok_or_else(|| bad("scheme", arg, "raid10, graid, rolo-p, rolo-r or rolo-e"))
+}
+
+/// The Table III trace profile `arg` names, or an error naming `arg`.
+///
+/// # Errors
+///
+/// [`ArgError::Value`] if [`profiles::by_name`] knows no such profile.
+pub fn trace_arg(arg: &str) -> Result<TraceProfile, ArgError> {
+    profiles::by_name(arg).ok_or_else(|| bad("trace", arg, "a Table III profile"))
 }
 
 /// The command-line slug of `scheme`, as artifact file names spell it.
@@ -320,15 +340,8 @@ pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Invocation, ArgError> {
     while let Some(arg) = args.next() {
         if !arg.starts_with("--") {
             match slots.next() {
-                Some(Slot::Scheme) => {
-                    inv.spec.scheme = scheme_from_slug(arg).ok_or_else(|| {
-                        bad("scheme", arg, "raid10, graid, rolo-p, rolo-r or rolo-e")
-                    })?;
-                }
-                Some(Slot::Trace) if profiles::by_name(arg).is_none() => {
-                    return Err(bad("trace", arg, "a Table III profile"));
-                }
-                Some(Slot::Trace) => inv.spec.trace = arg.to_owned(),
+                Some(Slot::Scheme) => inv.spec.scheme = scheme_arg(arg)?,
+                Some(Slot::Trace) => inv.spec.trace = trace_arg(arg)?.name.to_owned(),
                 Some(Slot::Hours) => inv.spec.hours = hours(arg)?,
                 Some(Slot::File) => inv.files.push(arg.to_owned()),
                 None => return Err(ArgError::Positional(format!("unexpected argument `{arg}`"))),
@@ -373,7 +386,12 @@ fn bad(what: &str, value: &str, expected: &str) -> ArgError {
     ArgError::Value(format!("{what}: `{value}` is not {expected}"))
 }
 
-fn number<T: std::str::FromStr>(what: &'static str, value: &str) -> Result<T, ArgError> {
+/// `value` parsed as an unsigned integer, or an error naming `what`.
+///
+/// # Errors
+///
+/// [`ArgError::Value`] if `value` does not parse as a `T`.
+pub fn number<T: std::str::FromStr>(what: &str, value: &str) -> Result<T, ArgError> {
     value
         .parse()
         .map_err(|_| bad(what, value, "an unsigned integer"))

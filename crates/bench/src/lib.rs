@@ -151,23 +151,10 @@ pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// [`FNV_OFFSET`]. Stable and dependency-free, so digests can be
 /// committed and compared across builds.
 pub fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    fnv1a_with(0x0000_0100_0000_01b3, hash, bytes)
-}
-
-/// Digest of `bytes` as fixed-width hex — what the golden
-/// engine-equivalence fixtures commit instead of multi-MB
-/// `deterministic_json` bodies. It folds with 2^44 + 0x1b3, a mistyped
-/// FNV prime (2^40 + 0x1b3), kept so the committed digests stay valid;
-/// the multiplier is odd, so each step is still a bijection.
-pub fn fnv1a_hex(bytes: &[u8]) -> String {
-    format!("{:016x}", fnv1a_with(0x1000_0000_01b3, FNV_OFFSET, bytes))
-}
-
-fn fnv1a_with(prime: u64, hash: u64, bytes: &[u8]) -> u64 {
     let mut h = hash;
     for &b in bytes {
         h ^= u64::from(b);
-        h = h.wrapping_mul(prime);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
 }

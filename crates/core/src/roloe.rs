@@ -26,9 +26,11 @@ use crate::slot::IoSlot;
 use rolo_disk::{DiskId, DiskRequest, IoKind, IoOutcome, Priority};
 use rolo_metrics::Phase;
 use rolo_obs::{LegFlavor, SimEvent};
+use rolo_raid::PhysExtent;
 use rolo_sim::{Duration, IoMap};
 use rolo_trace::{ReqKind, TraceRecord};
 use std::collections::{BTreeMap, HashSet};
+use std::ops::Range;
 
 /// Default log-segment size (bytes) until the driver tunes it.
 const DEFAULT_SEG_BYTES: u64 = 4 << 20;
@@ -58,10 +60,21 @@ struct UserMeta {
     /// mirrored copies of `marks[i]` commit with one shared LSN when
     /// the request acks.
     appends: Vec<(u32, DiskId, u64)>,
-    /// Cache blocks to insert at completion (read misses / fresh writes).
-    cache_fill: Vec<u64>,
+    /// Cache blocks a read miss inserts at completion.
+    cache_fill: Range<u64>,
     /// Charge a background cache-fill write of this many bytes.
     fill_bytes: u64,
+}
+
+impl UserMeta {
+    /// True if completion has nothing to commit, clear or fill.
+    fn is_empty(&self) -> bool {
+        self.marks.is_empty()
+            && self.clears.is_empty()
+            && self.appends.is_empty()
+            && self.cache_fill.is_empty()
+            && self.fill_bytes == 0
+    }
 }
 
 /// The RoLo-E controller.
@@ -309,17 +322,12 @@ impl RoloEPolicy {
         });
     }
 
-    /// All disks of the on-duty logger pairs.
-    fn logger_disks(&self, ctx: &SimCtx) -> Vec<DiskId> {
+    /// All disks of the on-duty logger pairs, primary then mirror.
+    fn logger_disks<'a>(&'a self, ctx: &'a SimCtx) -> impl Iterator<Item = DiskId> + 'a {
+        let geo = ctx.geometry();
         self.logger_pairs
             .iter()
-            .flat_map(|&j| {
-                [
-                    ctx.geometry().primary_disk(j),
-                    ctx.geometry().mirror_disk(j),
-                ]
-            })
-            .collect()
+            .flat_map(move |&j| [geo.primary_disk(j), geo.mirror_disk(j)])
     }
 
     /// The on-duty *pair* that takes a given write's two log copies,
@@ -334,13 +342,18 @@ impl RoloEPolicy {
     /// skipping degraded slots (their replacements hold no log copies
     /// until rebuilt) whenever a surviving copy-holder exists.
     fn next_logger_disk(&mut self, ctx: &SimCtx) -> DiskId {
-        let mut disks = self.logger_disks(ctx);
-        disks.retain(|&d| !ctx.is_degraded(d));
-        if disks.is_empty() {
-            disks = self.logger_disks(ctx);
-        }
         self.round_robin = self.round_robin.wrapping_add(1);
-        disks[self.round_robin % disks.len()]
+        let healthy = |&d: &DiskId| !ctx.is_degraded(d);
+        let live = self.logger_disks(ctx).filter(healthy).count();
+        let pick = if live == 0 {
+            let all = 2 * self.logger_pairs.len();
+            self.logger_disks(ctx).nth(self.round_robin % all)
+        } else {
+            self.logger_disks(ctx)
+                .filter(healthy)
+                .nth(self.round_robin % live)
+        };
+        pick.expect("the index is below the disk count")
     }
 
     /// Synthetic position of a cached/logged block inside the logger
@@ -350,10 +363,10 @@ impl RoloEPolicy {
         self.logger_base + (block * self.stripe_unit) % span
     }
 
-    fn blocks_of(&self, offset: u64, bytes: u64) -> impl Iterator<Item = u64> {
+    fn blocks_of(&self, offset: u64, bytes: u64) -> Range<u64> {
         let first = offset / self.stripe_unit;
         let last = (offset + bytes - 1) / self.stripe_unit;
-        first..=last
+        first..last + 1
     }
 
     fn start_destage(&mut self, ctx: &mut SimCtx) {
@@ -459,7 +472,7 @@ impl RoloEPolicy {
         });
         self.logging_token = Some(ctx.intervals.begin(Phase::Logging, ctx.now));
         if !self.draining {
-            let keep = self.logger_disks(ctx);
+            let keep: Vec<DiskId> = self.logger_disks(ctx).collect();
             for d in 0..ctx.disk_count() {
                 if !keep.contains(&d) {
                     ctx.spin_down(d);
@@ -474,7 +487,7 @@ impl RoloEPolicy {
         user_id: u64,
         uslot: IoSlot,
         meta: &mut UserMeta,
-        exts: &[rolo_raid::PhysExtent],
+        exts: &[PhysExtent],
     ) -> u32 {
         self.stats.direct_writes += 1;
         let mut subs = 0;
@@ -504,6 +517,13 @@ impl RoloEPolicy {
     }
 }
 
+/// The request's per-pair extents.
+fn extents(ctx: &SimCtx, rec: &TraceRecord) -> Vec<PhysExtent> {
+    ctx.geometry()
+        .split(rec.offset, rec.bytes)
+        .expect("driver keeps requests in range")
+}
+
 impl Policy for RoloEPolicy {
     fn name(&self) -> &'static str {
         "RoLo-E"
@@ -524,10 +544,10 @@ impl Policy for RoloEPolicy {
     }
 
     fn on_user_request(&mut self, ctx: &mut SimCtx, user_id: u64, rec: &TraceRecord) {
-        let exts = ctx
-            .geometry()
-            .split(rec.offset, rec.bytes)
-            .expect("driver keeps requests in range");
+        assert!(
+            rec.offset + rec.bytes <= ctx.geometry().logical_capacity(),
+            "driver keeps requests in range"
+        );
         let mut meta = UserMeta::default();
         let mut subs: u32 = 0;
         // Admission hold: one sub reserved up front so the slab slot
@@ -552,7 +572,7 @@ impl Policy for RoloEPolicy {
                     subs += 1;
                 } else {
                     self.stats.cache_misses += 1;
-                    for ext in &exts {
+                    for ext in &extents(ctx, rec) {
                         let p = ctx.geometry().primary_disk(ext.pair);
                         let target = if ctx.is_degraded(p) {
                             ctx.geometry().mirror_disk(ext.pair)
@@ -581,13 +601,13 @@ impl Policy for RoloEPolicy {
                         // Spin the awakened disk back down once idle.
                         ctx.set_timer(self.idle_spindown, target as u64);
                     }
-                    meta.cache_fill = self.blocks_of(rec.offset, rec.bytes).collect();
+                    meta.cache_fill = self.blocks_of(rec.offset, rec.bytes);
                     meta.fill_bytes = rec.bytes;
                 }
             }
             ReqKind::Read => {
                 // Centralized destage in progress: everything is up.
-                for ext in &exts {
+                for ext in &extents(ctx, rec) {
                     let p = ctx.geometry().primary_disk(ext.pair);
                     let target = if ctx.is_degraded(p) {
                         ctx.geometry().mirror_disk(ext.pair)
@@ -612,6 +632,7 @@ impl Policy for RoloEPolicy {
                 }
             }
             ReqKind::Write => {
+                let exts = extents(ctx, rec);
                 if self.log.free_bytes() < rec.bytes {
                     // Log exhausted: destage must run; fall back to direct
                     // writes until space is reclaimed.
@@ -682,7 +703,10 @@ impl Policy for RoloEPolicy {
         if subs > 1 {
             ctx.add_user_subs(uslot, subs - 1);
         }
-        self.user_meta.insert(user_id, meta);
+        // Completion reads a missing entry as an empty one.
+        if !meta.is_empty() {
+            self.user_meta.insert(user_id, meta);
+        }
     }
 
     fn on_io_complete(&mut self, ctx: &mut SimCtx, _disk: DiskId, req: DiskRequest) {
@@ -844,7 +868,10 @@ impl Policy for RoloEPolicy {
 
     fn on_rebuild_complete(&mut self, ctx: &mut SimCtx, disk: DiskId) {
         // Park the rebuilt replacement unless it is on logging duty.
-        if self.mode == Mode::Logging && !self.draining && !self.logger_disks(ctx).contains(&disk) {
+        if self.mode == Mode::Logging
+            && !self.draining
+            && !self.logger_disks(ctx).any(|d| d == disk)
+        {
             ctx.spin_down(disk);
         }
     }
@@ -869,7 +896,7 @@ impl Policy for RoloEPolicy {
         if self.mode != Mode::Logging || disk >= ctx.disk_count() {
             return;
         }
-        if self.logger_disks(ctx).contains(&disk) {
+        if self.logger_disks(ctx).any(|d| d == disk) {
             return;
         }
         if ctx.disk(disk).is_idle() {

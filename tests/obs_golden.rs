@@ -15,6 +15,8 @@
 //! Any drift fails until the file is deliberately re-blessed with
 //! `ROLO_BLESS_GOLDEN=1 cargo test --test obs_golden`.
 
+mod common;
+
 use rolo::core::{run_scheme_observed, RunObservations, Scheme, SimConfig, SimReport};
 use rolo::obs::{BgSpanKind, RingSink, SimEvent, TraceSink, TracedEvent};
 use rolo::sim::{Duration, SimTime};
@@ -26,19 +28,6 @@ use std::rc::Rc;
 
 /// Events the ring retains; both runs emit several times more.
 const RING: usize = 4096;
-
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("baselines/obs/golden.txt")
-}
-
-fn fnv1a(bytes: &[u8]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    format!("{h:016x}")
-}
 
 /// A ring sink the test keeps a handle on, because the per-kind drop
 /// roll-up is not part of the `TraceSink` trait.
@@ -91,7 +80,7 @@ fn observe(cfg: &SimConfig, trace: &str, dur: Duration) -> Observed {
 /// Digests every export of one run, keyed `<run>/<export>`.
 fn digest_into(out: &mut BTreeMap<String, String>, run: &str, o: &Observed) {
     let mut put = |export: &str, text: &str| {
-        out.insert(format!("{run}/{export}"), fnv1a(text.as_bytes()));
+        out.insert(format!("{run}/{export}"), common::digest(text.as_bytes()));
     };
     let json = |r: Result<String, serde_json::Error>| r.expect("serializes");
     let (recorded, dropped, by_kind) = {
@@ -160,30 +149,13 @@ fn check_coverage(e: &Observed, p: &Observed) {
     assert!(p.report.policy.rotations > 0, "rolo-p must rotate");
 }
 
-fn parse_golden(text: &str) -> BTreeMap<String, String> {
-    text.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(|l| {
-            let (key, digest) = l.split_once(' ').expect("golden line is `<key> <digest>`");
-            (key.to_owned(), digest.trim().to_owned())
-        })
-        .collect()
-}
-
-fn render_golden(digests: &BTreeMap<String, String>) -> String {
-    let mut out = String::from(
-        "# FNV-1a digests of the observation exports (tests/obs_golden.rs):\n\
-         # RoLo-E x hm_1 (2 h, 10 pairs) and RoLo-P x proj_0 (1 h, 4 pairs,\n\
-         # 64 MB logger region), each with a 4096-event ring sink, spans\n\
-         # and RCA. Regenerate with\n\
-         # ROLO_BLESS_GOLDEN=1 cargo test --test obs_golden\n",
-    );
-    for (k, v) in digests {
-        out.push_str(&format!("{k} {v}\n"));
-    }
-    out
-}
+const HEADER: &str = "\
+# FNV-1a digests of the observation exports (tests/obs_golden.rs):
+# RoLo-E x hm_1 (2 h, 10 pairs) and RoLo-P x proj_0 (1 h, 4 pairs,
+# 64 MB logger region), each with a 4096-event ring sink, spans
+# and RCA. Regenerate with
+# ROLO_BLESS_GOLDEN=1 cargo test --test obs_golden
+";
 
 #[test]
 fn observation_exports_match_golden_digests() {
@@ -192,35 +164,6 @@ fn observation_exports_match_golden_digests() {
     let mut current = BTreeMap::new();
     digest_into(&mut current, "rolo-e/hm_1", &e);
     digest_into(&mut current, "rolo-p/proj_0", &p);
-
-    let path = golden_path();
-    if std::env::var("ROLO_BLESS_GOLDEN").is_ok() {
-        std::fs::create_dir_all(path.parent().unwrap()).expect("create baselines/obs");
-        std::fs::write(&path, render_golden(&current)).expect("write golden digests");
-        println!("blessed {} digests to {}", current.len(), path.display());
-        return;
-    }
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "cannot read {} ({e}); bless it with ROLO_BLESS_GOLDEN=1",
-            path.display()
-        )
-    });
-    let golden = parse_golden(&text);
-    let drifted: Vec<String> = golden
-        .iter()
-        .filter(|(key, want)| current.get(*key) != Some(want))
-        .map(|(key, want)| format!("{key}: {:?} != golden {want}", current.get(key)))
-        .collect();
-    assert!(
-        drifted.is_empty(),
-        "observation exports drifted for {} key(s):\n{}",
-        drifted.len(),
-        drifted.join("\n")
-    );
-    assert_eq!(
-        golden.len(),
-        current.len(),
-        "golden file covers a different set of exports; re-bless deliberately"
-    );
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("baselines/obs/golden.txt");
+    common::check_golden(&path, HEADER, &current);
 }
