@@ -18,8 +18,12 @@
 //! Defaults: 4 pairs, a 400 s window, 40 IOPS of the §II write-only
 //! synthetic load, crashes at 90 s and 240 s. Exits non-zero on any
 //! divergence, missing replay, consistency failure or attribution
-//! below the bar — the CI guard for the §10 replay path.
+//! below the bar — the CI guard for the §10 replay path. A malformed
+//! argument, zero pairs, a rate that is not finite and positive, or a
+//! window that ends before the last crash exits 2 with a message
+//! naming the argument.
 
+use rolo_bench::cli::{self, ArgError};
 use rolo_bench::{expect_consistent, parallel_map};
 use rolo_core::{FaultPlan, Scheme, SimConfig};
 use rolo_obs::{NullSink, SpanAnalysis};
@@ -34,6 +38,8 @@ const MIN_ATTRIBUTED: f64 = 0.95;
 /// segments, archival and — for RoLo-P/R — compaction have all run).
 const CRASH_SECS: [u64; 2] = [90, 240];
 
+const USAGE: &str = "usage: log_recovery [--pairs N] [--secs S] [--iops R]";
+
 /// The journal-bearing disks of a scheme (DESIGN.md §10 topology).
 fn journal_disks(scheme: Scheme, pairs: usize) -> Vec<usize> {
     match scheme {
@@ -47,28 +53,50 @@ fn journal_disks(scheme: Scheme, pairs: usize) -> Vec<usize> {
     }
 }
 
-fn main() {
-    let mut pairs = 4usize;
-    let mut secs = 400u64;
-    let mut iops = 40.0f64;
-    let mut it = std::env::args().skip(1);
+/// The `(pairs, window seconds, IOPS)` that `args` ask for.
+fn parse(args: &[String]) -> Result<(usize, u64, f64), ArgError> {
+    let (mut pairs, mut secs, mut iops) = (4usize, 400u64, 40.0f64);
+    let mut it = args.iter().map(String::as_str);
     while let Some(flag) = it.next() {
-        let mut val = |name: &str| {
-            it.next().unwrap_or_else(|| {
-                eprintln!("missing value for {name}");
-                std::process::exit(2);
-            })
-        };
-        match flag.as_str() {
-            "--pairs" => pairs = val("--pairs").parse().expect("pairs"),
-            "--secs" => secs = val("--secs").parse().expect("secs"),
-            "--iops" => iops = val("--iops").parse().expect("iops"),
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
+        let value = it
+            .next()
+            .ok_or_else(|| ArgError::Value(format!("{flag}: missing value")));
+        match flag {
+            "--pairs" => pairs = cli::number("--pairs", value?)?,
+            "--secs" => secs = cli::number("--secs", value?)?,
+            "--iops" => {
+                let v = value?;
+                iops = v
+                    .parse()
+                    .ok()
+                    .filter(|r: &f64| r.is_finite() && *r > 0.0)
+                    .ok_or_else(|| {
+                        ArgError::Value(format!("--iops: `{v}` is not a finite rate > 0"))
+                    })?;
             }
+            other => return Err(ArgError::Flag(format!("unknown flag `{other}`"))),
         }
     }
+    if pairs == 0 {
+        return Err(ArgError::Value(
+            "--pairs: `0` is not a pair count ≥ 1".into(),
+        ));
+    }
+    let last = CRASH_SECS[CRASH_SECS.len() - 1];
+    if secs <= last {
+        return Err(ArgError::Value(format!(
+            "--secs: `{secs}` does not pass the last crash instant ({last} s)"
+        )));
+    }
+    Ok((pairs, secs, iops))
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (pairs, secs, iops) = parse(&args).unwrap_or_else(|e| {
+        eprintln!("log_recovery: {e}\n{USAGE}");
+        std::process::exit(2)
+    });
 
     let schemes = [Scheme::RoloP, Scheme::RoloR, Scheme::RoloE, Scheme::Graid];
     let mut jobs = Vec::new();

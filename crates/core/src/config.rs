@@ -1,6 +1,7 @@
 //! Simulation configuration: array shape, scheme selection, tunables.
 
 use crate::faults::{FaultPlan, FaultPlanError};
+use crate::journal;
 use rolo_disk::{DiskParams, SchedulerKind};
 use rolo_obs::{BurnRatePolicy, Quantile, SloSpec};
 use rolo_raid::{ArrayGeometry, GeometryError};
@@ -150,18 +151,6 @@ pub struct SimConfig {
     pub rca_enabled: bool,
 }
 
-fn default_log_segment() -> u64 {
-    4 << 20
-}
-
-fn default_compact_live_frac() -> f64 {
-    0.25
-}
-
-fn default_archive_ttl() -> Duration {
-    Duration::from_secs(60)
-}
-
 /// Default SLO set: a p95 response-time bound loose enough that a
 /// healthy scheme (RoLo-P on every paper trace) never trips it, yet
 /// far below RoLo-E's multi-second spin-up tail; and a mean-power
@@ -210,9 +199,9 @@ impl SimConfig {
             disk: DiskParams::ultrastar_36z15(),
             seed: 0x5eed,
             faults: FaultPlan::none(),
-            log_segment: default_log_segment(),
-            compact_live_frac: default_compact_live_frac(),
-            archive_ttl: default_archive_ttl(),
+            log_segment: journal::DEFAULT_SEG_BYTES,
+            compact_live_frac: journal::DEFAULT_COMPACT_FRAC,
+            archive_ttl: journal::DEFAULT_ARCHIVE_TTL,
             scrub_enabled: false,
             scrub_chunk: 1 << 20,
             scrub_interval: Duration::from_millis(500),

@@ -13,24 +13,17 @@
 //! guarantees the destage terminates.
 
 use crate::ctx::SimCtx;
-use crate::dirty::DirtyMap;
 use crate::faults::surviving_partner;
+use crate::journal::{JournalSet, PendingAppend};
 use crate::logspace::LoggerSpace;
 use crate::policy::{Policy, PolicyStats};
 use crate::recovery::recovery_plan;
-use crate::segment::{replay_journals, LogManifest, SegmentStore};
 use crate::slot::IoSlot;
 use rolo_disk::{DiskId, DiskRequest, IoKind, IoOutcome, Priority};
 use rolo_metrics::Phase;
 use rolo_obs::{LegFlavor, SimEvent};
 use rolo_sim::{Duration, IoMap};
 use rolo_trace::{ReqKind, TraceRecord};
-use std::collections::HashSet;
-
-/// Default log-segment size (bytes) until the driver tunes it.
-const DEFAULT_SEG_BYTES: u64 = 4 << 20;
-/// Default archive-frame TTL (µs) until the driver tunes it.
-const DEFAULT_ARCHIVE_TTL_US: u64 = 60_000_000;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
@@ -51,10 +44,9 @@ struct UserMeta {
     marks: Vec<(usize, u64, u64)>,
     /// Extents freshly written in place on the mirror at completion.
     clears: Vec<(usize, u64, u64)>,
-    /// Journal record ids, index-aligned with `marks`; committed with a
-    /// fresh LSN when the request acks. Emptied wholesale if the log
-    /// disk dies mid-flight (the wiped journal restarts record ids).
-    appends: Vec<u64>,
+    /// Log-disk journal records of `marks`, committed with a fresh LSN
+    /// when the request acks.
+    appends: Vec<PendingAppend>,
 }
 
 /// The GRAID controller.
@@ -65,17 +57,11 @@ pub struct GraidPolicy {
     threshold: f64,
     chunk: u64,
     log: LoggerSpace,
-    /// Checksummed record journal mirroring the log disk's contents
-    /// (DESIGN.md §10). GRAID runs no compactor: the whole-log destage
-    /// cycle reclaims every segment wholesale, so fragmentation never
+    /// Dirty maps plus a one-disk journal on the log disk (DESIGN.md
+    /// §10). GRAID runs no compactor: the whole-log destage cycle
+    /// reclaims every segment wholesale, so fragmentation never
     /// accumulates between cycles.
-    journal: SegmentStore,
-    /// Controller-durable (NVRAM) clear/reclaim journal (§III-E).
-    manifest: LogManifest,
-    next_lsn: u64,
-    seg_bytes: u64,
-    archive_ttl_us: u64,
-    dirty: Vec<DirtyMap>,
+    journal: JournalSet,
     chain_active: Vec<bool>,
     mode: Mode,
     period: u64,
@@ -110,12 +96,7 @@ impl GraidPolicy {
             threshold,
             chunk,
             log: LoggerSpace::new(0, log_capacity),
-            journal: SegmentStore::new(DEFAULT_SEG_BYTES),
-            manifest: LogManifest::new(),
-            next_lsn: 0,
-            seg_bytes: DEFAULT_SEG_BYTES,
-            archive_ttl_us: DEFAULT_ARCHIVE_TTL_US,
-            dirty: (0..pairs).map(|_| DirtyMap::new()).collect(),
+            journal: JournalSet::new(pairs, [log_disk]),
             chain_active: vec![false; pairs],
             mode: Mode::Logging,
             period: 0,
@@ -136,129 +117,13 @@ impl GraidPolicy {
 
     /// Total stale bytes across all mirrors.
     pub fn dirty_bytes(&self) -> u64 {
-        self.dirty.iter().map(|d| d.bytes()).sum()
+        self.journal.dirty_bytes()
     }
 
     /// Tunes the journal geometry (before the run starts); resets the
     /// journal.
     pub fn set_segment_tuning(&mut self, seg_bytes: u64, archive_ttl: Duration) {
-        self.seg_bytes = seg_bytes;
-        self.archive_ttl_us = archive_ttl.as_micros();
-        self.journal = SegmentStore::new(seg_bytes);
-    }
-
-    /// Read-only view of the log disk's journal (tests).
-    pub fn journal(&self) -> &SegmentStore {
-        &self.journal
-    }
-
-    /// The controller-durable log manifest (tests).
-    pub fn manifest(&self) -> &LogManifest {
-        &self.manifest
-    }
-
-    fn alloc_lsn(&mut self) -> u64 {
-        self.next_lsn += 1;
-        self.next_lsn
-    }
-
-    /// Appends a journal record for one logged extent, emitting segment
-    /// lifecycle events as segments seal and open.
-    fn journal_append(&mut self, ctx: &mut SimCtx, pair: usize, lba: u64, len: u64) -> u64 {
-        let disk = self.log_disk;
-        let out = self.journal.append(pair, self.period, lba, len);
-        if let Some((segment, live_bytes)) = out.sealed {
-            ctx.emit(|| SimEvent::SegmentSealed {
-                disk,
-                segment,
-                live_bytes,
-            });
-        }
-        if let Some(segment) = out.opened {
-            ctx.emit(|| SimEvent::SegmentAllocated { disk, segment });
-        }
-        out.rid
-    }
-
-    /// Journals a dirty-map clear at the same instant the in-memory
-    /// `clear_range` / `take_next` happens.
-    fn journal_clear(&mut self, pair: usize, off: u64, len: u64) {
-        let lsn = self.alloc_lsn();
-        self.manifest.clear(lsn, pair, off, len);
-        self.journal.clear_extent(pair, off, len);
-    }
-
-    /// Archives fully-dead sealed segments and retires expired frames.
-    fn sweep_archives(&mut self, ctx: &mut SimCtx) {
-        let disk = self.log_disk;
-        let now_us = ctx.now.as_micros();
-        for segment in self.journal.archive_ready() {
-            let (frame, compressed_bytes) = self.journal.archive(segment, now_us);
-            ctx.emit(|| SimEvent::SegmentArchived {
-                disk,
-                segment,
-                frame,
-                compressed_bytes,
-            });
-        }
-        for frame in self.journal.retire_expired(now_us, self.archive_ttl_us) {
-            ctx.emit(|| SimEvent::ArchiveFrameRetired { disk, frame });
-        }
-    }
-
-    /// Recovery-by-replay after a disk death. GRAID keeps its sole
-    /// journal on the dedicated log disk, so a log-disk death leaves no
-    /// surviving journal: every pair with a committed record newer than
-    /// its manifest watermark is lost to replay and falls back to the
-    /// controller's NVRAM dirty map (which the ensuing whole-array
-    /// destage then flushes from the primaries). Any other death leaves
-    /// the journal intact and replay must reconstruct every pair.
-    fn replay_after_failure(&mut self, ctx: &mut SimCtx, disk: DiskId) {
-        self.stats.log_replays += 1;
-        ctx.emit(|| SimEvent::ReplayStarted { disk });
-        let survivors: Vec<&SegmentStore> = if disk == self.log_disk {
-            Vec::new()
-        } else {
-            vec![&self.journal]
-        };
-        let outcome = replay_journals(survivors, &self.manifest, self.pairs);
-        self.stats.torn_records += outcome.torn_records;
-        if outcome.torn_records > 0 {
-            let count = outcome.torn_records;
-            ctx.emit(|| SimEvent::TornRecordDetected { disk, count });
-        }
-        let lost: HashSet<usize> = if disk == self.log_disk {
-            self.journal
-                .committed_records()
-                .into_iter()
-                .filter(|&(lsn, pair)| lsn > self.manifest.pair_stable(pair))
-                .map(|(_, pair)| pair)
-                .collect()
-        } else {
-            HashSet::new()
-        };
-        let mut divergent_pairs = 0u64;
-        for (pair, map) in outcome.maps.iter().enumerate() {
-            if lost.contains(&pair) {
-                continue;
-            }
-            if *map == self.dirty[pair] {
-                // Install the replayed map: load-bearing (the controller
-                // proceeds on reconstructed state) yet behavior-identical.
-                self.dirty[pair] = map.clone();
-            } else {
-                divergent_pairs += 1;
-                self.stats.replay_divergence += 1;
-            }
-        }
-        let records = outcome.records_scanned;
-        let torn = outcome.torn_records;
-        ctx.emit(|| SimEvent::ReplayCompleted {
-            disk,
-            records,
-            torn,
-            divergent_pairs,
-        });
+        self.journal.tune(seg_bytes, archive_ttl);
     }
 
     fn mirror(&self, ctx: &SimCtx, pair: usize) -> DiskId {
@@ -304,9 +169,8 @@ impl GraidPolicy {
         if self.mode != Mode::Destaging || self.chain_active[pair] {
             return;
         }
-        match self.dirty[pair].take_next(self.chunk) {
+        match self.journal.take_next(pair, self.chunk) {
             Some((off, len)) => {
-                self.journal_clear(pair, off, len);
                 self.chain_active[pair] = true;
                 let p = ctx.geometry().primary_disk(pair);
                 let id = ctx.submit(p, IoKind::Read, off, len, Priority::Background);
@@ -320,9 +184,7 @@ impl GraidPolicy {
         if self.mode != Mode::Destaging {
             return;
         }
-        let busy = self.chain_active.iter().any(|&b| b);
-        let dirty = self.dirty.iter().any(|d| !d.is_clean());
-        if busy || dirty {
+        if self.chain_active.iter().any(|&b| b) || !self.journal.all_clean() {
             return;
         }
         // Cycle complete: reclaim the whole log, resume logging. Every
@@ -330,11 +192,9 @@ impl GraidPolicy {
         // wholesale — GRAID needs no background compactor.
         self.log.reclaim(|_| true);
         for pair in 0..self.pairs {
-            let lsn = self.alloc_lsn();
-            self.manifest.reclaim(lsn, pair);
             self.journal.reclaim_pair(pair);
         }
-        self.sweep_archives(ctx);
+        self.journal.sweep(ctx);
         ctx.log_timeline.push(ctx.now, 0.0);
         let energy = ctx.total_energy();
         if let Some(tok) = self.destaging_token.take() {
@@ -437,8 +297,16 @@ impl Policy for GraidPolicy {
                                 subs += 1;
                                 self.stats.log_appended_bytes += seg.bytes;
                             }
-                            let rid = self.journal_append(ctx, ext.pair, ext.offset, ext.bytes);
-                            meta.appends.push(rid);
+                            let rid = self.journal.append(
+                                ctx,
+                                self.log_disk,
+                                ext.pair,
+                                self.period,
+                                ext.offset,
+                                ext.bytes,
+                            );
+                            meta.appends
+                                .push((meta.marks.len() as u32, self.log_disk, rid));
                             meta.marks.push((ext.pair, ext.offset, ext.bytes));
                         }
                         None => {
@@ -481,14 +349,9 @@ impl Policy for GraidPolicy {
             Tag::User(user, uslot) => {
                 if ctx.user_sub_done(uslot).is_some() {
                     let meta = self.user_meta.remove(&user).unwrap_or_default();
-                    for (i, (pair, off, len)) in meta.marks.into_iter().enumerate() {
-                        // The ack instant is the commit point: stamp the
-                        // journal record with the mutation's LSN.
-                        let lsn = self.alloc_lsn();
-                        if let Some(&rid) = meta.appends.get(i) {
-                            self.journal.commit(rid, lsn);
-                        }
-                        self.dirty[pair].mark(off, len);
+                    for (i, &(pair, off, len)) in meta.marks.iter().enumerate() {
+                        // The ack instant is the commit point.
+                        self.journal.mark(pair, off, len, &meta.appends, i as u32);
                         // Newly stale data may arrive mid-destage; keep the
                         // pump moving.
                         if self.mode == Mode::Destaging {
@@ -496,8 +359,7 @@ impl Policy for GraidPolicy {
                         }
                     }
                     for (pair, off, len) in meta.clears {
-                        self.journal_clear(pair, off, len);
-                        self.dirty[pair].clear_range(off, len);
+                        self.journal.clear(pair, off, len);
                     }
                 }
             }
@@ -552,11 +414,7 @@ impl Policy for GraidPolicy {
             // manifest can vouch for (lost pairs fall back to the NVRAM
             // dirty maps), drop the now-gone log contents and destage
             // everything dirty from the primaries.
-            self.replay_after_failure(ctx, disk);
-            self.journal = SegmentStore::new(self.seg_bytes);
-            for meta in self.user_meta.values_mut() {
-                meta.appends.clear();
-            }
+            self.journal.fail(ctx, disk, &mut self.stats);
             self.log.reclaim(|_| true);
             ctx.log_timeline.push(ctx.now, 0.0);
             ctx.begin_rebuild(&plan, 0);
@@ -604,39 +462,18 @@ impl Policy for GraidPolicy {
     fn is_drained(&self, ctx: &SimCtx) -> bool {
         self.mode == Mode::Logging
             && self.log.used_bytes() == 0
-            && self.dirty.iter().all(|d| d.is_clean())
+            && self.journal.all_clean()
             && ctx.outstanding_users() == 0
             && self.io_map.is_empty()
     }
 
     fn stats(&self) -> PolicyStats {
-        let mut s = self.stats;
-        let js = self.journal.stats();
-        s.segments_sealed += js.sealed_segments;
-        s.segments_archived += js.archived_segments;
-        s.frames_retired += js.retired_frames;
-        s.compacted_bytes += js.compacted_bytes;
-        s
+        self.journal.fold_stats(self.stats)
     }
 
     fn check_consistency(&self, ctx: &SimCtx) -> Result<(), String> {
         self.log.check_invariants()?;
-        self.journal
-            .check_invariants()
-            .map_err(|e| format!("journal {}: {e}", self.log_disk))?;
-        if self.journal.live_bytes() != 0 {
-            return Err(format!(
-                "journal {} still tracks {} live bytes",
-                self.log_disk,
-                self.journal.live_bytes()
-            ));
-        }
-        for (pair, d) in self.dirty.iter().enumerate() {
-            d.check_invariants()?;
-            if !d.is_clean() {
-                return Err(format!("pair {pair} still has {} stale bytes", d.bytes()));
-            }
-        }
+        self.journal.check_drained()?;
         if self.log.used_bytes() != 0 {
             return Err(format!("{} log bytes unreclaimed", self.log.used_bytes()));
         }

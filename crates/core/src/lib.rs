@@ -32,6 +32,7 @@ pub mod dirty;
 pub mod driver;
 pub mod faults;
 pub mod graid;
+pub mod journal;
 pub mod logspace;
 pub mod paraid;
 pub mod policy;

@@ -30,19 +30,18 @@
 //! logging space pool.
 
 use crate::ctx::SimCtx;
-use crate::dirty::DirtyMap;
 use crate::faults::surviving_partner;
+use crate::journal::{JournalSet, PendingAppend, DEFAULT_COMPACT_FRAC};
 use crate::logspace::LoggerSpace;
 use crate::policy::{Policy, PolicyStats};
 use crate::recovery::recovery_plan;
-use crate::segment::{replay_journals, LogManifest, SegmentStore};
 use crate::slot::IoSlot;
 use rolo_disk::{DiskId, DiskRequest, IoKind, IoOutcome, Priority};
 use rolo_metrics::Phase;
 use rolo_obs::{LegFlavor, SimEvent};
 use rolo_sim::{Duration, IoMap};
 use rolo_trace::{ReqKind, TraceRecord};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Minimum fraction of the logger region still free when the *next*
 /// on-duty logger is proactively spun up, so rotation never stalls a
@@ -53,15 +52,6 @@ use std::collections::{BTreeMap, HashSet};
 const SPIN_UP_AHEAD_FRACTION: f64 = 0.02;
 /// Safety factor on the spin-up time for the rate-based look-ahead.
 const SPIN_UP_AHEAD_FACTOR: f64 = 3.0;
-
-/// Default log segment size; overridden via
-/// [`RoloPolicy::set_segment_tuning`] from
-/// [`SimConfig::log_segment`](crate::config::SimConfig).
-const DEFAULT_SEG_BYTES: u64 = 4 << 20;
-/// Default compaction live-fraction threshold.
-const DEFAULT_COMPACT_FRAC: f64 = 0.25;
-/// Default archive-frame TTL.
-const DEFAULT_ARCHIVE_TTL_US: u64 = 60_000_000;
 
 /// Which RoLo flavor the controller runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,10 +76,9 @@ struct UserMeta {
     marks: Vec<(usize, u64, u64)>,
     clears: Vec<(usize, u64, u64)>,
     /// Journal records awaiting commit, flat to keep the write path
-    /// to one allocation: `(mark index, journal disk, record id)`. The
-    /// copies of `marks[i]` commit at a shared LSN when the request
-    /// acknowledges.
-    appends: Vec<(u32, DiskId, u64)>,
+    /// to one allocation. The copies of `marks[i]` commit at a shared
+    /// LSN when the request acknowledges.
+    appends: Vec<PendingAppend>,
 }
 
 /// One in-flight background compaction: the relocation of a sealed
@@ -115,34 +104,6 @@ struct CompactState {
     relocated: u64,
 }
 
-/// Appends a record to `disk`'s journal, emitting the segment lifecycle
-/// events its allocation caused, and returns the record id.
-pub(crate) fn journal_append(
-    ctx: &mut SimCtx,
-    journals: &mut BTreeMap<DiskId, SegmentStore>,
-    disk: DiskId,
-    pair: usize,
-    period: u64,
-    lba: u64,
-    len: u64,
-) -> u64 {
-    let out = journals
-        .get_mut(&disk)
-        .expect("journal exists")
-        .append(pair, period, lba, len);
-    if let Some((segment, live_bytes)) = out.sealed {
-        ctx.emit(|| SimEvent::SegmentSealed {
-            disk,
-            segment,
-            live_bytes,
-        });
-    }
-    if let Some(segment) = out.opened {
-        ctx.emit(|| SimEvent::SegmentAllocated { disk, segment });
-    }
-    out.rid
-}
-
 /// The RoLo-P / RoLo-R controller.
 #[derive(Debug)]
 pub struct RoloPolicy {
@@ -162,21 +123,13 @@ pub struct RoloPolicy {
     /// Logger-space manager per disk id (mirrors always; primaries too
     /// for RoLo-R).
     spaces: BTreeMap<DiskId, LoggerSpace>,
-    /// Segment-store journal per logger disk (DESIGN.md §10), parallel
-    /// to `spaces`: `spaces` manages the physical platter region, the
-    /// journal carries the crash-consistent record chain.
-    journals: BTreeMap<DiskId, SegmentStore>,
-    /// Controller-durable log metadata (clears + per-pair stable LSNs).
-    manifest: LogManifest,
-    /// Commit LSN counter: assigned when a record's mark (or a clear)
-    /// mutates a dirty map, so LSN order equals mutation order.
-    next_lsn: u64,
-    seg_bytes: u64,
+    /// Dirty maps plus a journal per logger disk (DESIGN.md §10), on
+    /// the disks of `spaces`: `spaces` manages the physical platter
+    /// region, the journal carries the crash-consistent record chain.
+    journal: JournalSet,
     compact_frac: f64,
-    archive_ttl_us: u64,
     compaction: Option<CompactState>,
     compaction_gen: u64,
-    dirty: Vec<DirtyMap>,
     destage_active: Vec<bool>,
     chain_active: Vec<bool>,
     destage_tokens: Vec<Option<u64>>,
@@ -217,16 +170,14 @@ impl RoloPolicy {
         assert!(pairs > 0, "need at least one pair");
         assert!(logger_size > 0, "zero logger region");
         let mut spaces = BTreeMap::new();
-        let mut journals = BTreeMap::new();
         for pair in 0..pairs {
             // Mirror disks are pairs..2*pairs.
             spaces.insert(pairs + pair, LoggerSpace::new(logger_base, logger_size));
-            journals.insert(pairs + pair, SegmentStore::new(DEFAULT_SEG_BYTES));
             if flavor == RoloFlavor::Reliability {
                 spaces.insert(pair, LoggerSpace::new(logger_base, logger_size));
-                journals.insert(pair, SegmentStore::new(DEFAULT_SEG_BYTES));
             }
         }
+        let journal = JournalSet::new(pairs, spaces.keys().copied());
         RoloPolicy {
             flavor,
             pairs,
@@ -237,15 +188,10 @@ impl RoloPolicy {
             rotation_cursor: 1 % pairs,
             slot_cursor: 0,
             spaces,
-            journals,
-            manifest: LogManifest::new(),
-            next_lsn: 0,
-            seg_bytes: DEFAULT_SEG_BYTES,
+            journal,
             compact_frac: DEFAULT_COMPACT_FRAC,
-            archive_ttl_us: DEFAULT_ARCHIVE_TTL_US,
             compaction: None,
             compaction_gen: 0,
-            dirty: (0..pairs).map(|_| DirtyMap::new()).collect(),
             destage_active: vec![false; pairs],
             chain_active: vec![false; pairs],
             destage_tokens: vec![None; pairs],
@@ -274,59 +220,8 @@ impl RoloPolicy {
     /// Configures the segment store (call before the run starts; resets
     /// the — still empty — journals to the new segment size).
     pub fn set_segment_tuning(&mut self, seg_bytes: u64, compact_frac: f64, archive_ttl: Duration) {
-        self.seg_bytes = seg_bytes;
         self.compact_frac = compact_frac;
-        self.archive_ttl_us = archive_ttl.as_micros();
-        for j in self.journals.values_mut() {
-            *j = SegmentStore::new(seg_bytes);
-        }
-    }
-
-    /// Read-only view of one logger disk's journal (tests).
-    pub fn journal(&self, disk: DiskId) -> Option<&SegmentStore> {
-        self.journals.get(&disk)
-    }
-
-    /// The controller-durable log manifest (tests).
-    pub fn manifest(&self) -> &LogManifest {
-        &self.manifest
-    }
-
-    fn alloc_lsn(&mut self) -> u64 {
-        self.next_lsn += 1;
-        self.next_lsn
-    }
-
-    /// Journals a dirty-map clear: the manifest gets the op at `lsn` and
-    /// every journal's live-extent index drops the range. Call at the
-    /// same instant the in-memory `clear_range` happens.
-    fn journal_clear(&mut self, pair: usize, off: u64, len: u64) {
-        let lsn = self.alloc_lsn();
-        self.manifest.clear(lsn, pair, off, len);
-        for j in self.journals.values_mut() {
-            j.clear_extent(pair, off, len);
-        }
-    }
-
-    /// Archives every fully-dead sealed segment and retires expired
-    /// frames across all journals.
-    fn sweep_archives(&mut self, ctx: &mut SimCtx) {
-        let now_us = ctx.now.as_micros();
-        let ttl = self.archive_ttl_us;
-        for (&disk, j) in self.journals.iter_mut() {
-            for segment in j.archive_ready() {
-                let (frame, compressed_bytes) = j.archive(segment, now_us);
-                ctx.emit(|| SimEvent::SegmentArchived {
-                    disk,
-                    segment,
-                    frame,
-                    compressed_bytes,
-                });
-            }
-            for frame in j.retire_expired(now_us, ttl) {
-                ctx.emit(|| SimEvent::ArchiveFrameRetired { disk, frame });
-            }
-        }
+        self.journal.tune(seg_bytes, archive_ttl);
     }
 
     /// Starts a background compaction if a sealed segment's live
@@ -341,16 +236,10 @@ impl RoloPolicy {
         {
             return;
         }
-        let disks: Vec<DiskId> = self.journals.keys().copied().collect();
-        let Some((disk, segment)) = disks.iter().find_map(|&d| {
-            self.journals[&d]
-                .compaction_candidates(self.compact_frac)
-                .first()
-                .map(|&s| (d, s))
-        }) else {
+        let Some((disk, segment, extents)) = self.journal.compaction_candidate(self.compact_frac)
+        else {
             return;
         };
-        let extents = self.journals[&disk].live_extents_of(segment);
         let Some(&(_, _, widest)) = extents.iter().max_by_key(|e| e.2) else {
             return;
         };
@@ -462,42 +351,12 @@ impl RoloPolicy {
         if st.writes_left > 0 {
             return;
         }
-        let Some((pair, lba, len)) = st.current.take() else {
+        let Some(extent) = st.current.take() else {
             return;
         };
-        let (disk, segment) = (st.disk, st.segment);
-        let targets = st.targets.clone();
-        let period = self.period;
-        // Clip to what the old segment still owns: a clear or overwrite
-        // that raced the relocation I/O must not be re-logged.
-        let pieces = self.journals[&disk].live_intersection(segment, pair, lba, len);
-        let mut moved = 0;
-        for (plba, plen) in pieces {
-            let lsn = self.alloc_lsn();
-            for &t in &targets {
-                let rid = journal_append(ctx, &mut self.journals, t, pair, period, plba, plen);
-                self.journals
-                    .get_mut(&t)
-                    .expect("journal exists")
-                    .commit(rid, lsn);
-            }
-            // Release the old copy from the source index — unless the
-            // source is itself a target, where the commit above already
-            // re-homed the extent.
-            if !targets.contains(&disk) {
-                self.journals
-                    .get_mut(&disk)
-                    .expect("journal exists")
-                    .clear_extent(pair, plba, plen);
-            }
-            moved += plen;
-        }
-        if let Some(j) = self.journals.get_mut(&disk) {
-            j.note_compacted(moved);
-        }
-        if let Some(st) = &mut self.compaction {
-            st.relocated += moved;
-        }
+        st.relocated +=
+            self.journal
+                .relocate(ctx, st.disk, st.segment, extent, &st.targets, self.period);
         self.pump_compaction(ctx);
     }
 
@@ -514,7 +373,7 @@ impl RoloPolicy {
         ctx.emit(|| SimEvent::CompactionEnd { pair: None });
         ctx.span_compaction_end(None);
         // The compacted segment is usually fully dead now.
-        self.sweep_archives(ctx);
+        self.journal.sweep(ctx);
     }
 
     /// Cancels an in-flight compaction (logger failure): stray I/O
@@ -524,74 +383,6 @@ impl RoloPolicy {
             ctx.emit(|| SimEvent::CompactionEnd { pair: None });
             ctx.span_compaction_end(None);
         }
-    }
-
-    /// Recovery-by-replay (DESIGN.md §10): scan the surviving journals,
-    /// detect torn records, rebuild the dirty maps in LSN order, and
-    /// cross-check them against the controller's in-memory state. Pairs
-    /// whose only record copies rode the dead journal (possible in
-    /// RoLo-P's single-log-copy layout) cannot be reconstructed from
-    /// disks — the controller's NVRAM map stands in for them, exactly
-    /// the §III-C fallback.
-    fn replay_after_failure(&mut self, ctx: &mut SimCtx, disk: DiskId) {
-        if self.journals.is_empty() {
-            return;
-        }
-        self.stats.log_replays += 1;
-        ctx.emit(|| SimEvent::ReplayStarted { disk });
-        let mut ids: Vec<DiskId> = self
-            .journals
-            .keys()
-            .copied()
-            .filter(|&d| d != disk)
-            .collect();
-        ids.sort_unstable();
-        let survivors = ids.iter().map(|d| &self.journals[d]);
-        let outcome = replay_journals(survivors, &self.manifest, self.pairs);
-        self.stats.torn_records += outcome.torn_records;
-        if outcome.torn_records > 0 {
-            let count = outcome.torn_records;
-            ctx.emit(|| SimEvent::TornRecordDetected { disk, count });
-        }
-        // A pair is lost to replay iff the dead journal held a committed,
-        // unstable record whose LSN no survivor also holds.
-        let mut survivor_lsns: HashSet<u64> = HashSet::new();
-        for d in &ids {
-            survivor_lsns.extend(self.journals[d].committed_records().iter().map(|&(l, _)| l));
-        }
-        let lost: HashSet<usize> = match self.journals.get(&disk) {
-            Some(j) => j
-                .committed_records()
-                .into_iter()
-                .filter(|&(lsn, pair)| {
-                    lsn > self.manifest.pair_stable(pair) && !survivor_lsns.contains(&lsn)
-                })
-                .map(|(_, pair)| pair)
-                .collect(),
-            None => HashSet::new(),
-        };
-        let mut divergent_pairs = 0u64;
-        for pair in 0..self.pairs {
-            if lost.contains(&pair) {
-                continue;
-            }
-            if outcome.maps[pair] == self.dirty[pair] {
-                // Install the replayed map: load-bearing (the controller
-                // proceeds on reconstructed state) yet behavior-identical,
-                // so traced/untraced determinism is preserved.
-                self.dirty[pair] = outcome.maps[pair].clone();
-            } else {
-                divergent_pairs += 1;
-            }
-        }
-        self.stats.replay_divergence += divergent_pairs;
-        let (records, torn) = (outcome.records_scanned, outcome.torn_records);
-        ctx.emit(|| SimEvent::ReplayCompleted {
-            disk,
-            records,
-            torn,
-            divergent_pairs,
-        });
     }
 
     /// Updates the observed append rate (bytes/s) over ~30 s windows.
@@ -649,7 +440,7 @@ impl RoloPolicy {
 
     /// Total stale bytes awaiting destage.
     pub fn dirty_bytes(&self) -> u64 {
-        self.dirty.iter().map(|d| d.bytes()).sum()
+        self.journal.dirty_bytes()
     }
 
     /// The pairs whose logger spaces still hold un-reclaimed second
@@ -798,7 +589,7 @@ impl RoloPolicy {
         for pair in 0..self.pairs {
             let m = self.mirror(ctx, pair);
             ctx.spin_up(m);
-            if !self.dirty[pair].is_clean() {
+            if !self.journal.is_clean(pair) {
                 self.activate_destage(ctx, pair);
             }
         }
@@ -807,7 +598,7 @@ impl RoloPolicy {
     fn try_reactivate(&mut self, ctx: &mut SimCtx) {
         if !self.deactivated
             || self.destage_active.iter().any(|&a| a)
-            || self.dirty.iter().any(|d| !d.is_clean())
+            || !self.journal.all_clean()
             || self.log_used_bytes() > 0
         {
             return;
@@ -843,11 +634,8 @@ impl RoloPolicy {
             ctx.spin_up(self.mirror(ctx, pair));
             return;
         }
-        match self.dirty[pair].take_next(self.chunk) {
+        match self.journal.take_next(pair, self.chunk) {
             Some((off, len)) => {
-                // The extraction clears the range from the dirty map, so
-                // it is journaled as a manifest clear at this instant.
-                self.journal_clear(pair, off, len);
                 self.chain_active[pair] = true;
                 let p = ctx.geometry().primary_disk(pair);
                 let id = ctx.submit(p, IoKind::Read, off, len, Priority::Background);
@@ -858,7 +646,7 @@ impl RoloPolicy {
     }
 
     fn complete_destage(&mut self, ctx: &mut SimCtx, pair: usize) {
-        if !self.destage_active[pair] || self.chain_active[pair] || !self.dirty[pair].is_clean() {
+        if !self.destage_active[pair] || self.chain_active[pair] || !self.journal.is_clean(pair) {
             return;
         }
         self.destage_active[pair] = false;
@@ -875,12 +663,8 @@ impl RoloPolicy {
         // the pair's live extents from every journal. Segments this
         // leaves fully dead archive below; low-live ones invite the
         // compactor into the idle slot the finished destage vacated.
-        let lsn = self.alloc_lsn();
-        self.manifest.reclaim(lsn, pair);
-        for j in self.journals.values_mut() {
-            j.reclaim_pair(pair);
-        }
-        self.sweep_archives(ctx);
+        self.journal.reclaim_pair(pair);
+        self.journal.sweep(ctx);
         self.maybe_compact(ctx);
         ctx.log_timeline.push(ctx.now, self.log_used_bytes() as f64);
         if let Some(tok) = self.destage_tokens[pair].take() {
@@ -900,12 +684,12 @@ impl RoloPolicy {
             if self.chain_active[pair] {
                 return;
             }
-            if self.dirty[pair].is_clean() {
+            if self.journal.is_clean(pair) {
                 self.complete_destage(ctx, pair);
             } else {
                 self.pump(ctx, pair);
             }
-        } else if (self.draining || self.deactivated) && !self.dirty[pair].is_clean() {
+        } else if (self.draining || self.deactivated) && !self.journal.is_clean(pair) {
             self.activate_destage(ctx, pair);
         }
     }
@@ -1056,9 +840,8 @@ impl Policy for RoloPolicy {
                                 subs += 1;
                                 self.stats.log_appended_bytes += seg.bytes;
                             }
-                            let rid = journal_append(
+                            let rid = self.journal.append(
                                 ctx,
-                                &mut self.journals,
                                 target,
                                 ext.pair,
                                 self.period,
@@ -1101,24 +884,14 @@ impl Policy for RoloPolicy {
             Tag::User(user, uslot) => {
                 if ctx.user_sub_done(uslot).is_some() {
                     let meta = self.user_meta.remove(&user).unwrap_or_default();
-                    for (i, (pair, off, len)) in meta.marks.iter().copied().enumerate() {
-                        // Commit the mark's journal records at the same
-                        // instant the dirty map mutates, sharing one LSN
-                        // across the mirrored copies.
-                        let lsn = self.alloc_lsn();
-                        for &(mi, d, rid) in &meta.appends {
-                            if mi as usize == i {
-                                if let Some(j) = self.journals.get_mut(&d) {
-                                    j.commit(rid, lsn);
-                                }
-                            }
-                        }
-                        self.dirty[pair].mark(off, len);
+                    for (i, &(pair, off, len)) in meta.marks.iter().enumerate() {
+                        // The mirrored copies commit under one shared LSN
+                        // at the instant the dirty map mutates.
+                        self.journal.mark(pair, off, len, &meta.appends, i as u32);
                         self.after_dirty_change(ctx, pair);
                     }
                     for (pair, off, len) in meta.clears {
-                        self.journal_clear(pair, off, len);
-                        self.dirty[pair].clear_range(off, len);
+                        self.journal.clear(pair, off, len);
                         self.after_dirty_change(ctx, pair);
                     }
                 }
@@ -1131,7 +904,7 @@ impl Policy for RoloPolicy {
             Tag::DestageWrite { pair, len } => {
                 self.stats.destaged_bytes += len;
                 self.chain_active[pair] = false;
-                if self.dirty[pair].is_clean() {
+                if self.journal.is_clean(pair) {
                     self.complete_destage(ctx, pair);
                 } else {
                     self.pump(ctx, pair);
@@ -1201,9 +974,7 @@ impl Policy for RoloPolicy {
         // Recovery-by-replay: before the dead journal is forgotten, scan
         // the surviving chains, reconstruct the dirty maps, and verify
         // them against the in-memory state (DESIGN.md §10).
-        if self.journals.contains_key(&disk) {
-            self.replay_after_failure(ctx, disk);
-        }
+        self.journal.fail(ctx, disk, &mut self.stats);
 
         // Everything logged on the dead disk is gone; its blank
         // replacement starts with an empty logging space. The in-place
@@ -1212,15 +983,6 @@ impl Policy for RoloPolicy {
         if let Some(space) = self.spaces.get_mut(&disk) {
             *space = LoggerSpace::new(self.logger_base, self.logger_size);
             ctx.log_timeline.push(ctx.now, self.log_used_bytes() as f64);
-        }
-        if let Some(j) = self.journals.get_mut(&disk) {
-            *j = SegmentStore::new(self.seg_bytes);
-            // In-flight requests' append refs into the wiped journal are
-            // stale; drop them so their commit cannot stamp an unrelated
-            // record the fresh journal hands the same id.
-            for meta in self.user_meta.values_mut() {
-                meta.appends.retain(|&(_, d, _)| d != disk);
-            }
         }
 
         // A dead on-duty logger vacates its window slot immediately:
@@ -1256,7 +1018,7 @@ impl Policy for RoloPolicy {
         // pair once clean). The replacement is already spinning, and a
         // destage that was waiting on the dead disk's spin-up wake gets
         // re-kicked here.
-        if !self.dirty[pair].is_clean() {
+        if !self.journal.is_clean(pair) {
             self.activate_destage(ctx, pair);
         }
         if self.destage_active[pair] {
@@ -1296,7 +1058,7 @@ impl Policy for RoloPolicy {
             if self.destage_active[pair] {
                 // Includes destages deferred while the pair was on duty.
                 self.pump(ctx, pair);
-            } else if !self.dirty[pair].is_clean() {
+            } else if !self.journal.is_clean(pair) {
                 self.activate_destage(ctx, pair);
             } else if self
                 .spaces
@@ -1309,12 +1071,8 @@ impl Policy for RoloPolicy {
                 for space in self.spaces.values_mut() {
                     space.reclaim(|seg| seg.pair == pair);
                 }
-                let lsn = self.alloc_lsn();
-                self.manifest.reclaim(lsn, pair);
-                for j in self.journals.values_mut() {
-                    j.reclaim_pair(pair);
-                }
-                self.sweep_archives(ctx);
+                self.journal.reclaim_pair(pair);
+                self.journal.sweep(ctx);
             }
         }
     }
@@ -1322,43 +1080,20 @@ impl Policy for RoloPolicy {
     fn is_drained(&self, ctx: &SimCtx) -> bool {
         ctx.outstanding_users() == 0
             && self.io_map.is_empty()
-            && self.dirty.iter().all(|d| d.is_clean())
+            && self.journal.all_clean()
             && self.log_used_bytes() == 0
             && !self.chain_active.iter().any(|&c| c)
     }
 
     fn stats(&self) -> PolicyStats {
-        let mut s = self.stats;
-        for j in self.journals.values() {
-            let js = j.stats();
-            s.segments_sealed += js.sealed_segments;
-            s.segments_archived += js.archived_segments;
-            s.frames_retired += js.retired_frames;
-            s.compacted_bytes += js.compacted_bytes;
-        }
-        s
+        self.journal.fold_stats(self.stats)
     }
 
     fn check_consistency(&self, ctx: &SimCtx) -> Result<(), String> {
         for space in self.spaces.values() {
             space.check_invariants()?;
         }
-        for (disk, j) in &self.journals {
-            j.check_invariants()
-                .map_err(|e| format!("journal {disk}: {e}"))?;
-            if j.live_bytes() != 0 {
-                return Err(format!(
-                    "journal {disk}: {} live bytes after drain",
-                    j.live_bytes()
-                ));
-            }
-        }
-        for (pair, d) in self.dirty.iter().enumerate() {
-            d.check_invariants()?;
-            if !d.is_clean() {
-                return Err(format!("pair {pair} still has {} stale bytes", d.bytes()));
-            }
-        }
+        self.journal.check_drained()?;
         if self.log_used_bytes() != 0 {
             return Err(format!("{} log bytes unreclaimed", self.log_used_bytes()));
         }
@@ -1371,7 +1106,6 @@ impl Policy for RoloPolicy {
         if !self.io_map.is_empty() {
             return Err(format!("{} orphaned sub-requests", self.io_map.len()));
         }
-        let _ = self.logger_base;
         Ok(())
     }
 }

@@ -15,13 +15,11 @@
 
 use crate::cache::BlockCache;
 use crate::ctx::SimCtx;
-use crate::dirty::DirtyMap;
 use crate::faults::surviving_partner;
+use crate::journal::{JournalSet, PendingAppend};
 use crate::logspace::LoggerSpace;
 use crate::policy::{Policy, PolicyStats};
 use crate::recovery::recovery_plan;
-use crate::rolo::journal_append;
-use crate::segment::{replay_journals, LogManifest, SegmentStore};
 use crate::slot::IoSlot;
 use rolo_disk::{DiskId, DiskRequest, IoKind, IoOutcome, Priority};
 use rolo_metrics::Phase;
@@ -29,13 +27,7 @@ use rolo_obs::{LegFlavor, SimEvent};
 use rolo_raid::PhysExtent;
 use rolo_sim::{Duration, IoMap};
 use rolo_trace::{ReqKind, TraceRecord};
-use std::collections::{BTreeMap, HashSet};
 use std::ops::Range;
-
-/// Default log-segment size (bytes) until the driver tunes it.
-const DEFAULT_SEG_BYTES: u64 = 4 << 20;
-/// Default archive-frame TTL (µs) until the driver tunes it.
-const DEFAULT_ARCHIVE_TTL_US: u64 = 60_000_000;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
@@ -55,11 +47,10 @@ enum Tag {
 struct UserMeta {
     marks: Vec<(usize, u64, u64)>,
     clears: Vec<(usize, u64, u64)>,
-    /// Journal record ids, flat to keep the write path to one
-    /// allocation: `(mark index, journal disk, record id)`. The two
-    /// mirrored copies of `marks[i]` commit with one shared LSN when
-    /// the request acks.
-    appends: Vec<(u32, DiskId, u64)>,
+    /// Journal records, flat to keep the write path to one allocation.
+    /// The two mirrored copies of `marks[i]` commit with one shared LSN
+    /// when the request acks.
+    appends: Vec<PendingAppend>,
     /// Cache blocks a read miss inserts at completion.
     cache_fill: Range<u64>,
     /// Charge a background cache-fill write of this many bytes.
@@ -94,18 +85,12 @@ pub struct RoloEPolicy {
     mode: Mode,
     /// One logical log, physically mirrored on both logger-pair disks.
     log: LoggerSpace,
-    /// Checksummed record journals, one per disk (the on-duty window
+    /// Dirty maps plus a journal on every disk (the on-duty window
     /// rotates, so over time any disk can hold log copies). Like GRAID,
     /// RoLo-E runs no compactor: the centralized destage reclaims the
     /// whole log, killing every segment wholesale (DESIGN.md §10).
-    journals: BTreeMap<DiskId, SegmentStore>,
-    /// Controller-durable (NVRAM) clear/reclaim journal (§III-E).
-    manifest: LogManifest,
-    next_lsn: u64,
-    seg_bytes: u64,
-    archive_ttl_us: u64,
+    journal: JournalSet,
     cache: BlockCache,
-    dirty: Vec<DirtyMap>,
     /// Remaining destage writes of the in-flight chain per pair (0 = no
     /// chain).
     chain_writes: Vec<u8>,
@@ -157,15 +142,8 @@ impl RoloEPolicy {
             logger_pairs: vec![0],
             mode: Mode::Logging,
             log: LoggerSpace::new(logger_base, log_share),
-            journals: (0..2 * pairs)
-                .map(|d| (d, SegmentStore::new(DEFAULT_SEG_BYTES)))
-                .collect(),
-            manifest: LogManifest::new(),
-            next_lsn: 0,
-            seg_bytes: DEFAULT_SEG_BYTES,
-            archive_ttl_us: DEFAULT_ARCHIVE_TTL_US,
+            journal: JournalSet::new(pairs, 0..2 * pairs),
             cache: BlockCache::new((cache_bytes / stripe_unit) as usize),
-            dirty: (0..pairs).map(|_| DirtyMap::new()).collect(),
             chain_writes: vec![0; pairs],
             io_map: IoMap::default(),
             user_meta: IoMap::default(),
@@ -207,119 +185,7 @@ impl RoloEPolicy {
     /// Tunes the journal geometry (before the run starts); resets all
     /// journals.
     pub fn set_segment_tuning(&mut self, seg_bytes: u64, archive_ttl: Duration) {
-        self.seg_bytes = seg_bytes;
-        self.archive_ttl_us = archive_ttl.as_micros();
-        for j in self.journals.values_mut() {
-            *j = SegmentStore::new(seg_bytes);
-        }
-    }
-
-    /// Read-only view of one disk's journal (tests).
-    pub fn journal(&self, disk: DiskId) -> Option<&SegmentStore> {
-        self.journals.get(&disk)
-    }
-
-    /// The controller-durable log manifest (tests).
-    pub fn manifest(&self) -> &LogManifest {
-        &self.manifest
-    }
-
-    fn alloc_lsn(&mut self) -> u64 {
-        self.next_lsn += 1;
-        self.next_lsn
-    }
-
-    /// Journals a dirty-map clear at the same instant the in-memory
-    /// `clear_range` / `take_next` happens.
-    fn journal_clear(&mut self, pair: usize, off: u64, len: u64) {
-        let lsn = self.alloc_lsn();
-        self.manifest.clear(lsn, pair, off, len);
-        for j in self.journals.values_mut() {
-            j.clear_extent(pair, off, len);
-        }
-    }
-
-    /// Archives fully-dead sealed segments and retires expired frames
-    /// across all journals.
-    fn sweep_archives(&mut self, ctx: &mut SimCtx) {
-        let now_us = ctx.now.as_micros();
-        let ttl = self.archive_ttl_us;
-        for (&disk, j) in self.journals.iter_mut() {
-            for segment in j.archive_ready() {
-                let (frame, compressed_bytes) = j.archive(segment, now_us);
-                ctx.emit(|| SimEvent::SegmentArchived {
-                    disk,
-                    segment,
-                    frame,
-                    compressed_bytes,
-                });
-            }
-            for frame in j.retire_expired(now_us, ttl) {
-                ctx.emit(|| SimEvent::ArchiveFrameRetired { disk, frame });
-            }
-        }
-    }
-
-    /// Recovery-by-replay after `disk` died: scan the surviving disks'
-    /// journals, merge their committed records with the manifest's
-    /// clears, and cross-check the reconstructed dirty maps against the
-    /// controller's NVRAM state. Each logged extent is mirrored on both
-    /// disks of an on-duty pair under one shared LSN, so a single death
-    /// always leaves a surviving copy of every committed record.
-    fn replay_after_failure(&mut self, ctx: &mut SimCtx, disk: DiskId) {
-        self.stats.log_replays += 1;
-        ctx.emit(|| SimEvent::ReplayStarted { disk });
-        let mut ids: Vec<DiskId> = self
-            .journals
-            .keys()
-            .copied()
-            .filter(|&d| d != disk)
-            .collect();
-        ids.sort_unstable();
-        let survivors = ids.iter().map(|d| &self.journals[d]);
-        let outcome = replay_journals(survivors, &self.manifest, self.pairs);
-        self.stats.torn_records += outcome.torn_records;
-        if outcome.torn_records > 0 {
-            let count = outcome.torn_records;
-            ctx.emit(|| SimEvent::TornRecordDetected { disk, count });
-        }
-        let mut survivor_lsns: HashSet<u64> = HashSet::new();
-        for d in &ids {
-            survivor_lsns.extend(self.journals[d].committed_records().iter().map(|&(l, _)| l));
-        }
-        let lost: HashSet<usize> = match self.journals.get(&disk) {
-            Some(j) => j
-                .committed_records()
-                .into_iter()
-                .filter(|&(lsn, pair)| {
-                    lsn > self.manifest.pair_stable(pair) && !survivor_lsns.contains(&lsn)
-                })
-                .map(|(_, pair)| pair)
-                .collect(),
-            None => HashSet::new(),
-        };
-        let mut divergent_pairs = 0u64;
-        for (pair, map) in outcome.maps.iter().enumerate() {
-            if lost.contains(&pair) {
-                continue;
-            }
-            if *map == self.dirty[pair] {
-                // Install the replayed map: load-bearing (the controller
-                // proceeds on reconstructed state) yet behavior-identical.
-                self.dirty[pair] = map.clone();
-            } else {
-                divergent_pairs += 1;
-                self.stats.replay_divergence += 1;
-            }
-        }
-        let records = outcome.records_scanned;
-        let torn = outcome.torn_records;
-        ctx.emit(|| SimEvent::ReplayCompleted {
-            disk,
-            records,
-            torn,
-            divergent_pairs,
-        });
+        self.journal.tune(seg_bytes, archive_ttl);
     }
 
     /// All disks of the on-duty logger pairs, primary then mirror.
@@ -412,8 +278,7 @@ impl RoloEPolicy {
         if !self.pair_ready(ctx, pair) {
             return; // chain starts when the pair's spin-ups land
         }
-        if let Some((off, len)) = self.dirty[pair].take_next(self.chunk) {
-            self.journal_clear(pair, off, len);
+        if let Some((off, len)) = self.journal.take_next(pair, self.chunk) {
             self.chain_writes[pair] = u8::MAX; // sentinel: read in flight
             let src = self.next_logger_disk(ctx);
             let read_off = self.log_read_offset(off / self.stripe_unit, len);
@@ -426,9 +291,7 @@ impl RoloEPolicy {
         if self.mode != Mode::Destaging {
             return;
         }
-        let busy = self.chain_writes.iter().any(|&c| c > 0);
-        let dirty = self.dirty.iter().any(|d| !d.is_clean());
-        if busy || dirty {
+        if self.chain_writes.iter().any(|&c| c > 0) || !self.journal.all_clean() {
             return;
         }
         // Reclaim the whole log, rotate the logger pair, park the rest.
@@ -436,13 +299,9 @@ impl RoloEPolicy {
         // them wholesale, so no background compactor is needed.
         self.log.reclaim(|_| true);
         for pair in 0..self.pairs {
-            let lsn = self.alloc_lsn();
-            self.manifest.reclaim(lsn, pair);
-            for j in self.journals.values_mut() {
-                j.reclaim_pair(pair);
-            }
+            self.journal.reclaim_pair(pair);
         }
-        self.sweep_archives(ctx);
+        self.journal.sweep(ctx);
         self.cache.clear();
         ctx.log_timeline.push(ctx.now, 0.0);
         let energy = ctx.total_energy();
@@ -676,9 +535,8 @@ impl Policy for RoloEPolicy {
                         }
                         let mark = meta.marks.len() as u32;
                         for d in targets {
-                            let rid = journal_append(
+                            let rid = self.journal.append(
                                 ctx,
-                                &mut self.journals,
                                 d,
                                 ext.pair,
                                 self.period,
@@ -714,25 +572,16 @@ impl Policy for RoloEPolicy {
             Tag::User(user, uslot) => {
                 if ctx.user_sub_done(uslot).is_some() {
                     let meta = self.user_meta.remove(&user).unwrap_or_default();
-                    for (i, (pair, off, len)) in meta.marks.into_iter().enumerate() {
+                    for (i, &(pair, off, len)) in meta.marks.iter().enumerate() {
                         // The ack instant is the commit point: both
                         // mirrored copies get one shared LSN.
-                        let lsn = self.alloc_lsn();
-                        for &(mi, d, rid) in &meta.appends {
-                            if mi as usize == i {
-                                if let Some(j) = self.journals.get_mut(&d) {
-                                    j.commit(rid, lsn);
-                                }
-                            }
-                        }
-                        self.dirty[pair].mark(off, len);
+                        self.journal.mark(pair, off, len, &meta.appends, i as u32);
                         if self.mode == Mode::Destaging {
                             self.pump(ctx, pair);
                         }
                     }
                     for (pair, off, len) in meta.clears {
-                        self.journal_clear(pair, off, len);
-                        self.dirty[pair].clear_range(off, len);
+                        self.journal.clear(pair, off, len);
                         if self.mode == Mode::Destaging {
                             self.check_destage_done(ctx);
                         }
@@ -831,18 +680,8 @@ impl Policy for RoloEPolicy {
         let on_duty = self.logger_pairs.contains(&pair);
         // Whatever log copies the dead disk held are gone: replay the
         // surviving journals against the NVRAM dirty maps, then wipe the
-        // slot's journal (the replacement starts blank) and drop any
-        // in-flight append references to it (the fresh store restarts
-        // record ids).
-        if self.journals.contains_key(&disk) {
-            self.replay_after_failure(ctx, disk);
-            if let Some(j) = self.journals.get_mut(&disk) {
-                *j = SegmentStore::new(self.seg_bytes);
-            }
-            for meta in self.user_meta.values_mut() {
-                meta.appends.retain(|&(_, d, _)| d != disk);
-            }
-        }
+        // slot's journal (the replacement starts blank).
+        self.journal.fail(ctx, disk, &mut self.stats);
         let logger_arg = if on_duty { pair } else { self.logger_pairs[0] };
         let plan = recovery_plan(
             crate::config::Scheme::RoloE,
@@ -851,7 +690,7 @@ impl Policy for RoloEPolicy {
             logger_arg,
             &[],
         );
-        if on_duty && (self.log.used_bytes() > 0 || self.dirty.iter().any(|d| !d.is_clean())) {
+        if on_duty && (self.log.used_bytes() > 0 || !self.journal.all_clean()) {
             // Half of the mirrored log died with the disk; flush the
             // surviving copy so redundancy is restored (and the window
             // rotates off the degraded pair at the cycle's end).
@@ -906,7 +745,7 @@ impl Policy for RoloEPolicy {
 
     fn begin_drain(&mut self, ctx: &mut SimCtx) {
         self.draining = true;
-        if self.log.used_bytes() > 0 || self.dirty.iter().any(|d| !d.is_clean()) {
+        if self.log.used_bytes() > 0 || !self.journal.all_clean() {
             self.start_destage(ctx);
         }
     }
@@ -914,41 +753,18 @@ impl Policy for RoloEPolicy {
     fn is_drained(&self, ctx: &SimCtx) -> bool {
         self.mode == Mode::Logging
             && self.log.used_bytes() == 0
-            && self.dirty.iter().all(|d| d.is_clean())
+            && self.journal.all_clean()
             && ctx.outstanding_users() == 0
             && self.io_map.is_empty()
     }
 
     fn stats(&self) -> PolicyStats {
-        let mut s = self.stats;
-        for j in self.journals.values() {
-            let js = j.stats();
-            s.segments_sealed += js.sealed_segments;
-            s.segments_archived += js.archived_segments;
-            s.frames_retired += js.retired_frames;
-            s.compacted_bytes += js.compacted_bytes;
-        }
-        s
+        self.journal.fold_stats(self.stats)
     }
 
     fn check_consistency(&self, ctx: &SimCtx) -> Result<(), String> {
         self.log.check_invariants()?;
-        for (&disk, j) in self.journals.iter() {
-            j.check_invariants()
-                .map_err(|e| format!("journal {disk}: {e}"))?;
-            if j.live_bytes() != 0 {
-                return Err(format!(
-                    "journal {disk} still tracks {} live bytes",
-                    j.live_bytes()
-                ));
-            }
-        }
-        for (pair, d) in self.dirty.iter().enumerate() {
-            d.check_invariants()?;
-            if !d.is_clean() {
-                return Err(format!("pair {pair} still has {} stale bytes", d.bytes()));
-            }
-        }
+        self.journal.check_drained()?;
         if self.log.used_bytes() != 0 {
             return Err(format!("{} log bytes unreclaimed", self.log.used_bytes()));
         }

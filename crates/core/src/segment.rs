@@ -239,6 +239,19 @@ impl SegmentStore {
         }
     }
 
+    /// Replaces the chain with a blank one of the same segment size —
+    /// a replacement disk's journal — that keeps counting record ids,
+    /// so an id handed out before the restart never matches a new
+    /// record.
+    pub fn restart(&mut self) {
+        *self = SegmentStore {
+            seg_bytes: self.seg_bytes,
+            next_rid: self.next_rid,
+            pending_base: self.next_rid,
+            ..Default::default()
+        };
+    }
+
     /// Configured segment size in bytes.
     pub fn seg_bytes(&self) -> u64 {
         self.seg_bytes
@@ -1284,6 +1297,28 @@ mod tests {
         let out = h.replay_one_survivor();
         assert!(maps_equal(&out.maps[0], &h.reference));
         h.store.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn restart_keeps_counting_record_ids() {
+        let mut s = SegmentStore::new(1 << 20);
+        let torn = s.append(0, 1, 0, 100);
+        let done = s.append(0, 1, 200, 100);
+        s.commit(done.rid, 1);
+        s.restart();
+        assert!(s.segments().is_empty());
+        // Pre-restart ids commit nothing, before or after new appends.
+        s.commit(torn.rid, 2);
+        let fresh = s.append(0, 2, 0, 100);
+        assert!(fresh.rid > done.rid, "ids continue past the old ones");
+        s.commit(torn.rid, 3);
+        s.commit(done.rid, 3);
+        assert_eq!(s.stats().committed_records, 0);
+        assert_eq!(s.live_bytes(), 0);
+        s.commit(fresh.rid, 4);
+        assert_eq!(s.stats().committed_records, 1);
+        assert_eq!(s.live_bytes(), 100);
+        s.check_invariants().unwrap();
     }
 
     #[test]
