@@ -763,24 +763,6 @@ impl SimCtx {
         self.pending_timers.push((self.now + delay, token));
     }
 
-    /// Driver hook: drains wakes accumulated since the last call.
-    ///
-    /// Allocates a fresh `Vec` per call; the driver's hot loop uses
-    /// [`SimCtx::drain_wakes_into`] instead and this stays for tests and
-    /// offline tooling.
-    pub fn take_wakes(&mut self) -> Vec<(DiskId, DiskWake)> {
-        std::mem::take(&mut self.pending_wakes)
-    }
-
-    /// Driver hook: drains pending timers.
-    ///
-    /// Allocates a fresh `Vec` per call; the driver's hot loop uses
-    /// [`SimCtx::drain_timers_into`] instead and this stays for tests
-    /// and offline tooling.
-    pub fn take_timers(&mut self) -> Vec<(SimTime, u64)> {
-        std::mem::take(&mut self.pending_timers)
-    }
-
     /// True when at least one wake or timer is pending — lets the driver
     /// skip its drain machinery entirely on the (common) quiet steps.
     #[inline]
@@ -788,20 +770,19 @@ impl SimCtx {
         !self.pending_wakes.is_empty() || !self.pending_timers.is_empty()
     }
 
-    /// Allocation-free variant of [`SimCtx::take_wakes`]: swaps the
-    /// pending wakes into `out` (which must be empty), leaving the
-    /// context holding `out`'s spare capacity. Driving the drain loop
-    /// with one reused scratch vector means zero per-step allocations
-    /// once the vectors warm up; the order of drained entries is
-    /// identical to `take_wakes`.
+    /// Driver hook: drains the wakes accumulated since the last call, in
+    /// the order they were raised, by swapping them into `out` (which
+    /// must be empty) and leaving the context holding `out`'s spare
+    /// capacity. Driving the drain loop with one reused scratch vector
+    /// means zero per-step allocations once the vectors warm up.
     #[inline]
     pub fn drain_wakes_into(&mut self, out: &mut Vec<(DiskId, DiskWake)>) {
         debug_assert!(out.is_empty(), "drain scratch must be drained first");
         std::mem::swap(&mut self.pending_wakes, out);
     }
 
-    /// Allocation-free variant of [`SimCtx::take_timers`]; see
-    /// [`SimCtx::drain_wakes_into`].
+    /// Driver hook: drains the pending timers into `out`, in the order
+    /// they were set; see [`SimCtx::drain_wakes_into`].
     #[inline]
     pub fn drain_timers_into(&mut self, out: &mut Vec<(SimTime, u64)>) {
         debug_assert!(out.is_empty(), "drain scratch must be drained first");
@@ -1752,9 +1733,10 @@ mod tests {
     fn submit_produces_wake() {
         let mut c = ctx();
         c.submit(0, IoKind::Write, 0, 4096, Priority::Foreground);
-        let wakes = c.take_wakes();
+        let mut wakes = Vec::new();
+        c.drain_wakes_into(&mut wakes);
         assert_eq!(wakes.len(), 1);
-        assert!(c.take_wakes().is_empty(), "take_wakes drains");
+        assert!(!c.has_pending(), "drain_wakes_into drains");
     }
 
     #[test]
@@ -1887,7 +1869,9 @@ mod tests {
         let standby = vec![false, false, true, true];
         let mut c = SimCtx::new(&cfg, geo, &standby);
         c.on_scrub_tick();
-        let targets: Vec<DiskId> = c.take_wakes().into_iter().map(|(d, _)| d).collect();
+        let mut wakes = Vec::new();
+        c.drain_wakes_into(&mut wakes);
+        let targets: Vec<DiskId> = wakes.into_iter().map(|(d, _)| d).collect();
         assert!(!targets.is_empty(), "spun-up disks are scrubbed");
         assert!(
             targets.iter().all(|&d| d < 2),
@@ -1906,13 +1890,14 @@ mod tests {
         c.apply_corruption(0, 0);
         c.on_scrub_tick();
         // Drive every wake to completion, feeding scrub completions back.
+        let mut wakes = Vec::new();
         for _ in 0..64 {
-            let mut wakes = c.take_wakes();
+            c.drain_wakes_into(&mut wakes);
             if wakes.is_empty() {
                 break;
             }
             wakes.sort_by_key(|(_, w)| w.due());
-            for (d, w) in wakes {
+            for (d, w) in wakes.drain(..) {
                 c.now = w.due();
                 match w {
                     DiskWake::Io(_) => {
@@ -1944,17 +1929,18 @@ mod tests {
 
     proptest::proptest! {
         /// Drain-in-place regression: for any interleaving of submits
-        /// and timers, `drain_wakes_into`/`drain_timers_into` must hand
-        /// the driver exactly the sequences `take_wakes`/`take_timers`
-        /// did before the rewrite — same elements, same order.
+        /// and timers, draining after every step with
+        /// `drain_wakes_into`/`drain_timers_into` must hand the driver
+        /// the same sequences, in the same order, as one drain at the
+        /// end — the swap loses, duplicates and reorders nothing.
         #[test]
-        fn prop_drain_into_matches_take(
+        fn prop_drain_into_matches_one_batch(
             ops in proptest::collection::vec((0usize..4, 0u64..3, 1u64..5000), 1..40),
         ) {
             let mut a = ctx();
             let mut b = ctx();
-            let mut wakes = Vec::new();
-            let mut timers = Vec::new();
+            let (mut wakes, mut timers) = (Vec::new(), Vec::new());
+            let (mut all_wakes, mut all_timers) = (Vec::new(), Vec::new());
             for (i, &(disk4, kind, arg)) in ops.iter().enumerate() {
                 for c in [&mut a, &mut b] {
                     let disk = disk4 % c.disk_count();
@@ -1968,21 +1954,21 @@ mod tests {
                         _ => c.set_timer(Duration::from_micros(arg), i as u64),
                     }
                 }
-                proptest::prop_assert_eq!(a.has_pending(), b.has_pending());
                 a.drain_wakes_into(&mut wakes);
                 a.drain_timers_into(&mut timers);
-                let tw = b.take_wakes();
-                let tt = b.take_timers();
-                proptest::prop_assert_eq!(wakes.len(), tw.len());
-                for (x, y) in wakes.iter().zip(tw.iter()) {
-                    proptest::prop_assert_eq!(x.0, y.0);
-                    proptest::prop_assert_eq!(x.1.due(), y.1.due());
-                }
-                proptest::prop_assert_eq!(&timers, &tt);
-                wakes.clear();
-                timers.clear();
+                proptest::prop_assert!(!a.has_pending());
+                all_wakes.append(&mut wakes);
+                all_timers.append(&mut timers);
             }
-            proptest::prop_assert!(!a.has_pending() && !b.has_pending());
+            b.drain_wakes_into(&mut wakes);
+            b.drain_timers_into(&mut timers);
+            proptest::prop_assert!(!b.has_pending());
+            proptest::prop_assert_eq!(all_wakes.len(), wakes.len());
+            for (x, y) in all_wakes.iter().zip(wakes.iter()) {
+                proptest::prop_assert_eq!(x.0, y.0);
+                proptest::prop_assert_eq!(x.1.due(), y.1.due());
+            }
+            proptest::prop_assert_eq!(&all_timers, &timers);
         }
     }
 }

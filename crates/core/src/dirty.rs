@@ -8,8 +8,7 @@
 //! exploited to bundle as many data blocks with successive location as
 //! possible in one destaging I/O operation").
 
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use rolo_sim::ExtentMap;
 
 /// Disjoint, merged set of stale extents for one mirrored pair.
 ///
@@ -27,12 +26,8 @@ use std::collections::BTreeMap;
 /// assert_eq!((off, len), (0, 8192));
 /// assert!(d.is_clean());
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DirtyMap {
-    /// offset → length; disjoint and non-adjacent.
-    extents: BTreeMap<u64, u64>,
-    bytes: u64,
-}
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct DirtyMap(ExtentMap<()>);
 
 impl DirtyMap {
     /// Creates an empty map.
@@ -42,17 +37,17 @@ impl DirtyMap {
 
     /// Total stale bytes.
     pub fn bytes(&self) -> u64 {
-        self.bytes
+        self.0.bytes()
     }
 
     /// Number of disjoint extents.
     pub fn extent_count(&self) -> usize {
-        self.extents.len()
+        self.0.len()
     }
 
     /// True if nothing is stale.
     pub fn is_clean(&self) -> bool {
-        self.extents.is_empty()
+        self.0.is_empty()
     }
 
     /// Marks `[offset, offset + len)` stale, merging with any overlapping
@@ -62,29 +57,7 @@ impl DirtyMap {
     ///
     /// Panics if `len` is zero.
     pub fn mark(&mut self, offset: u64, len: u64) {
-        assert!(len > 0, "zero-length dirty extent");
-        let mut start = offset;
-        let mut end = offset + len;
-        // Absorb a predecessor that overlaps or touches us.
-        if let Some((&poff, &plen)) = self.extents.range(..=start).next_back() {
-            if poff + plen >= start {
-                start = poff;
-                end = end.max(poff + plen);
-                self.bytes -= plen;
-                self.extents.remove(&poff);
-            }
-        }
-        // Absorb successors that start within (or adjacent to) us.
-        while let Some((&soff, &slen)) = self.extents.range(start..).next() {
-            if soff > end {
-                break;
-            }
-            end = end.max(soff + slen);
-            self.bytes -= slen;
-            self.extents.remove(&soff);
-        }
-        self.extents.insert(start, end - start);
-        self.bytes += end - start;
+        self.0.assign(offset, len, (), |_, _| {});
     }
 
     /// Removes and returns the lowest-addressed stale run, clipped to
@@ -94,81 +67,23 @@ impl DirtyMap {
     ///
     /// Panics if `max_bytes` is zero.
     pub fn take_next(&mut self, max_bytes: u64) -> Option<(u64, u64)> {
-        assert!(max_bytes > 0, "zero-length destage chunk");
-        let (&off, &len) = self.extents.iter().next()?;
-        self.extents.remove(&off);
-        if len > max_bytes {
-            self.extents.insert(off + max_bytes, len - max_bytes);
-            self.bytes -= max_bytes;
-            Some((off, max_bytes))
-        } else {
-            self.bytes -= len;
-            Some((off, len))
-        }
+        self.0.pop_front(max_bytes).map(|(off, len, ())| (off, len))
     }
 
     /// Removes any staleness within `[offset, offset + len)` (e.g. the
     /// range was just overwritten in place on the mirror).
     pub fn clear_range(&mut self, offset: u64, len: u64) {
-        if len == 0 {
-            return;
-        }
-        let end = offset + len;
-        // Predecessor straddling the start.
-        if let Some((&poff, &plen)) = self.extents.range(..offset).next_back() {
-            if poff + plen > offset {
-                self.extents.remove(&poff);
-                self.bytes -= plen;
-                self.extents.insert(poff, offset - poff);
-                self.bytes += offset - poff;
-                if poff + plen > end {
-                    self.extents.insert(end, poff + plen - end);
-                    self.bytes += poff + plen - end;
-                }
-            }
-        }
-        // Extents starting within the range.
-        while let Some((&soff, &slen)) = self.extents.range(offset..).next() {
-            if soff >= end {
-                break;
-            }
-            self.extents.remove(&soff);
-            self.bytes -= slen;
-            if soff + slen > end {
-                self.extents.insert(end, soff + slen - end);
-                self.bytes += soff + slen - end;
-            }
-        }
+        self.0.remove(offset, len, |_, _| {});
     }
 
     /// Iterates over the stale extents in address order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.extents.iter().map(|(&o, &l)| (o, l))
+        self.0.iter().map(|(o, l, ())| (o, l))
     }
 
     /// Debug invariant check: extents disjoint, non-adjacent, accounted.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let mut prev_end: Option<u64> = None;
-        let mut total = 0;
-        for (&off, &len) in &self.extents {
-            if len == 0 {
-                return Err(format!("zero-length extent at {off}"));
-            }
-            if let Some(pe) = prev_end {
-                if off < pe {
-                    return Err(format!("overlap at {off}"));
-                }
-                if off == pe {
-                    return Err(format!("unmerged adjacency at {off}"));
-                }
-            }
-            prev_end = Some(off + len);
-            total += len;
-        }
-        if total != self.bytes {
-            return Err("byte accounting out of sync".into());
-        }
-        Ok(())
+        self.0.check_invariants()
     }
 }
 

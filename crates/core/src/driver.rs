@@ -479,9 +479,8 @@ fn clamp_record(mut rec: TraceRecord, capacity: u64, align: u64) -> TraceRecord 
 }
 
 /// Reusable scratch buffers for the wake/timer drain: swapped with the
-/// context's pending vectors each step instead of allocating fresh ones
-/// (the pre-rewrite `take_wakes`/`take_timers` pattern allocated two
-/// `Vec`s per delivered event).
+/// context's pending vectors each step instead of allocating fresh ones,
+/// so the drain allocates nothing once the vectors warm up.
 #[derive(Debug, Default)]
 struct DrainScratch {
     wakes: Vec<(DiskId, DiskWake)>,

@@ -13,10 +13,11 @@
 //!   completes, all of that pair's segments become stale and are freed in
 //!   one sweep (the paper's "proactive reclamation");
 //! * adjacent free regions are coalesced so the unused list stays short
-//!   (the paper's background compaction of the unused region list).
+//!   (the paper's background compaction of the unused region list): the
+//!   list is an [`ExtentMap`], which never holds two touching extents.
 
+use rolo_sim::ExtentMap;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// A live segment of logged data within a logger region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -46,15 +47,14 @@ pub struct LogSegment {
 /// assert_eq!(freed, 64 * 1024);
 /// assert_eq!(ls.used_bytes(), 0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LoggerSpace {
     base: u64,
     size: u64,
-    /// Free regions: offset → length. Disjoint, non-adjacent (coalesced).
-    free: BTreeMap<u64, u64>,
+    /// Free regions, coalesced.
+    free: ExtentMap<()>,
     /// Live segments, unordered.
     used: Vec<LogSegment>,
-    used_bytes: u64,
 }
 
 impl LoggerSpace {
@@ -65,14 +65,13 @@ impl LoggerSpace {
     /// Panics if `size` is zero.
     pub fn new(base: u64, size: u64) -> Self {
         assert!(size > 0, "logger region must be non-empty");
-        let mut free = BTreeMap::new();
-        free.insert(base, size);
+        let mut free = ExtentMap::new();
+        free.assign(base, size, (), |_, _| {});
         LoggerSpace {
             base,
             size,
             free,
             used: Vec::new(),
-            used_bytes: 0,
         }
     }
 
@@ -88,17 +87,17 @@ impl LoggerSpace {
 
     /// Bytes currently holding live segments.
     pub fn used_bytes(&self) -> u64 {
-        self.used_bytes
+        self.size - self.free.bytes()
     }
 
     /// Bytes available for allocation.
     pub fn free_bytes(&self) -> u64 {
-        self.size - self.used_bytes
+        self.free.bytes()
     }
 
     /// Occupancy in `[0, 1]`.
     pub fn occupancy(&self) -> f64 {
-        self.used_bytes as f64 / self.size as f64
+        self.used_bytes() as f64 / self.size as f64
     }
 
     /// Live segments (unordered).
@@ -121,25 +120,18 @@ impl LoggerSpace {
         let mut remaining = bytes;
         let mut out = Vec::new();
         while remaining > 0 {
-            let (&off, &len) = self
+            let (offset, take, ()) = self
                 .free
-                .iter()
-                .next()
+                .pop_front(remaining)
                 .expect("free accounting out of sync");
-            let take = len.min(remaining);
-            self.free.remove(&off);
-            if take < len {
-                self.free.insert(off + take, len - take);
-            }
             let seg = LogSegment {
                 pair,
                 period,
-                offset: off,
+                offset,
                 bytes: take,
             };
             self.used.push(seg);
             out.push(seg);
-            self.used_bytes += take;
             remaining -= take;
         }
         Some(out)
@@ -149,12 +141,9 @@ impl LoggerSpace {
     /// space. Returns the number of bytes reclaimed.
     ///
     /// The unused region list is minimal (one fragment per maximal free
-    /// run) on return — regardless of the order in which the stale
-    /// segments were visited — because `insert_free` merges both
-    /// neighbours on every insertion. Debug builds re-verify that with
-    /// a [`LoggerSpace::coalesce_all`] pass; the full-merge rebuild
-    /// stays off the release path, where reclaim runs on every destage
-    /// completion against every logger space.
+    /// run) on return, regardless of the order in which the stale
+    /// segments were visited: the free list is an [`ExtentMap`], which
+    /// merges touching extents on every insertion.
     pub fn reclaim<F: FnMut(&LogSegment) -> bool>(&mut self, mut stale: F) -> u64 {
         let mut freed = 0;
         let mut i = 0;
@@ -162,73 +151,15 @@ impl LoggerSpace {
             if stale(&self.used[i]) {
                 let seg = self.used.swap_remove(i);
                 freed += seg.bytes;
-                self.insert_free(seg.offset, seg.bytes);
+                self.free.assign(seg.offset, seg.bytes, (), |_, _| {
+                    debug_assert!(false, "freed a free region")
+                });
             } else {
                 i += 1;
             }
         }
-        self.used_bytes -= freed;
-        if freed > 0 {
-            debug_assert_eq!(
-                self.coalesce_all(),
-                0,
-                "insert_free left adjacent fragments"
-            );
-        }
+        debug_assert_eq!(self.free.check_invariants(), Ok(()));
         freed
-    }
-
-    /// Full-merge pass over the unused region list (§III-E, the paper's
-    /// background compaction of the region lists): rebuilds the list so
-    /// every maximal free run is exactly one fragment. Returns how many
-    /// adjacent fragments were folded — zero whenever the incremental
-    /// coalescing in `insert_free` already left the list minimal, which
-    /// the property tests assert.
-    pub fn coalesce_all(&mut self) -> usize {
-        let mut merged = 0;
-        let mut rebuilt: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut run: Option<(u64, u64)> = None;
-        for (&off, &len) in &self.free {
-            match run {
-                Some((start, rlen)) if start + rlen == off => {
-                    run = Some((start, rlen + len));
-                    merged += 1;
-                }
-                Some((start, rlen)) => {
-                    rebuilt.insert(start, rlen);
-                    run = Some((off, len));
-                }
-                None => run = Some((off, len)),
-            }
-        }
-        if let Some((start, rlen)) = run {
-            rebuilt.insert(start, rlen);
-        }
-        self.free = rebuilt;
-        merged
-    }
-
-    /// Inserts a free region and coalesces with neighbours.
-    fn insert_free(&mut self, offset: u64, bytes: u64) {
-        let mut start = offset;
-        let mut len = bytes;
-        // Merge with predecessor if adjacent.
-        if let Some((&poff, &plen)) = self.free.range(..offset).next_back() {
-            debug_assert!(poff + plen <= offset, "free-list overlap");
-            if poff + plen == offset {
-                self.free.remove(&poff);
-                start = poff;
-                len += plen;
-            }
-        }
-        // Merge with successor if adjacent.
-        if let Some((&soff, &slen)) = self.free.range(start + len..).next() {
-            if start + len == soff {
-                self.free.remove(&soff);
-                len += slen;
-            }
-        }
-        self.free.insert(start, len);
     }
 
     /// Number of fragments in the free list (1 when fully coalesced and
@@ -238,35 +169,19 @@ impl LoggerSpace {
     }
 
     /// Debug invariant check: free regions are disjoint, within bounds,
-    /// non-adjacent, and byte accounting balances.
+    /// non-adjacent, and free plus used bytes fill the region.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let mut prev_end: Option<u64> = None;
-        let mut free_total = 0;
-        for (&off, &len) in &self.free {
-            if len == 0 {
-                return Err(format!("zero-length free region at {off}"));
-            }
+        self.free.check_invariants()?;
+        for (off, len, ()) in self.free.iter() {
             if off < self.base || off + len > self.base + self.size {
                 return Err(format!("free region [{off}, {}) out of bounds", off + len));
             }
-            if let Some(pe) = prev_end {
-                if off < pe {
-                    return Err(format!("overlapping free regions at {off}"));
-                }
-                if off == pe {
-                    return Err(format!("uncoalesced adjacent free regions at {off}"));
-                }
-            }
-            prev_end = Some(off + len);
-            free_total += len;
         }
         let used_total: u64 = self.used.iter().map(|s| s.bytes).sum();
-        if used_total != self.used_bytes {
-            return Err("used byte accounting out of sync".into());
-        }
-        if free_total + used_total != self.size {
+        if self.free.bytes() + used_total != self.size {
             return Err(format!(
-                "space leak: free {free_total} + used {used_total} != size {}",
+                "space leak: free {} + used {used_total} != size {}",
+                self.free.bytes(),
                 self.size
             ));
         }
@@ -275,7 +190,7 @@ impl LoggerSpace {
             .used
             .iter()
             .map(|s| (s.offset, s.bytes))
-            .chain(self.free.iter().map(|(&o, &l)| (o, l)))
+            .chain(self.free.iter().map(|(o, l, ())| (o, l)))
             .collect();
         spans.sort_unstable();
         for w in spans.windows(2) {
@@ -415,7 +330,6 @@ mod tests {
         // though the stale segments are visited in swap_remove order.
         ls.reclaim(|_| true);
         assert_eq!(ls.free_fragments(), 1);
-        assert_eq!(ls.coalesce_all(), 0, "reclaim already fully merged");
         ls.check_invariants().unwrap();
     }
 
@@ -434,7 +348,6 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(ls.free_fragments(), minimal_fragments(&ls));
-                prop_assert_eq!(ls.coalesce_all(), 0, "incremental coalescing regressed");
             }
         }
 

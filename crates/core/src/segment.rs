@@ -38,6 +38,7 @@
 //! last writer of each byte survives.
 
 use crate::dirty::DirtyMap;
+use rolo_sim::ExtentMap;
 use serde::Serialize;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -191,24 +192,18 @@ pub struct AppendOutcome {
     pub opened: Option<u64>,
 }
 
-/// A live extent in the per-pair index: its length and owning segment.
-#[derive(Debug, Clone, Copy)]
-struct LiveExt {
-    len: u64,
-    slot: usize,
-}
-
 /// One logger disk's segment chain, live-extent index and archive.
 #[derive(Debug, Clone, Default)]
 pub struct SegmentStore {
     seg_bytes: u64,
     segments: Vec<Segment>,
     active: Option<usize>,
-    /// Per-pair `lba` → live extent, disjoint within each pair. A
-    /// `Vec` indexed by pair (grown on demand) keeps each tree small
-    /// and hot — the commit path's index ops dominate journal cost, so
-    /// one big `(pair, lba)`-keyed tree is measurably slower.
-    live: Vec<BTreeMap<u64, LiveExt>>,
+    /// Per-pair live extents, valued by owning segment slot, so
+    /// same-segment neighbours coalesce. A `Vec` indexed by pair (grown
+    /// on demand) keeps each map small and hot — the commit path's index
+    /// ops dominate journal cost, so one big `(pair, lba)`-keyed map is
+    /// measurably slower.
+    live: Vec<ExtentMap<usize>>,
     /// In-flight records, a ring indexed by `rid - pending_base`: every
     /// append pushes a slot, commit/abandon takes it back. Rids are
     /// dense and retire in rough submission order, so the ring keeps
@@ -402,107 +397,29 @@ impl SegmentStore {
     }
 
     /// Drops every live extent of `pair` (destage completion: the whole
-    /// pair's log is stale). Takes the pair's whole tree in one pass —
-    /// no per-key removals.
+    /// pair's log is stale). Takes the pair's whole map in one pass —
+    /// no per-extent removals.
     pub fn reclaim_pair(&mut self, pair: usize) {
-        let Some(tree) = self.live.get_mut(pair) else {
+        let Some(map) = self.live.get_mut(pair) else {
             return;
         };
-        for (_, ext) in std::mem::take(tree) {
-            self.segments[ext.slot].live -= ext.len;
+        for (_, len, slot) in std::mem::take(map).iter() {
+            self.segments[slot].live -= len;
         }
     }
 
-    /// Claims `[lba, lba+len)` of `pair` for `slot` in one tree walk:
-    /// overlapped bytes change owner (their old extents are trimmed or
-    /// dropped, exactly as a remove would), and contiguous same-slot
-    /// neighbours coalesce into the inserted extent. Coalescing keeps
-    /// the per-pair trees tiny under sequential appends without
-    /// changing per-segment live sums — `LiveExt` carries no record
-    /// identity. The single fused pass is the journal's hottest
-    /// operation (once per committed record), which is why remove and
-    /// insert are not separate walks.
+    /// Claims `[lba, lba+len)` of `pair` for `slot`: overlapped bytes
+    /// change owner (their old segments lose them), and contiguous
+    /// same-slot neighbours coalesce, which keeps the per-pair maps tiny
+    /// under sequential appends without changing per-segment live sums.
+    /// Runs once per committed record, the journal's hottest operation.
     fn claim_live(&mut self, pair: usize, lba: u64, len: u64, slot: usize) {
-        debug_assert!(len > 0);
         self.segments[slot].live += len;
         if pair >= self.live.len() {
-            self.live.resize_with(pair + 1, BTreeMap::new);
+            self.live.resize_with(pair + 1, ExtentMap::new);
         }
-        let tree = &mut self.live[pair];
         let segments = &mut self.segments;
-        let end = lba + len;
-        let mut start = lba;
-        let mut new_end = end;
-        // Predecessor: bytes it held inside the claim change owner; a
-        // same-slot predecessor (straddling or exactly adjacent) folds
-        // into the inserted extent, a foreign one is trimmed around it.
-        if let Some((&poff, &pext)) = tree.range(..lba).next_back() {
-            let pend = poff + pext.len;
-            if pend > lba {
-                segments[pext.slot].live -= pend.min(end) - lba;
-                if pext.slot == slot {
-                    tree.remove(&poff);
-                    start = poff;
-                    new_end = new_end.max(pend);
-                } else {
-                    tree.insert(
-                        poff,
-                        LiveExt {
-                            len: lba - poff,
-                            slot: pext.slot,
-                        },
-                    );
-                    if pend > end {
-                        tree.insert(
-                            end,
-                            LiveExt {
-                                len: pend - end,
-                                slot: pext.slot,
-                            },
-                        );
-                    }
-                }
-            } else if pend == lba && pext.slot == slot {
-                tree.remove(&poff);
-                start = poff;
-            }
-        }
-        // Extents starting inside the claim lose their overlapped bytes;
-        // a same-slot tail (or an extent starting exactly at the end)
-        // coalesces instead of being re-inserted.
-        while let Some((&soff, &sext)) = tree.range(lba..=end).next() {
-            let send = soff + sext.len;
-            if soff == end {
-                if sext.slot == slot {
-                    tree.remove(&soff);
-                    new_end = new_end.max(send);
-                }
-                break;
-            }
-            tree.remove(&soff);
-            segments[sext.slot].live -= send.min(end) - soff;
-            if send > end {
-                if sext.slot == slot {
-                    new_end = new_end.max(send);
-                } else {
-                    tree.insert(
-                        end,
-                        LiveExt {
-                            len: send - end,
-                            slot: sext.slot,
-                        },
-                    );
-                    break;
-                }
-            }
-        }
-        tree.insert(
-            start,
-            LiveExt {
-                len: new_end - start,
-                slot,
-            },
-        );
+        self.live[pair].assign(lba, len, slot, |old, bytes| segments[old].live -= bytes);
     }
 
     /// Removes `[lba, lba+len)` of `pair` from the index, splitting
@@ -510,57 +427,11 @@ impl SegmentStore {
     /// O(1) when the pair holds nothing — the common case for clears
     /// fanned out across a pool of journals.
     fn remove_live(&mut self, pair: usize, lba: u64, len: u64) {
-        if len == 0 {
-            return;
-        }
-        let Some(tree) = self.live.get_mut(pair) else {
+        let Some(map) = self.live.get_mut(pair) else {
             return;
         };
-        if tree.is_empty() {
-            return;
-        }
         let segments = &mut self.segments;
-        let end = lba + len;
-        // Predecessor straddling the start.
-        if let Some((&poff, &pext)) = tree
-            .range(..lba)
-            .next_back()
-            .filter(|(&poff, e)| poff + e.len > lba)
-        {
-            segments[pext.slot].live -= pext.len - (lba - poff);
-            tree.insert(
-                poff,
-                LiveExt {
-                    len: lba - poff,
-                    slot: pext.slot,
-                },
-            );
-            if poff + pext.len > end {
-                segments[pext.slot].live += poff + pext.len - end;
-                tree.insert(
-                    end,
-                    LiveExt {
-                        len: poff + pext.len - end,
-                        slot: pext.slot,
-                    },
-                );
-            }
-        }
-        // Extents starting within the range.
-        while let Some((&soff, &sext)) = tree.range(lba..end).next() {
-            tree.remove(&soff);
-            segments[sext.slot].live -= sext.len;
-            if soff + sext.len > end {
-                segments[sext.slot].live += soff + sext.len - end;
-                tree.insert(
-                    end,
-                    LiveExt {
-                        len: soff + sext.len - end,
-                        slot: sext.slot,
-                    },
-                );
-            }
-        }
+        map.remove(lba, len, |old, bytes| segments[old].live -= bytes);
     }
 
     /// Sealed segments whose live fraction dropped below
@@ -583,10 +454,10 @@ impl SegmentStore {
     pub fn live_extents_of(&self, segment: u64) -> Vec<(usize, u64, u64)> {
         let slot = segment as usize;
         let mut out = Vec::new();
-        for (pair, tree) in self.live.iter().enumerate() {
-            for (&lba, e) in tree {
-                if e.slot == slot {
-                    out.push((pair, lba, e.len));
+        for (pair, map) in self.live.iter().enumerate() {
+            for (lba, len, owner) in map.iter() {
+                if owner == slot {
+                    out.push((pair, lba, len));
                 }
             }
         }
@@ -606,26 +477,16 @@ impl SegmentStore {
     ) -> Vec<(u64, u64)> {
         let slot = segment as usize;
         let end = lba + len;
-        let mut out = Vec::new();
-        let Some(tree) = self.live.get(pair) else {
-            return out;
+        let Some(map) = self.live.get(pair) else {
+            return Vec::new();
         };
-        // Predecessor straddling the start, then extents within.
-        if let Some((&poff, e)) = tree
-            .range(..lba)
-            .next_back()
-            .filter(|(&poff, e)| poff + e.len > lba)
-        {
-            if e.slot == slot {
-                out.push((lba, (poff + e.len).min(end) - lba));
-            }
-        }
-        for (&soff, e) in tree.range(lba..end) {
-            if e.slot == slot {
-                out.push((soff, (soff + e.len).min(end) - soff));
-            }
-        }
-        out
+        map.overlapping(lba, len)
+            .filter(|&(_, _, owner)| owner == slot)
+            .map(|(s, l, _)| {
+                let from = s.max(lba);
+                (from, (s + l).min(end) - from)
+            })
+            .collect()
     }
 
     /// Sealed, fully-dead segments with no in-flight records — ready to
@@ -778,17 +639,11 @@ impl SegmentStore {
     /// Debug invariant check for the chain, index and archive.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut live_by_slot: HashMap<usize, u64> = HashMap::new();
-        for (pair, tree) in self.live.iter().enumerate() {
-            let mut pend: Option<u64> = None;
-            for (&lba, ext) in tree {
-                if ext.len == 0 {
-                    return Err(format!("zero-length live extent at ({pair}, {lba})"));
-                }
-                if pend.is_some_and(|p| lba < p) {
-                    return Err(format!("overlapping live extents at ({pair}, {lba})"));
-                }
-                pend = Some(lba + ext.len);
-                *live_by_slot.entry(ext.slot).or_default() += ext.len;
+        for (pair, map) in self.live.iter().enumerate() {
+            map.check_invariants()
+                .map_err(|e| format!("live index of pair {pair}: {e}"))?;
+            for (_, len, slot) in map.iter() {
+                *live_by_slot.entry(slot).or_default() += len;
             }
         }
         let mut actives = 0;

@@ -13,14 +13,15 @@
 //! which keeps every injected extent individually accountable in the
 //! repaired-by-scrub / repaired-on-read / lost classification.
 
-use std::collections::BTreeMap;
+use rolo_sim::ExtentMap;
 
 /// The byte extents of one disk that currently fail checksum
-/// verification, keyed by start offset and disjoint by construction.
+/// verification, disjoint by construction. Each extent is valued by its
+/// injection number, so touching injections stay separate extents.
 #[derive(Debug, Clone, Default)]
 pub struct IntegrityMap {
-    /// start → length, non-overlapping.
-    extents: BTreeMap<u64, u64>,
+    extents: ExtentMap<u64>,
+    injections: u64,
 }
 
 impl IntegrityMap {
@@ -41,23 +42,12 @@ impl IntegrityMap {
 
     /// Total latent bytes.
     pub fn bytes(&self) -> u64 {
-        self.extents.values().sum()
+        self.extents.bytes()
     }
 
     /// True if `[start, start + len)` touches any latent extent.
     pub fn overlaps(&self, start: u64, len: u64) -> bool {
-        if len == 0 {
-            return false;
-        }
-        let end = start.saturating_add(len);
-        // The only candidates are the last extent starting at or before
-        // `start` and any extent starting inside the range.
-        if let Some((&s, &l)) = self.extents.range(..=start).next_back() {
-            if s.saturating_add(l) > start {
-                return true;
-            }
-        }
-        self.extents.range(start..end).next().is_some()
+        self.extents.overlapping(start, len).next().is_some()
     }
 
     /// Marks `[start, start + len)` latent. Returns `false` (and leaves
@@ -68,7 +58,8 @@ impl IntegrityMap {
         if len == 0 || self.overlaps(start, len) {
             return false;
         }
-        self.extents.insert(start, len);
+        self.injections += 1;
+        self.extents.assign(start, len, self.injections, |_, _| {});
         true
     }
 
@@ -77,22 +68,15 @@ impl IntegrityMap {
     /// wholesale: any I/O or scrub chunk that touches a latent extent is
     /// deemed to detect (and repair or lose) all of it.
     pub fn take_overlapping(&mut self, start: u64, len: u64) -> Vec<(u64, u64)> {
-        if len == 0 || self.extents.is_empty() {
-            return Vec::new();
+        let doomed: Vec<(u64, u64)> = self
+            .extents
+            .overlapping(start, len)
+            .map(|(s, l, _)| (s, l))
+            .collect();
+        for &(s, l) in &doomed {
+            self.extents.remove(s, l, |_, _| {});
         }
-        let end = start.saturating_add(len);
-        let mut doomed: Vec<u64> = Vec::new();
-        if let Some((&s, &l)) = self.extents.range(..=start).next_back() {
-            if s.saturating_add(l) > start {
-                doomed.push(s);
-            }
-        }
-        doomed.extend(self.extents.range(start..end).map(|(&s, _)| s));
-        doomed.dedup();
         doomed
-            .into_iter()
-            .map(|s| (s, self.extents.remove(&s).expect("candidate present")))
-            .collect()
     }
 
     /// Clears every latent extent touching `[start, start + len)` and
@@ -111,7 +95,7 @@ impl IntegrityMap {
 
     /// Iterates `(start, len)` over the latent extents in offset order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.extents.iter().map(|(&s, &l)| (s, l))
+        self.extents.iter().map(|(s, l, _)| (s, l))
     }
 }
 

@@ -4,7 +4,9 @@
 //! This crate provides the substrate that the disk model, RAID layer and
 //! logging controllers are built on: a microsecond-resolution simulated
 //! clock ([`SimTime`], [`Duration`]), a deterministic event queue
-//! ([`EventQueue`]), and seeded random-number plumbing ([`rng`]).
+//! ([`EventQueue`]), seeded random-number plumbing ([`rng`]), and the
+//! disjoint byte-extent map ([`ExtentMap`]) the layers above keep their
+//! stale, free, live and corrupt extents in.
 //!
 //! The engine is deliberately *not* generic over an event trait object
 //! dispatch framework; higher layers drive their own state machines and use
@@ -26,6 +28,7 @@
 //! ```
 
 pub mod calendar;
+pub mod extent;
 pub mod fastmap;
 pub mod queue;
 pub mod rng;
@@ -33,6 +36,7 @@ pub mod schedule;
 pub mod time;
 
 pub use calendar::CalendarQueue;
+pub use extent::ExtentMap;
 pub use fastmap::{IdHasher, IoMap, IoSet};
 pub use queue::{EventQueue, FutureEventList, ScheduledEvent};
 pub use rng::SimRng;
