@@ -3,7 +3,6 @@
 //! throughput (a simulated week must stay in the seconds range).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use rolo_core::ctx::WakeKind;
 use rolo_core::logspace::LoggerSpace;
 use rolo_core::{dirty::DirtyMap, Scheme, SimConfig, SimCtx};
 use rolo_disk::{DiskParams, IoKind, Priority, ServiceModel};
@@ -86,7 +85,7 @@ fn bench_event_queue(c: &mut Criterion) {
     });
 }
 
-/// The submit → wake → deliver dispatch cycle through `SimCtx`, the
+/// The submit → wake → `complete_io` dispatch cycle through `SimCtx`, the
 /// per-I/O path under every controller: slab registration, service-time
 /// sampling, wake scheduling, and completion classification.
 fn bench_dispatch(c: &mut Criterion) {
@@ -111,7 +110,7 @@ fn bench_dispatch(c: &mut Criterion) {
                     ctx.drain_wakes_into(&mut wakes);
                     for (disk, wake) in wakes.drain(..) {
                         ctx.now = wake.due();
-                        std::hint::black_box(ctx.deliver_wake(disk, WakeKind::Io));
+                        std::hint::black_box(ctx.complete_io(disk));
                     }
                 }
             },

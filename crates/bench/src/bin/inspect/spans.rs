@@ -26,7 +26,7 @@ use serde::Serialize;
 /// typed phases, per scheme.
 const MIN_ATTRIBUTED: f64 = 0.95;
 
-/// Short column headers, in [`Phase::ALL`] order.
+/// Short column headers, in [`Phase::ALL`](rolo_obs::Phase::ALL) order.
 const COLS: [&str; rolo_obs::NUM_PHASES] = [
     "queue", "seek", "rot", "xfer", "log", "mirror", "spinup", "destage", "redir", "compact",
     "scrub",

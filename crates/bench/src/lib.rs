@@ -159,62 +159,6 @@ pub fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// Compact summary row used by several binaries.
-#[derive(Debug, Clone, Serialize)]
-pub struct SchemeRow {
-    /// Scheme name.
-    pub scheme: String,
-    /// Total energy over the window (J).
-    pub energy_j: f64,
-    /// Energy normalised to the first (baseline) row.
-    pub energy_vs_baseline: f64,
-    /// Mean response time (ms).
-    pub mean_response_ms: f64,
-    /// Response normalised to baseline.
-    pub response_vs_baseline: f64,
-    /// Spin cycles over the window.
-    pub spin_cycles: u64,
-    /// User requests completed.
-    pub requests: u64,
-}
-
-/// Builds normalized rows from reports, first report = baseline.
-pub fn scheme_rows(reports: &[SimReport]) -> Vec<SchemeRow> {
-    let base = &reports[0];
-    reports
-        .iter()
-        .map(|r| SchemeRow {
-            scheme: r.scheme.clone(),
-            energy_j: r.total_energy_j,
-            energy_vs_baseline: r.energy_vs(base),
-            mean_response_ms: r.mean_response_ms(),
-            response_vs_baseline: r.response_vs(base),
-            spin_cycles: r.spin_cycles,
-            requests: r.user_requests,
-        })
-        .collect()
-}
-
-/// Prints rows as an aligned table.
-pub fn print_scheme_table(rows: &[SchemeRow]) {
-    println!(
-        "{:<8} {:>12} {:>10} {:>12} {:>10} {:>8} {:>9}",
-        "scheme", "energy", "vs base", "mean resp", "vs base", "spins", "requests"
-    );
-    for r in rows {
-        println!(
-            "{:<8} {:>12} {:>10.3} {:>10.2}ms {:>10.3} {:>8} {:>9}",
-            r.scheme,
-            mj(r.energy_j),
-            r.energy_vs_baseline,
-            r.mean_response_ms,
-            r.response_vs_baseline,
-            r.spin_cycles,
-            r.requests
-        );
-    }
-}
-
 /// Asserts a report drained consistently, with a labelled panic.
 pub fn expect_consistent(report: &SimReport, label: &str) {
     if let Err(e) = &report.consistency {

@@ -11,13 +11,12 @@
 //! consistency audit runs — the master invariant of the whole simulator.
 
 use crate::config::SimConfig;
-use crate::ctx::{ShockEffect, SimCtx, WakeKind};
+use crate::ctx::{IoFate, RunObservations, ShockEffect, SimCtx, WakeKind};
 use crate::policy::Policy;
 use crate::report::SimReport;
 use rolo_disk::{DiskEnergyReport, DiskId, DiskRequest, DiskWake, IoOutcome};
 use rolo_metrics::Phase;
-use rolo_obs::{ExemplarSet, RcaReport};
-use rolo_obs::{NullSink, RunProfile, SimEvent, SloAlert, SpanSet, TelemetrySnapshot, TraceSink};
+use rolo_obs::{NullSink, RunProfile, SimEvent, TraceSink};
 use rolo_sim::{CalendarQueue, Duration, SimTime};
 use rolo_trace::TraceRecord;
 use std::time::Instant;
@@ -47,30 +46,6 @@ enum Event {
     /// Periodic scrub scheduling slot (only scheduled when enabled).
     ScrubTick,
     TraceEnd,
-}
-
-/// Everything a run observed out-of-band of its [`SimReport`]: the
-/// trace sink, per-request spans (when enabled), the telemetry
-/// snapshot (when enabled) and every SLO alert raised online. All of
-/// it is observational — none of it feeds back into the simulation —
-/// so the report stays byte-identical no matter which parts are on.
-#[derive(Debug)]
-pub struct RunObservations {
-    /// The trace sink handed in by the caller, for draining.
-    pub sink: Box<dyn TraceSink>,
-    /// Completed request/background spans, when span recording was on.
-    pub spans: Option<SpanSet>,
-    /// Retained telemetry windows, when telemetry was on.
-    pub telemetry: Option<TelemetrySnapshot>,
-    /// SLO alerts raised during the run, in emission order.
-    pub slo_alerts: Vec<SloAlert>,
-    /// Windowed tail exemplars (the top-k slowest spans per telemetry
-    /// window, DESIGN.md §14), when capture was on. Empty unless span
-    /// recording also ran — the recorder needs finished spans.
-    pub exemplars: Option<ExemplarSet>,
-    /// Root-cause attribution of every SLO alert window, when
-    /// [`crate::SimConfig::rca_enabled`].
-    pub rca: Option<RcaReport>,
 }
 
 /// Snapshot captured at the `TraceEnd` marker.
@@ -246,33 +221,17 @@ pub fn run_trace_observed<P: Policy>(
             }
             Event::DiskIo(d, ep) => {
                 if ctx.epoch_live(d, ep) {
-                    let req = ctx
-                        .deliver_wake(d, WakeKind::Io)
-                        .expect("io wake returns the request");
-                    if ctx.is_rebuild_io(req.id) {
-                        // Rebuild traffic is exempt from fault
-                        // classification: the copy loop must terminate.
-                        ctx.on_rebuild_io(&req);
-                    } else if ctx.is_scrub_io(req.id) {
-                        // Scrub traffic verifies the integrity map
-                        // directly; Bernoulli faults do not apply.
-                        ctx.on_scrub_io(&req);
-                    } else {
-                        match ctx.classify_completion(d, &req) {
-                            IoOutcome::Ok => policy.on_io_complete(&mut ctx, d, req),
-                            IoOutcome::MediaError => {
-                                policy.on_io_error(&mut ctx, d, req, IoOutcome::MediaError);
-                            }
-                            IoOutcome::Timeout => match ctx.note_timeout(req.id) {
-                                Some(backoff) => {
-                                    let retry = Event::IoRetry(d, ctx.epoch(d), req);
-                                    queue.schedule(ctx.now + backoff, retry);
-                                }
-                                None => {
-                                    policy.on_io_error(&mut ctx, d, req, IoOutcome::Timeout);
-                                }
-                            },
-                            IoOutcome::DiskDead => unreachable!("classification never kills"),
+                    match ctx.complete_io(d) {
+                        IoFate::Engine => {}
+                        IoFate::Policy(req, IoOutcome::Ok) => {
+                            policy.on_io_complete(&mut ctx, d, req)
+                        }
+                        IoFate::Policy(req, outcome) => {
+                            policy.on_io_error(&mut ctx, d, req, outcome)
+                        }
+                        IoFate::Retry(req, backoff) => {
+                            let retry = Event::IoRetry(d, ctx.epoch(d), req);
+                            queue.schedule(ctx.now + backoff, retry);
                         }
                     }
                 }
@@ -389,17 +348,17 @@ pub fn run_trace_observed<P: Policy>(
 
     let wall_total = wall_start.elapsed();
     let wall_replay = wall_replay.unwrap_or(wall_total);
-    let sink = ctx.take_sink();
+    let obs = ctx.take_observations(cfg.rca_enabled);
     let profile = RunProfile {
-        sink: sink.name().to_string(),
+        sink: obs.sink.name().to_string(),
         wall_replay_us: wall_replay.as_micros() as u64,
         wall_drain_us: (wall_total - wall_replay).as_micros() as u64,
         wall_total_us: wall_total.as_micros() as u64,
         events_processed: queue.popped_total(),
         events_scheduled: queue.scheduled_total(),
         events_per_sec: queue.popped_total() as f64 / wall_total.as_secs_f64().max(1e-9),
-        trace_events_recorded: sink.recorded(),
-        trace_events_dropped: sink.dropped(),
+        trace_events_recorded: obs.sink.recorded(),
+        trace_events_dropped: obs.sink.dropped(),
     };
 
     let snapshot = snapshot.unwrap_or_default();
@@ -442,27 +401,6 @@ pub fn run_trace_observed<P: Policy>(
         consistency,
         metrics: ctx.metrics.export(),
         profile,
-    };
-    let run_spans = ctx.take_spans();
-    let exemplars = ctx.take_exemplars();
-    let slo_alerts = ctx.take_slo_alerts();
-    let rca = cfg.rca_enabled.then(|| {
-        let bg: &[rolo_obs::BgSpan] = run_spans
-            .as_ref()
-            .map(|s| s.background.as_slice())
-            .unwrap_or(&[]);
-        let exm = exemplars
-            .as_ref()
-            .expect("rca_enabled implies exemplar capture (SimConfig::check)");
-        rolo_obs::rca::analyze(&slo_alerts, exm, bg)
-    });
-    let obs = RunObservations {
-        sink,
-        spans: run_spans,
-        telemetry: ctx.take_telemetry(),
-        slo_alerts,
-        exemplars,
-        rca,
     };
     (report, policy, obs)
 }

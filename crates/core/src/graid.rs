@@ -13,7 +13,6 @@
 //! guarantees the destage terminates.
 
 use crate::ctx::SimCtx;
-use crate::faults::surviving_partner;
 use crate::journal::{JournalSet, PendingAppend};
 use crate::logspace::LoggerSpace;
 use crate::policy::{Policy, PolicyStats};
@@ -21,7 +20,7 @@ use crate::recovery::recovery_plan;
 use crate::slot::IoSlot;
 use rolo_disk::{DiskId, DiskRequest, IoKind, IoOutcome, Priority};
 use rolo_metrics::Phase;
-use rolo_obs::{LegFlavor, SimEvent};
+use rolo_obs::{BgSpanKind, LegFlavor, SimEvent};
 use rolo_sim::{Duration, IoMap};
 use rolo_trace::{ReqKind, TraceRecord};
 
@@ -145,7 +144,7 @@ impl GraidPolicy {
         // A whole-log destage cycle touches every disk in the array
         // (reads from primaries, writes to every mirror).
         let all: Vec<DiskId> = (0..ctx.disk_count()).collect();
-        ctx.span_destage_begin(None, &all);
+        ctx.bg_span_begin(BgSpanKind::Destage, None, &all);
         let energy = ctx.total_energy();
         if let Some(tok) = self.logging_token.take() {
             ctx.intervals
@@ -206,7 +205,7 @@ impl GraidPolicy {
         self.period += 1;
         self.stats.destage_cycles += 1;
         ctx.emit(|| SimEvent::DestageEnd { pair: None });
-        ctx.span_destage_end(None);
+        ctx.bg_span_end(BgSpanKind::Destage, None);
         self.logging_token = Some(ctx.intervals.begin(Phase::Logging, ctx.now));
         if !self.draining {
             for pair in 0..self.pairs {
@@ -387,20 +386,11 @@ impl Policy for GraidPolicy {
         // slot can be re-served elsewhere; everything else closes through
         // the normal completion path (the rebuild restores the
         // replacement's copy).
-        if req.kind == IoKind::Read && (outcome == IoOutcome::MediaError || ctx.is_degraded(disk)) {
-            if let Some(Tag::User(user, uslot)) = self.io_map.get(&req.id).copied() {
-                if let Some(p) =
-                    surviving_partner(ctx.geometry(), disk).filter(|&p| !ctx.is_degraded(p))
-                {
-                    self.io_map.remove(&req.id);
-                    ctx.note_redirect();
-                    ctx.emit(|| SimEvent::ReadRedirected { from: disk, to: p });
-                    let id =
-                        ctx.submit(p, IoKind::Read, req.offset, req.bytes, Priority::Foreground);
-                    self.io_map.insert(id, Tag::User(user, uslot));
-                    ctx.tag_io(id, user, LegFlavor::DegradedRedirect);
-                    return;
-                }
+        if let Some(Tag::User(user, uslot)) = self.io_map.get(&req.id).copied() {
+            if let Some(id) = ctx.redirect_read(disk, &req, outcome, user) {
+                self.io_map.remove(&req.id);
+                self.io_map.insert(id, Tag::User(user, uslot));
+                return;
             }
         }
         self.on_io_complete(ctx, disk, req);

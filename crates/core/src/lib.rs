@@ -46,8 +46,8 @@ pub mod segment;
 pub mod slot;
 
 pub use config::{ConfigError, Scheme, SimConfig};
-pub use ctx::SimCtx;
-pub use driver::{run_scheme, run_scheme_observed, run_trace, run_trace_observed, RunObservations};
+pub use ctx::{RunObservations, SimCtx};
+pub use driver::{run_scheme, run_scheme_observed, run_trace, run_trace_observed};
 pub use faults::{surviving_partner, FaultMetrics, FaultPlan, FaultPlanError};
 pub use graid::GraidPolicy;
 pub use paraid::ParaidPolicy;

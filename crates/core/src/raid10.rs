@@ -10,12 +10,11 @@
 //! accumulates fresh data from the moment it is installed.
 
 use crate::ctx::SimCtx;
-use crate::faults::surviving_partner;
 use crate::policy::{Policy, PolicyStats};
 use crate::recovery::recovery_plan;
 use crate::slot::IoSlot;
 use rolo_disk::{DiskId, DiskRequest, IoKind, IoOutcome, Priority};
-use rolo_obs::{LegFlavor, SimEvent};
+use rolo_obs::LegFlavor;
 use rolo_sim::IoMap;
 use rolo_trace::{ReqKind, TraceRecord};
 
@@ -129,21 +128,11 @@ impl Policy for Raid10Policy {
         // dying/degraded slot — is re-served by the mirror copy; every
         // other error (writes, exhausted retries) just closes accounting
         // — the rebuild restores the replacement's copy.
-        if req.kind == IoKind::Read && (outcome == IoOutcome::MediaError || ctx.is_degraded(disk)) {
-            if let Some(p) =
-                surviving_partner(ctx.geometry(), disk).filter(|&p| !ctx.is_degraded(p))
-            {
-                let (user, slot) = self
-                    .io_map
-                    .remove(&req.id)
-                    .expect("RAID10 issues only user sub-requests");
-                ctx.note_redirect();
-                ctx.emit(|| SimEvent::ReadRedirected { from: disk, to: p });
-                let id = ctx.submit(p, IoKind::Read, req.offset, req.bytes, Priority::Foreground);
-                self.io_map.insert(id, (user, slot));
-                ctx.tag_io(id, user, LegFlavor::DegradedRedirect);
-                return;
-            }
+        let (user, slot) = self.io_map[&req.id];
+        if let Some(id) = ctx.redirect_read(disk, &req, outcome, user) {
+            self.io_map.remove(&req.id);
+            self.io_map.insert(id, (user, slot));
+            return;
         }
         self.on_io_complete(ctx, disk, req);
     }

@@ -30,7 +30,6 @@
 //! logging space pool.
 
 use crate::ctx::SimCtx;
-use crate::faults::surviving_partner;
 use crate::journal::{JournalSet, PendingAppend, DEFAULT_COMPACT_FRAC};
 use crate::logspace::LoggerSpace;
 use crate::policy::{Policy, PolicyStats};
@@ -38,7 +37,7 @@ use crate::recovery::recovery_plan;
 use crate::slot::IoSlot;
 use rolo_disk::{DiskId, DiskRequest, IoKind, IoOutcome, Priority};
 use rolo_metrics::Phase;
-use rolo_obs::{LegFlavor, SimEvent};
+use rolo_obs::{BgSpanKind, LegFlavor, SimEvent};
 use rolo_sim::{Duration, IoMap};
 use rolo_trace::{ReqKind, TraceRecord};
 use std::collections::BTreeMap;
@@ -254,7 +253,7 @@ impl RoloPolicy {
         ctx.emit(|| SimEvent::CompactionStart { pair: None });
         let mut covered = targets.clone();
         covered.push(disk);
-        ctx.span_compaction_begin(None, &covered);
+        ctx.bg_span_begin(BgSpanKind::Compaction, None, &covered);
         self.compaction = Some(CompactState {
             gen: self.compaction_gen,
             disk,
@@ -371,7 +370,7 @@ impl RoloPolicy {
             relocated_bytes,
         });
         ctx.emit(|| SimEvent::CompactionEnd { pair: None });
-        ctx.span_compaction_end(None);
+        ctx.bg_span_end(BgSpanKind::Compaction, None);
         // The compacted segment is usually fully dead now.
         self.journal.sweep(ctx);
     }
@@ -381,7 +380,7 @@ impl RoloPolicy {
     fn cancel_compaction(&mut self, ctx: &mut SimCtx) {
         if self.compaction.take().is_some() {
             ctx.emit(|| SimEvent::CompactionEnd { pair: None });
-            ctx.span_compaction_end(None);
+            ctx.bg_span_end(BgSpanKind::Compaction, None);
         }
     }
 
@@ -510,9 +509,9 @@ impl RoloPolicy {
         // The destage chain reads the pair's primary and writes its
         // mirror; foreground legs stuck behind those transfers link here.
         let p = ctx.geometry().primary_disk(pair);
-        ctx.span_destage_begin(Some(pair), &[p, self.mirror(ctx, pair)]);
-        self.destage_tokens[pair] = Some(ctx.intervals.begin(Phase::Destaging, ctx.now));
         let m = self.mirror(ctx, pair);
+        ctx.bg_span_begin(BgSpanKind::Destage, Some(pair), &[p, m]);
+        self.destage_tokens[pair] = Some(ctx.intervals.begin(Phase::Destaging, ctx.now));
         if ctx.disk(m).is_spun_up() {
             self.pump(ctx, pair);
         } else {
@@ -652,7 +651,7 @@ impl RoloPolicy {
         self.destage_active[pair] = false;
         self.stats.destage_cycles += 1;
         ctx.emit(|| SimEvent::DestageEnd { pair: Some(pair) });
-        ctx.span_destage_end(Some(pair));
+        ctx.bg_span_end(BgSpanKind::Destage, Some(pair));
         // Proactive reclamation: every log copy of this pair, anywhere in
         // the pool, is now stale.
         for space in self.spaces.values_mut() {
@@ -926,20 +925,11 @@ impl Policy for RoloPolicy {
         // re-served by the surviving partner; every other failure closes
         // through the normal path (the rebuild restores the replacement's
         // copy).
-        if req.kind == IoKind::Read && (outcome == IoOutcome::MediaError || ctx.is_degraded(disk)) {
-            if let Some(Tag::User(user, uslot)) = self.io_map.get(&req.id).copied() {
-                if let Some(p) =
-                    surviving_partner(ctx.geometry(), disk).filter(|&p| !ctx.is_degraded(p))
-                {
-                    self.io_map.remove(&req.id);
-                    ctx.note_redirect();
-                    ctx.emit(|| SimEvent::ReadRedirected { from: disk, to: p });
-                    let id =
-                        ctx.submit(p, IoKind::Read, req.offset, req.bytes, Priority::Foreground);
-                    self.io_map.insert(id, Tag::User(user, uslot));
-                    ctx.tag_io(id, user, LegFlavor::DegradedRedirect);
-                    return;
-                }
+        if let Some(Tag::User(user, uslot)) = self.io_map.get(&req.id).copied() {
+            if let Some(id) = ctx.redirect_read(disk, &req, outcome, user) {
+                self.io_map.remove(&req.id);
+                self.io_map.insert(id, Tag::User(user, uslot));
+                return;
             }
         }
         self.on_io_complete(ctx, disk, req);

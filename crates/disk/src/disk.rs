@@ -448,11 +448,6 @@ impl Disk {
         self.foreground.len()
     }
 
-    /// Pending background requests (queued, not in service).
-    pub fn background_pending(&self) -> usize {
-        self.background.len()
-    }
-
     /// True if a request is currently being transferred.
     pub fn is_busy(&self) -> bool {
         self.in_service.is_some()

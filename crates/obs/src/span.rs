@@ -308,7 +308,7 @@ impl RequestSpan {
 }
 
 /// What kind of background activity a [`BgSpan`] covers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum BgSpanKind {
     /// A destage cycle (log contents moved to home locations).
     Destage,

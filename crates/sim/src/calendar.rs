@@ -8,9 +8,10 @@
 //! near-future bulk by hashing events into time buckets and only sorting a
 //! bucket when the clock enters it.
 //!
-//! [`CalendarQueue`] is a drop-in replacement for [`EventQueue`] — same
-//! `(time, seq)` delivery contract, same clamp-past-to-now semantics, same
-//! lifetime counters — implemented as:
+//! [`CalendarQueue`] is a drop-in replacement for
+//! [`EventQueue`](crate::EventQueue) — same `(time, seq)` delivery
+//! contract, same clamp-past-to-now semantics, same lifetime counters —
+//! implemented as:
 //!
 //! - a **ring of `N` buckets**, each `W` microseconds wide, covering the
 //!   absolute-time window `[cur_win·W, (cur_win+N)·W)`. An event due in

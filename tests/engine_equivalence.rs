@@ -27,6 +27,16 @@
 //! were blessed from the interval trees that `rolo_sim::ExtentMap`
 //! replaced.
 //!
+//! Two more pin the fault engine's rerouted paths. GRAID × `src2_2`
+//! with the scrub and spans on loses primary 1 at 120 s and pair 2's
+//! mirror (one of its rebuild sources) half a second later, so rebuild
+//! reads in flight on the dead source are re-issued on a survivor; its
+//! background spans (destage, rebuild, scrub) are digested too.
+//! RoLo-E × `hm_1` under transient timeouts and Bernoulli media errors
+//! pins the retry backoff, the lost-I/O path and the degraded-read
+//! redirect. Both were blessed from the `SimCtx` that the `ctx/` module
+//! split replaced.
+//!
 //! Any digest drift fails until the baseline is deliberately re-blessed
 //! with `ROLO_BLESS_GOLDEN=1 cargo test --test engine_equivalence` — an
 //! intentional model change, never a silent engine divergence.
@@ -73,8 +83,10 @@ const HEADER: &str = "\
 # (report JSON and full JSONL event stream each) that kill one
 # journal-bearing disk, plus four cells digested the same way: RoLo-E x
 # hm_1 and RoLo-P x src2_2 under latent errors and enclosure shocks with
-# the scrub on, and PARAID and RoLo-5 over src2_2. Regenerate with
-# ROLO_BLESS_GOLDEN=1 cargo test --test engine_equivalence
+# the scrub on, and PARAID and RoLo-5 over src2_2, plus GRAID x src2_2
+# losing a rebuild source mid-rebuild (with its background spans) and
+# RoLo-E x hm_1 under transient timeouts and media errors. Regenerate
+# with ROLO_BLESS_GOLDEN=1 cargo test --test engine_equivalence
 ";
 
 fn cfg(scheme: Scheme, scrub: bool) -> SimConfig {
@@ -110,7 +122,8 @@ fn evicting_cell(dur: Duration) -> String {
 }
 
 /// Digests an observed run's `deterministic_json` and its full event
-/// stream (as JSONL) under `<cell>/json` and `<cell>/events`, after
+/// stream (as JSONL) under `<cell>/json` and `<cell>/events`, and its
+/// background spans under `<cell>/spans` when spans were on, after
 /// `check` has inspected the report. `run` gets a ring sink large enough
 /// for the whole stream; a dropped event fails the cell.
 fn observed_cell(
@@ -136,6 +149,10 @@ fn observed_cell(
         format!("{cell}/events"),
         common::digest(jsonl.join("\n").as_bytes()),
     );
+    if let Some(spans) = &obs.spans {
+        let json = serde_json::to_string(&spans.background).expect("spans serialize");
+        out.insert(format!("{cell}/spans"), common::digest(json.as_bytes()));
+    }
 }
 
 /// Kills `disk` at `at_ms` during `src2_2`, keyed
@@ -190,6 +207,65 @@ fn lse_cell(out: &mut BTreeMap<String, String>, scheme: Scheme, trace: &str) {
             "{cell}: no latent extent overwritten"
         );
         assert!(f.lse_lost > 0, "{cell}: no latent extent lost");
+    });
+}
+
+/// GRAID over `src2_2` with the scrub and spans on, on 256 MiB disks
+/// with a 32 MiB logger: primary 1 fails at 120 s and disk 6 (pair 2's
+/// mirror, one of the sources GRAID reads to rebuild it) at 120.5 s,
+/// with rebuild reads in flight on it.
+fn rebuild_source_cell(out: &mut BTreeMap<String, String>) {
+    let dur = Duration::from_secs(900);
+    let mut c = cfg(Scheme::Graid, true);
+    c.disk.capacity_bytes = 256 << 20;
+    c.logger_region = 32 << 20;
+    c.faults.disk_failures = vec![
+        (1, Duration::from_secs(120)),
+        (6, Duration::from_millis(120_500)),
+    ];
+    let cell = "GRAID/src2_2/fail=1@120000ms+6@120500ms";
+    let region = c.data_region();
+    let records = workload("src2_2", dur, 42);
+    let run = |sink| run_scheme_observed(&c, records, dur, sink, true);
+    observed_cell(out, cell, run, |report| {
+        report
+            .consistency
+            .as_ref()
+            .unwrap_or_else(|e| panic!("{cell}: {e}"));
+        let f = &report.faults;
+        assert_eq!(f.disk_failures, 2, "{cell}: both failures must fire");
+        assert_eq!(f.rebuilds_completed, 2, "{cell}: both slots rebuilt");
+        assert_eq!(f.rebuild_bytes, 2 * region, "{cell}: rebuild bytes");
+        assert!(f.scrub_chunks > 0, "{cell}: the scrub never ran");
+    });
+}
+
+/// RoLo-E over `hm_1` with transient timeouts (20 % of I/Os, two retries
+/// with a 5 ms doubling backoff) and Bernoulli media errors on 2 % of
+/// reads, keyed `RoLo-E/hm_1/transient/{json,events}`.
+fn transient_cell(out: &mut BTreeMap<String, String>) {
+    let dur = Duration::from_secs(900);
+    let mut c = cfg(Scheme::RoloE, false);
+    c.faults.timeout_per_io = 0.2;
+    c.faults.media_error_per_read = 0.02;
+    c.faults.max_retries = 2;
+    c.faults.retry_backoff = Duration::from_millis(5);
+    c.faults.seed = 42;
+    let cell = "RoLo-E/hm_1/transient";
+    let records = workload("hm_1", dur, 42);
+    let run = |sink| run_scheme_observed(&c, records, dur, sink, false);
+    observed_cell(out, cell, run, |report| {
+        report
+            .consistency
+            .as_ref()
+            .unwrap_or_else(|e| panic!("{cell}: {e}"));
+        let f = &report.faults;
+        assert!(f.timeouts > 0, "{cell}: no timeout");
+        assert!(f.retries > 0, "{cell}: no retry");
+        assert!(f.io_lost > 0, "{cell}: no I/O exhausted its retries");
+        assert!(f.media_errors > 0, "{cell}: no media error");
+        assert!(f.reads_redirected > 0, "{cell}: no read redirected");
+        assert!(report.policy.destage_cycles > 0, "{cell}: never destaged");
     });
 }
 
@@ -277,6 +353,8 @@ fn current_digests() -> BTreeMap<String, String> {
     }
     paraid_cell(&mut out);
     rolo5_cell(&mut out);
+    rebuild_source_cell(&mut out);
+    transient_cell(&mut out);
     out
 }
 
