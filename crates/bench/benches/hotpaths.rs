@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rolo_core::logspace::LoggerSpace;
 use rolo_core::{dirty::DirtyMap, Scheme, SimConfig, SimCtx};
 use rolo_disk::{DiskParams, IoKind, Priority, ServiceModel};
-use rolo_sim::{CalendarQueue, Duration, EventQueue, SimRng, SimTime};
+use rolo_sim::{CalendarQueue, Duration, EventQueue, ExtentMap, SimRng, SimTime};
 use rolo_trace::SyntheticConfig;
 
 fn bench_service_model(c: &mut Criterion) {
@@ -125,7 +125,10 @@ fn bench_logspace(c: &mut Criterion) {
             || LoggerSpace::new(0, 64 << 20),
             |mut ls| {
                 for i in 0..512 {
-                    ls.alloc(64 * 1024, i % 8, (i / 64) as u64).unwrap();
+                    let allocated = ls.alloc(64 * 1024, i % 8, (i / 64) as u64, |seg| {
+                        std::hint::black_box(seg);
+                    });
+                    assert!(allocated);
                 }
                 for p in 0..8 {
                     ls.reclaim(|s| s.pair == p);
@@ -146,6 +149,43 @@ fn bench_dirty_map(c: &mut Criterion) {
                     d.mark(rng.below(1 << 30), 64 * 1024);
                 }
                 while d.take_next(512 * 1024).is_some() {}
+            },
+            BatchSize::SmallInput,
+        );
+    });
+}
+
+/// `ExtentMap` updates at the sizes and shapes the journal sees: random
+/// marks into a dirty map as large as `proj0_rolop`'s, and the
+/// append-only growth of a live index.
+fn bench_extent_map(c: &mut Criterion) {
+    c.bench_function("extent_map_random_assign_16k", |b| {
+        // 16,384 disjoint 4 KB extents, one per MiB.
+        let mut full = DirtyMap::new();
+        for i in 0..16_384u64 {
+            full.mark(i << 20, 4096);
+        }
+        let mut rng = SimRng::seed_from(16);
+        b.iter_batched(
+            || full.clone(),
+            |mut d| {
+                for _ in 0..1000 {
+                    d.mark(rng.below(16 << 30), 54 * 1024);
+                }
+                std::hint::black_box(d.extent_count())
+            },
+            BatchSize::SmallInput,
+        );
+    });
+    c.bench_function("extent_map_sequential_append", |b| {
+        b.iter_batched(
+            ExtentMap::<usize>::new,
+            |mut m| {
+                // Each extent leaves a gap, so every append adds one.
+                for i in 0..16_384u64 {
+                    m.assign(i * 128 * 1024, 64 * 1024, (i / 64) as usize, |_, _| {});
+                }
+                std::hint::black_box(m.len())
             },
             BatchSize::SmallInput,
         );
@@ -179,6 +219,7 @@ criterion_group!(
     bench_dispatch,
     bench_logspace,
     bench_dirty_map,
+    bench_extent_map,
     bench_end_to_end
 );
 criterion_main!(benches);

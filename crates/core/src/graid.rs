@@ -48,6 +48,15 @@ struct UserMeta {
     appends: Vec<PendingAppend>,
 }
 
+impl UserMeta {
+    /// Empties the buffers, keeping their capacity for the next request.
+    fn clear(&mut self) {
+        self.marks.clear();
+        self.clears.clear();
+        self.appends.clear();
+    }
+}
+
 /// The GRAID controller.
 #[derive(Debug)]
 pub struct GraidPolicy {
@@ -66,6 +75,8 @@ pub struct GraidPolicy {
     period: u64,
     io_map: IoMap<Tag>,
     user_meta: IoMap<UserMeta>,
+    /// Finished requests' metas, reused by the next requests.
+    spare_meta: Vec<UserMeta>,
     logging_token: Option<u64>,
     destaging_token: Option<u64>,
     phase_energy_mark: f64,
@@ -101,6 +112,7 @@ impl GraidPolicy {
             period: 0,
             io_map: IoMap::default(),
             user_meta: IoMap::default(),
+            spare_meta: Vec::new(),
             logging_token: None,
             destaging_token: None,
             phase_energy_mark: 0.0,
@@ -236,7 +248,7 @@ impl Policy for GraidPolicy {
             .geometry()
             .split(rec.offset, rec.bytes)
             .expect("driver keeps requests in range");
-        let mut meta = UserMeta::default();
+        let mut meta = self.spare_meta.pop().unwrap_or_default();
         let mut subs: u32 = 0;
         // Admission hold: one sub reserved up front so the slab slot
         // exists before the first sub-request can possibly complete;
@@ -244,7 +256,7 @@ impl Policy for GraidPolicy {
         let uslot = ctx.register_user(user_id, rec.kind, ctx.now, 1);
         match rec.kind {
             ReqKind::Read => {
-                for ext in &exts {
+                for ext in exts {
                     let mut d = ctx.geometry().primary_disk(ext.pair);
                     let mut flavor = LegFlavor::Transfer;
                     if ctx.is_degraded(d) {
@@ -265,7 +277,7 @@ impl Policy for GraidPolicy {
             }
             ReqKind::Write => {
                 // Primary copies in place.
-                for ext in &exts {
+                for ext in exts.clone() {
                     let p = ctx.geometry().primary_disk(ext.pair);
                     let id = ctx.submit(
                         p,
@@ -280,51 +292,48 @@ impl Policy for GraidPolicy {
                 }
                 // Second copies appended to the log disk.
                 let mut logged_all = true;
-                for ext in &exts {
-                    match self.log.alloc(ext.bytes, ext.pair, self.period) {
-                        Some(segs) => {
-                            for seg in segs {
-                                let id = ctx.submit(
-                                    self.log_disk,
-                                    IoKind::Write,
-                                    seg.offset,
-                                    seg.bytes,
-                                    Priority::Foreground,
-                                );
-                                self.io_map.insert(id, Tag::User(user_id, uslot));
-                                ctx.tag_io(id, user_id, LegFlavor::LogAppend);
-                                subs += 1;
-                                self.stats.log_appended_bytes += seg.bytes;
-                            }
-                            let rid = self.journal.append(
-                                ctx,
-                                self.log_disk,
-                                ext.pair,
-                                self.period,
-                                ext.offset,
-                                ext.bytes,
-                            );
-                            meta.appends
-                                .push((meta.marks.len() as u32, self.log_disk, rid));
-                            meta.marks.push((ext.pair, ext.offset, ext.bytes));
-                        }
-                        None => {
-                            logged_all = false;
-                            // Log full: fall back to a direct mirror copy.
-                            let m = ctx.geometry().mirror_disk(ext.pair);
-                            let id = ctx.submit(
-                                m,
-                                IoKind::Write,
-                                ext.offset,
-                                ext.bytes,
-                                Priority::Foreground,
-                            );
-                            self.io_map.insert(id, Tag::User(user_id, uslot));
-                            ctx.tag_io(id, user_id, LegFlavor::MirrorCopy);
-                            subs += 1;
-                            meta.clears.push((ext.pair, ext.offset, ext.bytes));
-                            self.stats.direct_writes += 1;
-                        }
+                let log_disk = self.log_disk;
+                for ext in exts {
+                    let logged = self.log.alloc(ext.bytes, ext.pair, self.period, |seg| {
+                        let id = ctx.submit(
+                            log_disk,
+                            IoKind::Write,
+                            seg.offset,
+                            seg.bytes,
+                            Priority::Foreground,
+                        );
+                        self.io_map.insert(id, Tag::User(user_id, uslot));
+                        ctx.tag_io(id, user_id, LegFlavor::LogAppend);
+                        subs += 1;
+                        self.stats.log_appended_bytes += seg.bytes;
+                    });
+                    if logged {
+                        let rid = self.journal.append(
+                            ctx,
+                            log_disk,
+                            ext.pair,
+                            self.period,
+                            ext.offset,
+                            ext.bytes,
+                        );
+                        meta.appends.push((meta.marks.len() as u32, log_disk, rid));
+                        meta.marks.push((ext.pair, ext.offset, ext.bytes));
+                    } else {
+                        logged_all = false;
+                        // Log full: fall back to a direct mirror copy.
+                        let m = ctx.geometry().mirror_disk(ext.pair);
+                        let id = ctx.submit(
+                            m,
+                            IoKind::Write,
+                            ext.offset,
+                            ext.bytes,
+                            Priority::Foreground,
+                        );
+                        self.io_map.insert(id, Tag::User(user_id, uslot));
+                        ctx.tag_io(id, user_id, LegFlavor::MirrorCopy);
+                        subs += 1;
+                        meta.clears.push((ext.pair, ext.offset, ext.bytes));
+                        self.stats.direct_writes += 1;
                     }
                 }
                 ctx.log_timeline.push(ctx.now, self.log.used_bytes() as f64);
@@ -347,7 +356,7 @@ impl Policy for GraidPolicy {
         match self.io_map.remove(&req.id).expect("unknown sub-request") {
             Tag::User(user, uslot) => {
                 if ctx.user_sub_done(uslot).is_some() {
-                    let meta = self.user_meta.remove(&user).unwrap_or_default();
+                    let mut meta = self.user_meta.remove(&user).unwrap_or_default();
                     for (i, &(pair, off, len)) in meta.marks.iter().enumerate() {
                         // The ack instant is the commit point.
                         self.journal.mark(pair, off, len, &meta.appends, i as u32);
@@ -357,9 +366,11 @@ impl Policy for GraidPolicy {
                             self.pump(ctx, pair);
                         }
                     }
-                    for (pair, off, len) in meta.clears {
+                    for &(pair, off, len) in &meta.clears {
                         self.journal.clear(pair, off, len);
                     }
+                    meta.clear();
+                    self.spare_meta.push(meta);
                 }
             }
             Tag::DestageRead { pair, off, len } => {

@@ -40,8 +40,9 @@ pub struct LogSegment {
 /// use rolo_core::logspace::LoggerSpace;
 ///
 /// let mut ls = LoggerSpace::new(1 << 30, 8 << 20); // region at 1 GiB, 8 MiB long
-/// let pieces = ls.alloc(64 * 1024, 0, 1).expect("space available");
-/// assert_eq!(pieces.iter().map(|p| p.bytes).sum::<u64>(), 64 * 1024);
+/// let mut allocated = 0;
+/// assert!(ls.alloc(64 * 1024, 0, 1, |piece| allocated += piece.bytes));
+/// assert_eq!(allocated, 64 * 1024);
 /// assert_eq!(ls.used_bytes(), 64 * 1024);
 /// let freed = ls.reclaim(|seg| seg.pair == 0);
 /// assert_eq!(freed, 64 * 1024);
@@ -106,19 +107,26 @@ impl LoggerSpace {
     }
 
     /// Allocates `bytes` for `pair` during `period`, lowest-address-first,
-    /// splitting across free regions if needed. Returns `None` (and
-    /// allocates nothing) if insufficient space.
+    /// splitting across free regions if needed, and hands each piece to
+    /// `piece` in address order. Returns `false` (and allocates nothing)
+    /// if there is not enough space.
     ///
     /// # Panics
     ///
     /// Panics if `bytes` is zero.
-    pub fn alloc(&mut self, bytes: u64, pair: usize, period: u64) -> Option<Vec<LogSegment>> {
+    #[must_use]
+    pub fn alloc(
+        &mut self,
+        bytes: u64,
+        pair: usize,
+        period: u64,
+        mut piece: impl FnMut(LogSegment),
+    ) -> bool {
         assert!(bytes > 0, "zero-byte log allocation");
         if bytes > self.free_bytes() {
-            return None;
+            return false;
         }
         let mut remaining = bytes;
-        let mut out = Vec::new();
         while remaining > 0 {
             let (offset, take, ()) = self
                 .free
@@ -131,10 +139,10 @@ impl LoggerSpace {
                 bytes: take,
             };
             self.used.push(seg);
-            out.push(seg);
+            piece(seg);
             remaining -= take;
         }
-        Some(out)
+        true
     }
 
     /// Frees every live segment matching `stale`, coalescing the freed
@@ -207,6 +215,18 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// [`LoggerSpace::alloc`], collecting the pieces.
+    fn pieces(
+        ls: &mut LoggerSpace,
+        bytes: u64,
+        pair: usize,
+        period: u64,
+    ) -> Option<Vec<LogSegment>> {
+        let mut out = Vec::new();
+        ls.alloc(bytes, pair, period, |seg| out.push(seg))
+            .then_some(out)
+    }
+
     #[test]
     fn fresh_region_fully_free() {
         let ls = LoggerSpace::new(100, 1000);
@@ -219,7 +239,7 @@ mod tests {
     #[test]
     fn alloc_is_sequential_from_base() {
         let mut ls = LoggerSpace::new(100, 1000);
-        let a = ls.alloc(300, 0, 0).unwrap();
+        let a = pieces(&mut ls, 300, 0, 0).unwrap();
         assert_eq!(
             a,
             vec![LogSegment {
@@ -229,7 +249,7 @@ mod tests {
                 bytes: 300
             }]
         );
-        let b = ls.alloc(200, 1, 0).unwrap();
+        let b = pieces(&mut ls, 200, 1, 0).unwrap();
         assert_eq!(b[0].offset, 400);
         ls.check_invariants().unwrap();
     }
@@ -237,8 +257,8 @@ mod tests {
     #[test]
     fn alloc_fails_without_mutation_when_full() {
         let mut ls = LoggerSpace::new(0, 512);
-        ls.alloc(512, 0, 0).unwrap();
-        assert!(ls.alloc(1, 0, 0).is_none());
+        pieces(&mut ls, 512, 0, 0).unwrap();
+        assert!(pieces(&mut ls, 1, 0, 0).is_none());
         assert_eq!(ls.free_bytes(), 0);
         ls.check_invariants().unwrap();
     }
@@ -246,14 +266,14 @@ mod tests {
     #[test]
     fn alloc_splits_across_fragments() {
         let mut ls = LoggerSpace::new(0, 1000);
-        ls.alloc(400, 0, 0).unwrap(); // [0,400) pair0
-        ls.alloc(200, 1, 0).unwrap(); // [400,600) pair1
-        ls.alloc(400, 0, 0).unwrap(); // [600,1000) pair0
-                                      // Free pair 0 → fragments [0,400) and [600,1000).
+        pieces(&mut ls, 400, 0, 0).unwrap(); // [0,400) pair0
+        pieces(&mut ls, 200, 1, 0).unwrap(); // [400,600) pair1
+        pieces(&mut ls, 400, 0, 0).unwrap(); // [600,1000) pair0
+                                             // Free pair 0 → fragments [0,400) and [600,1000).
         assert_eq!(ls.reclaim(|s| s.pair == 0), 800);
         assert_eq!(ls.free_fragments(), 2);
         // 600-byte allocation must span both fragments.
-        let segs = ls.alloc(600, 2, 1).unwrap();
+        let segs = pieces(&mut ls, 600, 2, 1).unwrap();
         assert_eq!(segs.len(), 2);
         assert_eq!(segs[0].offset, 0);
         assert_eq!(segs[0].bytes, 400);
@@ -265,9 +285,9 @@ mod tests {
     #[test]
     fn reclaim_by_pair_and_period() {
         let mut ls = LoggerSpace::new(0, 1000);
-        ls.alloc(100, 0, 0).unwrap();
-        ls.alloc(100, 1, 0).unwrap();
-        ls.alloc(100, 0, 1).unwrap();
+        pieces(&mut ls, 100, 0, 0).unwrap();
+        pieces(&mut ls, 100, 1, 0).unwrap();
+        pieces(&mut ls, 100, 0, 1).unwrap();
         let freed = ls.reclaim(|s| s.pair == 0 && s.period == 0);
         assert_eq!(freed, 100);
         assert_eq!(ls.used_bytes(), 200);
@@ -278,7 +298,7 @@ mod tests {
     fn coalescing_restores_single_region() {
         let mut ls = LoggerSpace::new(0, 1000);
         for i in 0..10 {
-            ls.alloc(100, i, 0).unwrap();
+            pieces(&mut ls, 100, i, 0).unwrap();
         }
         assert_eq!(ls.free_bytes(), 0);
         // Free odd pairs, then even: after both sweeps one region remains.
@@ -293,7 +313,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "zero-byte log allocation")]
     fn zero_alloc_panics() {
-        LoggerSpace::new(0, 100).alloc(0, 0, 0);
+        pieces(&mut LoggerSpace::new(0, 100), 0, 0, 0);
     }
 
     /// Minimal fragment count for the current layout: one fragment per
@@ -320,7 +340,7 @@ mod tests {
     fn reclaim_leaves_minimal_free_list() {
         let mut ls = LoggerSpace::new(0, 1200);
         for i in 0..12 {
-            ls.alloc(100, i % 3, 0).unwrap();
+            pieces(&mut ls, 100, i % 3, 0).unwrap();
         }
         // Freeing pair 0 releases every third 100-byte slot: four
         // disjoint gaps, none mergeable.
@@ -341,7 +361,7 @@ mod tests {
             for (op, bytes, pair, period) in ops {
                 match op {
                     0 | 1 => {
-                        let _ = ls.alloc(bytes, pair, period);
+                        let _ = pieces(&mut ls, bytes, pair, period);
                     }
                     _ => {
                         ls.reclaim(|s| s.pair == pair && s.period <= period);
@@ -357,7 +377,7 @@ mod tests {
             for (op, bytes, pair, period) in ops {
                 match op {
                     0 | 1 => {
-                        let _ = ls.alloc(bytes, pair, period);
+                        let _ = pieces(&mut ls, bytes, pair, period);
                     }
                     _ => {
                         ls.reclaim(|s| s.pair == pair && s.period <= period);
@@ -373,7 +393,7 @@ mod tests {
             let total: u64 = sizes.iter().sum();
             let mut ls = LoggerSpace::new(0, total);
             for (i, s) in sizes.iter().enumerate() {
-                let segs = ls.alloc(*s, i, 0).unwrap();
+                let segs = pieces(&mut ls, *s, i, 0).unwrap();
                 let got: u64 = segs.iter().map(|x| x.bytes).sum();
                 prop_assert_eq!(got, *s);
             }

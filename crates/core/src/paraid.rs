@@ -51,6 +51,14 @@ struct UserMeta {
     clears: Vec<(usize, u64, u64)>,
 }
 
+impl UserMeta {
+    /// Empties the buffers, keeping their capacity for the next request.
+    fn clear(&mut self) {
+        self.marks.clear();
+        self.clears.clear();
+    }
+}
+
 /// Timer token for the gear-down hold check.
 const GEAR_TIMER: u64 = u64::MAX - 7;
 
@@ -68,6 +76,8 @@ pub struct ParaidPolicy {
     syncing: bool,
     io_map: IoMap<Tag>,
     user_meta: IoMap<UserMeta>,
+    /// Finished requests' metas, reused by the next requests.
+    spare_meta: Vec<UserMeta>,
     /// EWMA arrival rate (requests/s) and its last update instant.
     rate: f64,
     rate_at: SimTime,
@@ -117,6 +127,7 @@ impl ParaidPolicy {
             syncing: false,
             io_map: IoMap::default(),
             user_meta: IoMap::default(),
+            spare_meta: Vec::new(),
             rate: 0.0,
             rate_at: SimTime::ZERO,
             up_iops,
@@ -237,64 +248,58 @@ impl ParaidPolicy {
         user_id: u64,
         uslot: IoSlot,
         meta: &mut UserMeta,
-        exts: &[rolo_raid::PhysExtent],
+        ext: rolo_raid::PhysExtent,
     ) -> u32 {
-        let mut subs = 0;
-        for ext in exts {
-            let p = ctx.geometry().primary_disk(ext.pair);
+        let p = ctx.geometry().primary_disk(ext.pair);
+        let id = ctx.submit(
+            p,
+            IoKind::Write,
+            ext.offset,
+            ext.bytes,
+            Priority::Foreground,
+        );
+        self.io_map.insert(id, Tag::User(user_id, uslot));
+        ctx.tag_io(id, user_id, LegFlavor::Transfer);
+        let mut subs = 1;
+        // Shadow copy on the next primary over (never the same disk,
+        // or one failure would take both copies).
+        let mut target = self.shadow_cursor % self.pairs;
+        if target == ext.pair {
+            target = (target + 1) % self.pairs;
+        }
+        self.shadow_cursor = (target + 1) % self.pairs;
+        let shadowed = self.shadows[target].alloc(ext.bytes, ext.pair, 0, |seg| {
             let id = ctx.submit(
-                p,
+                target,
+                IoKind::Write,
+                seg.offset,
+                seg.bytes,
+                Priority::Foreground,
+            );
+            self.io_map.insert(id, Tag::User(user_id, uslot));
+            ctx.tag_io(id, user_id, LegFlavor::LogAppend);
+            subs += 1;
+            self.stats.log_appended_bytes += seg.bytes;
+        });
+        if shadowed {
+            meta.marks.push((ext.pair, ext.offset, ext.bytes));
+        } else {
+            // Shadow space exhausted: forced gear-up (PARAID has no
+            // rotation to fall back on).
+            self.stats.direct_writes += 1;
+            let m = ctx.geometry().mirror_disk(ext.pair);
+            let id = ctx.submit(
+                m,
                 IoKind::Write,
                 ext.offset,
                 ext.bytes,
                 Priority::Foreground,
             );
             self.io_map.insert(id, Tag::User(user_id, uslot));
-            ctx.tag_io(id, user_id, LegFlavor::Transfer);
+            ctx.tag_io(id, user_id, LegFlavor::MirrorCopy);
             subs += 1;
-            // Shadow copy on the next primary over (never the same disk,
-            // or one failure would take both copies).
-            let mut target = self.shadow_cursor % self.pairs;
-            if target == ext.pair {
-                target = (target + 1) % self.pairs;
-            }
-            self.shadow_cursor = (target + 1) % self.pairs;
-            match self.shadows[target].alloc(ext.bytes, ext.pair, 0) {
-                Some(segs) => {
-                    for seg in segs {
-                        let id = ctx.submit(
-                            target,
-                            IoKind::Write,
-                            seg.offset,
-                            seg.bytes,
-                            Priority::Foreground,
-                        );
-                        self.io_map.insert(id, Tag::User(user_id, uslot));
-                        ctx.tag_io(id, user_id, LegFlavor::LogAppend);
-                        subs += 1;
-                        self.stats.log_appended_bytes += seg.bytes;
-                    }
-                    meta.marks.push((ext.pair, ext.offset, ext.bytes));
-                }
-                None => {
-                    // Shadow space exhausted: forced gear-up (PARAID has
-                    // no rotation to fall back on).
-                    self.stats.direct_writes += 1;
-                    let m = ctx.geometry().mirror_disk(ext.pair);
-                    let id = ctx.submit(
-                        m,
-                        IoKind::Write,
-                        ext.offset,
-                        ext.bytes,
-                        Priority::Foreground,
-                    );
-                    self.io_map.insert(id, Tag::User(user_id, uslot));
-                    ctx.tag_io(id, user_id, LegFlavor::MirrorCopy);
-                    subs += 1;
-                    meta.clears.push((ext.pair, ext.offset, ext.bytes));
-                    self.gear_up(ctx);
-                }
-            }
+            meta.clears.push((ext.pair, ext.offset, ext.bytes));
+            self.gear_up(ctx);
         }
         subs
     }
@@ -323,7 +328,7 @@ impl Policy for ParaidPolicy {
             .geometry()
             .split(rec.offset, rec.bytes)
             .expect("driver keeps requests in range");
-        let mut meta = UserMeta::default();
+        let mut meta = self.spare_meta.pop().unwrap_or_default();
         let mut subs: u32 = 0;
         // Admission hold: one sub reserved up front so the slab slot
         // exists before the first sub-request can possibly complete;
@@ -331,7 +336,7 @@ impl Policy for ParaidPolicy {
         let uslot = ctx.register_user(user_id, rec.kind, ctx.now, 1);
         match rec.kind {
             ReqKind::Read => {
-                for ext in &exts {
+                for ext in exts {
                     let p = ctx.geometry().primary_disk(ext.pair);
                     let id =
                         ctx.submit(p, IoKind::Read, ext.offset, ext.bytes, Priority::Foreground);
@@ -346,7 +351,7 @@ impl Policy for ParaidPolicy {
                 // spin up, the low-gear shadow path keeps absorbing
                 // writes instead of stalling them ~11 s behind the
                 // spin-up).
-                for ext in &exts {
+                for ext in exts {
                     let m = ctx.geometry().mirror_disk(ext.pair);
                     let ready = matches!(
                         ctx.disk(m).power_state(),
@@ -373,13 +378,7 @@ impl Policy for ParaidPolicy {
                         }
                         meta.clears.push((ext.pair, ext.offset, ext.bytes));
                     } else {
-                        subs += self.write_shadowed(
-                            ctx,
-                            user_id,
-                            uslot,
-                            &mut meta,
-                            std::slice::from_ref(ext),
-                        );
+                        subs += self.write_shadowed(ctx, user_id, uslot, &mut meta, ext);
                     }
                 }
             }
@@ -395,19 +394,21 @@ impl Policy for ParaidPolicy {
         match self.io_map.remove(&req.id).expect("unknown sub-request") {
             Tag::User(user, uslot) => {
                 if ctx.user_sub_done(uslot).is_some() {
-                    let meta = self.user_meta.remove(&user).unwrap_or_default();
-                    for (pair, off, len) in meta.marks {
+                    let mut meta = self.user_meta.remove(&user).unwrap_or_default();
+                    for &(pair, off, len) in &meta.marks {
                         self.dirty[pair].mark(off, len);
                         if self.syncing {
                             self.pump(ctx, pair);
                         }
                     }
-                    for (pair, off, len) in meta.clears {
+                    for &(pair, off, len) in &meta.clears {
                         self.dirty[pair].clear_range(off, len);
                         if self.syncing {
                             self.check_sync_done(ctx);
                         }
                     }
+                    meta.clear();
+                    self.spare_meta.push(meta);
                 }
             }
             Tag::SyncRead { pair, off, len } => {

@@ -38,6 +38,7 @@ use crate::slot::IoSlot;
 use rolo_disk::{DiskId, DiskRequest, IoKind, IoOutcome, Priority};
 use rolo_metrics::Phase;
 use rolo_obs::{BgSpanKind, LegFlavor, SimEvent};
+use rolo_raid::Split;
 use rolo_sim::{Duration, IoMap};
 use rolo_trace::{ReqKind, TraceRecord};
 use std::collections::BTreeMap;
@@ -74,10 +75,19 @@ enum Tag {
 struct UserMeta {
     marks: Vec<(usize, u64, u64)>,
     clears: Vec<(usize, u64, u64)>,
-    /// Journal records awaiting commit, flat to keep the write path
-    /// to one allocation. The copies of `marks[i]` commit at a shared
-    /// LSN when the request acknowledges.
+    /// Journal records awaiting commit, flat so a recycled meta needs
+    /// no allocation. The copies of `marks[i]` commit at a shared LSN
+    /// when the request acknowledges.
     appends: Vec<PendingAppend>,
+}
+
+impl UserMeta {
+    /// Empties the buffers, keeping their capacity for the next request.
+    fn clear(&mut self) {
+        self.marks.clear();
+        self.clears.clear();
+        self.appends.clear();
+    }
 }
 
 /// One in-flight background compaction: the relocation of a sealed
@@ -134,6 +144,8 @@ pub struct RoloPolicy {
     destage_tokens: Vec<Option<u64>>,
     io_map: IoMap<Tag>,
     user_meta: IoMap<UserMeta>,
+    /// Finished requests' metas, reused by the next requests.
+    spare_meta: Vec<UserMeta>,
     logging_token: Option<u64>,
     phase_energy_mark: f64,
     deactivated: bool,
@@ -196,6 +208,7 @@ impl RoloPolicy {
             destage_tokens: vec![None; pairs],
             io_map: IoMap::default(),
             user_meta: IoMap::default(),
+            spare_meta: Vec::new(),
             logging_token: None,
             phase_energy_mark: 0.0,
             deactivated: false,
@@ -248,7 +261,7 @@ impl RoloPolicy {
         let Some(slot) = self.pick_slot(ctx, widest) else {
             return;
         };
-        let targets = self.pair_targets(ctx, slot);
+        let targets: Vec<DiskId> = self.pair_targets(ctx, slot).collect();
         self.compaction_gen += 1;
         ctx.emit(|| SimEvent::CompactionStart { pair: None });
         let mut covered = targets.clone();
@@ -307,23 +320,21 @@ impl RoloPolicy {
         let period = self.period;
         let mut writes = 0u32;
         for target in targets {
-            let segs = self
-                .spaces
-                .get_mut(&target)
-                .and_then(|s| s.alloc(len, pair, period));
-            if let Some(segs) = segs {
-                for g in segs {
-                    let id = ctx.submit(
-                        target,
-                        IoKind::Write,
-                        g.offset,
-                        g.bytes,
-                        Priority::Background,
-                    );
-                    self.io_map.insert(id, Tag::CompactWrite { gen });
-                    writes += 1;
-                }
-            }
+            let Some(space) = self.spaces.get_mut(&target) else {
+                continue;
+            };
+            // A target without room gets no copy.
+            let _ = space.alloc(len, pair, period, |g| {
+                let id = ctx.submit(
+                    target,
+                    IoKind::Write,
+                    g.offset,
+                    g.bytes,
+                    Priority::Background,
+                );
+                self.io_map.insert(id, Tag::CompactWrite { gen });
+                writes += 1;
+            });
         }
         if writes == 0 {
             // No physical space for the copies: drop this relocation and
@@ -468,21 +479,24 @@ impl RoloPolicy {
         ctx.geometry().mirror_disk(pair)
     }
 
-    /// Disks receiving log appends for logger pair `j`.
-    fn pair_targets(&self, ctx: &SimCtx, j: usize) -> Vec<DiskId> {
-        match self.flavor {
-            RoloFlavor::Performance => vec![ctx.geometry().mirror_disk(j)],
-            RoloFlavor::Reliability => vec![
-                ctx.geometry().primary_disk(j),
-                ctx.geometry().mirror_disk(j),
-            ],
-        }
+    /// Disks receiving log appends for logger pair `j`: its mirror for
+    /// RoLo-P, its primary then its mirror for RoLo-R. A fixed two-slot
+    /// array underneath, borrowing neither `self` nor `ctx`.
+    fn pair_targets(&self, ctx: &SimCtx, j: usize) -> impl Iterator<Item = DiskId> {
+        let geo = ctx.geometry();
+        let skip = match self.flavor {
+            RoloFlavor::Performance => 1,
+            RoloFlavor::Reliability => 0,
+        };
+        [geo.primary_disk(j), geo.mirror_disk(j)]
+            .into_iter()
+            .skip(skip)
     }
 
     fn pair_has_space(&self, ctx: &SimCtx, j: usize, needed: u64) -> bool {
         let floor = (self.logger_size as f64 * self.rotate_threshold) as u64;
-        self.pair_targets(ctx, j).iter().all(|d| {
-            let s = &self.spaces[d];
+        self.pair_targets(ctx, j).all(|d| {
+            let s = &self.spaces[&d];
             s.free_bytes() >= needed && s.free_bytes() > floor
         })
     }
@@ -540,8 +554,7 @@ impl RoloPolicy {
             .enumerate()
             .min_by_key(|(_, &j)| {
                 self.pair_targets(ctx, j)
-                    .iter()
-                    .map(|d| self.spaces[d].free_bytes())
+                    .map(|d| self.spaces[&d].free_bytes())
                     .min()
                     .unwrap_or(0)
             })
@@ -699,7 +712,7 @@ impl RoloPolicy {
         user_id: u64,
         uslot: IoSlot,
         meta: &mut UserMeta,
-        exts: &[rolo_raid::PhysExtent],
+        exts: Split,
     ) -> u32 {
         self.stats.direct_writes += 1;
         let mut subs = 0;
@@ -753,7 +766,7 @@ impl Policy for RoloPolicy {
             .geometry()
             .split(rec.offset, rec.bytes)
             .expect("driver keeps requests in range");
-        let mut meta = UserMeta::default();
+        let mut meta = self.spare_meta.pop().unwrap_or_default();
         let mut subs: u32 = 0;
         // Register up front (one admission hold) so the slab slot is in
         // hand while sub-requests are tagged; topped up to the real
@@ -765,7 +778,7 @@ impl Policy for RoloPolicy {
                 // Primaries are always ACTIVE/IDLE in RoLo-P/R: no
                 // spin-up latency on reads (§III-B1). A degraded primary
                 // slot hands its reads to the pair's mirror (§III-C).
-                for ext in &exts {
+                for ext in exts {
                     let mut d = ctx.geometry().primary_disk(ext.pair);
                     let mut flavor = LegFlavor::Transfer;
                     if ctx.is_degraded(d) {
@@ -783,7 +796,7 @@ impl Policy for RoloPolicy {
                 }
             }
             ReqKind::Write if self.deactivated => {
-                subs += self.write_direct(ctx, user_id, uslot, &mut meta, &exts);
+                subs += self.write_direct(ctx, user_id, uslot, &mut meta, exts);
                 // A deactivated-mode write may unblock reactivation later;
                 // nothing to do now.
             }
@@ -799,7 +812,7 @@ impl Policy for RoloPolicy {
                 let usable_slot = if self.deactivated { None } else { slot };
                 if let Some(slot) = usable_slot {
                     // Primary copies in place.
-                    for ext in &exts {
+                    for ext in exts.clone() {
                         let p = ctx.geometry().primary_disk(ext.pair);
                         let id = ctx.submit(
                             p,
@@ -819,14 +832,9 @@ impl Policy for RoloPolicy {
                     // stamped when the request acknowledges.
 
                     for target in self.pair_targets(ctx, slot) {
-                        for (i, ext) in exts.iter().enumerate() {
-                            let segs = self
-                                .spaces
-                                .get_mut(&target)
-                                .expect("logger space exists")
-                                .alloc(ext.bytes, ext.pair, self.period)
-                                .expect("rotation guaranteed space");
-                            for seg in segs {
+                        for (i, ext) in exts.clone().enumerate() {
+                            let space = self.spaces.get_mut(&target).expect("logger space exists");
+                            let logged = space.alloc(ext.bytes, ext.pair, self.period, |seg| {
                                 let id = ctx.submit(
                                     target,
                                     IoKind::Write,
@@ -838,7 +846,8 @@ impl Policy for RoloPolicy {
                                 ctx.tag_io(id, user_id, LegFlavor::LogAppend);
                                 subs += 1;
                                 self.stats.log_appended_bytes += seg.bytes;
-                            }
+                            });
+                            assert!(logged, "rotation guaranteed space");
                             let rid = self.journal.append(
                                 ctx,
                                 target,
@@ -858,8 +867,7 @@ impl Policy for RoloPolicy {
                     let ahead = self.spin_up_ahead_bytes();
                     let low_water = self.loggers.iter().any(|&j| {
                         self.pair_targets(ctx, j)
-                            .iter()
-                            .any(|d| self.spaces[d].free_bytes() < ahead)
+                            .any(|d| self.spaces[&d].free_bytes() < ahead)
                     });
                     if low_water && !self.deactivated && self.eager_spinup {
                         let next = self.next_on_duty();
@@ -867,7 +875,7 @@ impl Policy for RoloPolicy {
                         ctx.spin_up(m);
                     }
                 } else {
-                    subs += self.write_direct(ctx, user_id, uslot, &mut meta, &exts);
+                    subs += self.write_direct(ctx, user_id, uslot, &mut meta, exts);
                 }
             }
         }
@@ -882,17 +890,19 @@ impl Policy for RoloPolicy {
         match self.io_map.remove(&req.id).expect("unknown sub-request") {
             Tag::User(user, uslot) => {
                 if ctx.user_sub_done(uslot).is_some() {
-                    let meta = self.user_meta.remove(&user).unwrap_or_default();
+                    let mut meta = self.user_meta.remove(&user).unwrap_or_default();
                     for (i, &(pair, off, len)) in meta.marks.iter().enumerate() {
                         // The mirrored copies commit under one shared LSN
                         // at the instant the dirty map mutates.
                         self.journal.mark(pair, off, len, &meta.appends, i as u32);
                         self.after_dirty_change(ctx, pair);
                     }
-                    for (pair, off, len) in meta.clears {
+                    for &(pair, off, len) in &meta.clears {
                         self.journal.clear(pair, off, len);
                         self.after_dirty_change(ctx, pair);
                     }
+                    meta.clear();
+                    self.spare_meta.push(meta);
                 }
             }
             Tag::DestageRead { pair, off, len } => {

@@ -23,7 +23,7 @@ use crate::slot::IoSlot;
 use rolo_disk::{DiskId, DiskRequest, IoKind, IoOutcome, Priority};
 use rolo_metrics::Phase;
 use rolo_obs::{BgSpanKind, LegFlavor, SimEvent};
-use rolo_raid::PhysExtent;
+use rolo_raid::Split;
 use rolo_sim::{Duration, IoMap};
 use rolo_trace::{ReqKind, TraceRecord};
 use std::ops::Range;
@@ -46,7 +46,7 @@ enum Tag {
 struct UserMeta {
     marks: Vec<(usize, u64, u64)>,
     clears: Vec<(usize, u64, u64)>,
-    /// Journal records, flat to keep the write path to one allocation.
+    /// Journal records, flat so a recycled meta needs no allocation.
     /// The two mirrored copies of `marks[i]` commit with one shared LSN
     /// when the request acks.
     appends: Vec<PendingAppend>,
@@ -64,6 +64,16 @@ impl UserMeta {
             && self.appends.is_empty()
             && self.cache_fill.is_empty()
             && self.fill_bytes == 0
+    }
+
+    /// Empties the meta, keeping its buffers' capacity for the next
+    /// request.
+    fn clear(&mut self) {
+        self.marks.clear();
+        self.clears.clear();
+        self.appends.clear();
+        self.cache_fill = 0..0;
+        self.fill_bytes = 0;
     }
 }
 
@@ -95,6 +105,8 @@ pub struct RoloEPolicy {
     chain_writes: Vec<u8>,
     io_map: IoMap<Tag>,
     user_meta: IoMap<UserMeta>,
+    /// Finished requests' metas, reused by the next requests.
+    spare_meta: Vec<UserMeta>,
     logging_token: Option<u64>,
     destaging_token: Option<u64>,
     phase_energy_mark: f64,
@@ -146,6 +158,7 @@ impl RoloEPolicy {
             chain_writes: vec![0; pairs],
             io_map: IoMap::default(),
             user_meta: IoMap::default(),
+            spare_meta: Vec::new(),
             logging_token: None,
             destaging_token: None,
             phase_energy_mark: 0.0,
@@ -345,7 +358,7 @@ impl RoloEPolicy {
         user_id: u64,
         uslot: IoSlot,
         meta: &mut UserMeta,
-        exts: &[PhysExtent],
+        exts: Split,
     ) -> u32 {
         self.stats.direct_writes += 1;
         let mut subs = 0;
@@ -376,7 +389,7 @@ impl RoloEPolicy {
 }
 
 /// The request's per-pair extents.
-fn extents(ctx: &SimCtx, rec: &TraceRecord) -> Vec<PhysExtent> {
+fn extents(ctx: &SimCtx, rec: &TraceRecord) -> Split {
     ctx.geometry()
         .split(rec.offset, rec.bytes)
         .expect("driver keeps requests in range")
@@ -406,7 +419,7 @@ impl Policy for RoloEPolicy {
             rec.offset + rec.bytes <= ctx.geometry().logical_capacity(),
             "driver keeps requests in range"
         );
-        let mut meta = UserMeta::default();
+        let mut meta = self.spare_meta.pop().unwrap_or_default();
         let mut subs: u32 = 0;
         // Admission hold: one sub reserved up front so the slab slot
         // exists before the first sub-request can possibly complete;
@@ -430,7 +443,7 @@ impl Policy for RoloEPolicy {
                     subs += 1;
                 } else {
                     self.stats.cache_misses += 1;
-                    for ext in &extents(ctx, rec) {
+                    for ext in extents(ctx, rec) {
                         let p = ctx.geometry().primary_disk(ext.pair);
                         let target = if ctx.is_degraded(p) {
                             ctx.geometry().mirror_disk(ext.pair)
@@ -465,7 +478,7 @@ impl Policy for RoloEPolicy {
             }
             ReqKind::Read => {
                 // Centralized destage in progress: everything is up.
-                for ext in &extents(ctx, rec) {
+                for ext in extents(ctx, rec) {
                     let p = ctx.geometry().primary_disk(ext.pair);
                     let target = if ctx.is_degraded(p) {
                         ctx.geometry().mirror_disk(ext.pair)
@@ -495,13 +508,9 @@ impl Policy for RoloEPolicy {
                     // Log exhausted: destage must run; fall back to direct
                     // writes until space is reclaimed.
                     self.start_destage(ctx);
-                    subs += self.write_direct(ctx, user_id, uslot, &mut meta, &exts);
+                    subs += self.write_direct(ctx, user_id, uslot, &mut meta, exts);
                 } else {
-                    for ext in &exts {
-                        let segs = self
-                            .log
-                            .alloc(ext.bytes, ext.pair, self.period)
-                            .expect("free space checked above");
+                    for ext in exts {
                         // Two copies, on one on-duty pair (round-robin
                         // across the window when it is wider than one).
                         let pair = self.pick_logger_pair();
@@ -509,7 +518,7 @@ impl Policy for RoloEPolicy {
                             ctx.geometry().primary_disk(pair),
                             ctx.geometry().mirror_disk(pair),
                         ];
-                        for seg in segs {
+                        let logged = self.log.alloc(ext.bytes, ext.pair, self.period, |seg| {
                             for d in targets {
                                 let id = ctx.submit(
                                     d,
@@ -531,7 +540,8 @@ impl Policy for RoloEPolicy {
                                 subs += 1;
                             }
                             self.stats.log_appended_bytes += seg.bytes;
-                        }
+                        });
+                        assert!(logged, "free space checked above");
                         let mark = meta.marks.len() as u32;
                         for d in targets {
                             let rid = self.journal.append(
@@ -560,8 +570,10 @@ impl Policy for RoloEPolicy {
         if subs > 1 {
             ctx.add_user_subs(uslot, subs - 1);
         }
-        // Completion reads a missing entry as an empty one.
-        if !meta.is_empty() {
+        // Completion skips a request without an entry.
+        if meta.is_empty() {
+            self.spare_meta.push(meta);
+        } else {
             self.user_meta.insert(user_id, meta);
         }
     }
@@ -569,43 +581,50 @@ impl Policy for RoloEPolicy {
     fn on_io_complete(&mut self, ctx: &mut SimCtx, _disk: DiskId, req: DiskRequest) {
         match self.io_map.remove(&req.id).expect("unknown sub-request") {
             Tag::User(user, uslot) => {
-                if ctx.user_sub_done(uslot).is_some() {
-                    let meta = self.user_meta.remove(&user).unwrap_or_default();
-                    for (i, &(pair, off, len)) in meta.marks.iter().enumerate() {
-                        // The ack instant is the commit point: both
-                        // mirrored copies get one shared LSN.
-                        self.journal.mark(pair, off, len, &meta.appends, i as u32);
-                        if self.mode == Mode::Destaging {
-                            self.pump(ctx, pair);
-                        }
-                    }
-                    for (pair, off, len) in meta.clears {
-                        self.journal.clear(pair, off, len);
-                        if self.mode == Mode::Destaging {
-                            self.check_destage_done(ctx);
-                        }
-                    }
-                    if self.mode == Mode::Logging && !meta.cache_fill.is_empty() {
-                        for b in meta.cache_fill {
-                            self.cache.insert(b);
-                        }
-                        if meta.fill_bytes > 0 {
-                            // Writing the fetched blocks into the cache
-                            // costs a background write on a logger disk.
-                            let d = self.next_logger_disk(ctx);
-                            let off = self
-                                .log_read_offset(req.offset / self.stripe_unit, meta.fill_bytes);
-                            let id = ctx.submit(
-                                d,
-                                IoKind::Write,
-                                off,
-                                meta.fill_bytes,
-                                Priority::Background,
-                            );
-                            self.io_map.insert(id, Tag::CacheFill);
-                        }
+                if ctx.user_sub_done(uslot).is_none() {
+                    return;
+                }
+                // A request with nothing to commit, clear or fill has no
+                // entry.
+                let Some(mut meta) = self.user_meta.remove(&user) else {
+                    return;
+                };
+                for (i, &(pair, off, len)) in meta.marks.iter().enumerate() {
+                    // The ack instant is the commit point: both
+                    // mirrored copies get one shared LSN.
+                    self.journal.mark(pair, off, len, &meta.appends, i as u32);
+                    if self.mode == Mode::Destaging {
+                        self.pump(ctx, pair);
                     }
                 }
+                for &(pair, off, len) in &meta.clears {
+                    self.journal.clear(pair, off, len);
+                    if self.mode == Mode::Destaging {
+                        self.check_destage_done(ctx);
+                    }
+                }
+                if self.mode == Mode::Logging && !meta.cache_fill.is_empty() {
+                    for b in meta.cache_fill.clone() {
+                        self.cache.insert(b);
+                    }
+                    if meta.fill_bytes > 0 {
+                        // Writing the fetched blocks into the cache
+                        // costs a background write on a logger disk.
+                        let d = self.next_logger_disk(ctx);
+                        let off =
+                            self.log_read_offset(req.offset / self.stripe_unit, meta.fill_bytes);
+                        let id = ctx.submit(
+                            d,
+                            IoKind::Write,
+                            off,
+                            meta.fill_bytes,
+                            Priority::Background,
+                        );
+                        self.io_map.insert(id, Tag::CacheFill);
+                    }
+                }
+                meta.clear();
+                self.spare_meta.push(meta);
             }
             Tag::CacheFill => {}
             Tag::DestageRead { pair, off, len } => {

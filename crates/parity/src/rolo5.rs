@@ -221,10 +221,7 @@ impl Rolo5Policy {
             return;
         };
         for (pd, len) in entries {
-            let segs = self.spaces[target]
-                .alloc(len, pd, self.period)
-                .expect("picked logger has space");
-            for seg in segs {
+            let logged = self.spaces[target].alloc(len, pd, self.period, |seg| {
                 let id = ctx.submit(
                     target,
                     IoKind::Write,
@@ -234,7 +231,8 @@ impl Rolo5Policy {
                 );
                 self.io_map.insert(id, Tag::NvramFlush);
                 self.stats.log_appended_bytes += seg.bytes;
-            }
+            });
+            assert!(logged, "picked logger has space");
         }
         ctx.log_timeline.push(ctx.now, self.log_used_bytes() as f64);
     }
@@ -575,7 +573,13 @@ impl Policy for Rolo5Policy {
                 let poff = chain.parity_mark.0;
                 let log_target = chain.log_target;
                 let nvram = self.nvram_batch.is_some();
-                if direct {
+                // Pool raced to full: in-place fallback.
+                let raced = !direct && !nvram && self.spaces[log_target].free_bytes() < len;
+                if raced {
+                    chain.direct = true;
+                    self.stats.direct_writes += 1;
+                }
+                if direct || raced {
                     // In-place fallback: write data + write parity.
                     chain.writes_left = 2;
                     let w1 = ctx.submit(dd, IoKind::Write, doff, len, Priority::Foreground);
@@ -594,25 +598,10 @@ impl Policy for Rolo5Policy {
                     self.maybe_flush_nvram(ctx, false);
                 } else {
                     // Write data in place + append the parity delta.
-                    let segs = match self.spaces[log_target].alloc(len, pd, self.period) {
-                        Some(segs) => segs,
-                        None => {
-                            // Pool raced to full: in-place fallback.
-                            chain.writes_left = 2;
-                            self.stats.direct_writes += 1;
-                            self.chains.get_mut(&chain_id).expect("chain").direct = true;
-                            let w1 = ctx.submit(dd, IoKind::Write, doff, len, Priority::Foreground);
-                            self.io_map.insert(w1, Tag::ChainWrite(chain_id));
-                            let w2 = ctx.submit(pd, IoKind::Write, poff, len, Priority::Foreground);
-                            self.io_map.insert(w2, Tag::ChainWrite(chain_id));
-                            return;
-                        }
-                    };
-                    let chain = self.chains.get_mut(&chain_id).expect("chain exists");
-                    chain.writes_left = 1 + segs.len() as u8;
                     let w1 = ctx.submit(dd, IoKind::Write, doff, len, Priority::Foreground);
                     self.io_map.insert(w1, Tag::ChainWrite(chain_id));
-                    for seg in segs {
+                    let mut writes = 1;
+                    let logged = self.spaces[log_target].alloc(len, pd, self.period, |seg| {
                         let id = ctx.submit(
                             log_target,
                             IoKind::Write,
@@ -622,7 +611,10 @@ impl Policy for Rolo5Policy {
                         );
                         self.io_map.insert(id, Tag::ChainWrite(chain_id));
                         self.stats.log_appended_bytes += seg.bytes;
-                    }
+                        writes += 1;
+                    });
+                    assert!(logged, "free space checked above");
+                    chain.writes_left = writes;
                     ctx.log_timeline.push(ctx.now, self.log_used_bytes() as f64);
                 }
             }

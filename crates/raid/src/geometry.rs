@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
+use std::iter::FusedIterator;
 
 /// Whether a disk holds the primary or the mirror copy of its pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -193,6 +194,11 @@ impl ArrayGeometry {
     /// [`GeometryError::OutOfRange`] if the address is past the end of the
     /// logical space.
     pub fn map(&self, offset: u64, bytes: u64) -> Result<PhysExtent, GeometryError> {
+        self.check_range(offset, bytes)?;
+        Ok(locate(self.pairs as u64, self.stripe_unit, offset, bytes))
+    }
+
+    fn check_range(&self, offset: u64, bytes: u64) -> Result<(), GeometryError> {
         if offset + bytes > self.logical_capacity() {
             return Err(GeometryError::OutOfRange {
                 offset,
@@ -200,18 +206,7 @@ impl ArrayGeometry {
                 capacity: self.logical_capacity(),
             });
         }
-        let stripe = offset / self.stripe_unit;
-        let within = offset % self.stripe_unit;
-        let pair = (stripe % self.pairs as u64) as usize;
-        let disk_stripe = stripe / self.pairs as u64;
-        let phys_offset = disk_stripe * self.stripe_unit + within;
-        let clipped = bytes.min(self.stripe_unit - within);
-        Ok(PhysExtent {
-            pair,
-            offset: phys_offset,
-            bytes: clipped,
-            logical: offset,
-        })
+        Ok(())
     }
 
     /// Inverse of [`map`](Self::map) for a single address: given a pair and
@@ -235,39 +230,83 @@ impl ArrayGeometry {
     /// Splits a logical extent into per-pair physical extents, in logical
     /// order. Adjacent fragments that land on the same pair contiguously
     /// are *not* merged (each fragment is at most one stripe unit) —
-    /// callers that care coalesce themselves.
+    /// callers that care coalesce themselves. The iterator copies the
+    /// mapping constants it needs, so it borrows nothing.
     ///
     /// # Errors
     ///
     /// [`GeometryError::OutOfRange`] if the extent exceeds the logical
     /// space.
-    pub fn split(&self, offset: u64, bytes: u64) -> Result<Vec<PhysExtent>, GeometryError> {
-        if offset + bytes > self.logical_capacity() {
-            return Err(GeometryError::OutOfRange {
-                offset,
-                bytes,
-                capacity: self.logical_capacity(),
-            });
-        }
-        let mut out = Vec::with_capacity((bytes / self.stripe_unit + 2) as usize);
-        let mut cur = offset;
-        let end = offset + bytes;
-        while cur < end {
-            let ext = self.map(cur, end - cur)?;
-            cur += ext.bytes;
-            out.push(ext);
-        }
-        Ok(out)
+    pub fn split(&self, offset: u64, bytes: u64) -> Result<Split, GeometryError> {
+        self.check_range(offset, bytes)?;
+        Ok(Split {
+            pairs: self.pairs as u64,
+            stripe_unit: self.stripe_unit,
+            cur: offset,
+            end: offset + bytes,
+        })
     }
 
     /// The set of distinct pairs touched by a logical extent.
     pub fn pairs_touched(&self, offset: u64, bytes: u64) -> Result<Vec<usize>, GeometryError> {
-        let mut pairs: Vec<usize> = self.split(offset, bytes)?.iter().map(|e| e.pair).collect();
+        let mut pairs: Vec<usize> = self.split(offset, bytes)?.map(|e| e.pair).collect();
         pairs.sort_unstable();
         pairs.dedup();
         Ok(pairs)
     }
 }
+
+/// Maps `offset` onto its pair, clipping `bytes` to the end of the
+/// stripe unit.
+fn locate(pairs: u64, stripe_unit: u64, offset: u64, bytes: u64) -> PhysExtent {
+    let stripe = offset / stripe_unit;
+    let within = offset % stripe_unit;
+    PhysExtent {
+        pair: (stripe % pairs) as usize,
+        offset: stripe / pairs * stripe_unit + within,
+        bytes: bytes.min(stripe_unit - within),
+        logical: offset,
+    }
+}
+
+/// The per-pair physical extents of a logical extent, in logical order
+/// (see [`ArrayGeometry::split`]).
+#[derive(Debug, Clone)]
+pub struct Split {
+    pairs: u64,
+    stripe_unit: u64,
+    cur: u64,
+    end: u64,
+}
+
+impl Iterator for Split {
+    type Item = PhysExtent;
+
+    fn next(&mut self) -> Option<PhysExtent> {
+        if self.cur >= self.end {
+            return None;
+        }
+        let ext = locate(self.pairs, self.stripe_unit, self.cur, self.end - self.cur);
+        self.cur += ext.bytes;
+        Some(ext)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.len(), Some(self.len()))
+    }
+}
+
+impl ExactSizeIterator for Split {
+    /// Stripe units the rest of the extent touches.
+    fn len(&self) -> usize {
+        if self.cur >= self.end {
+            return 0;
+        }
+        ((self.end - 1) / self.stripe_unit - self.cur / self.stripe_unit + 1) as usize
+    }
+}
+
+impl FusedIterator for Split {}
 
 #[cfg(test)]
 mod tests {
@@ -302,7 +341,7 @@ mod tests {
     #[test]
     fn split_tiles_request_exactly() {
         let g = geo();
-        let exts = g.split(SU / 2, 5 * SU).unwrap();
+        let exts: Vec<_> = g.split(SU / 2, 5 * SU).unwrap().collect();
         let total: u64 = exts.iter().map(|e| e.bytes).sum();
         assert_eq!(total, 5 * SU);
         // Fragments are logically contiguous.
@@ -392,8 +431,9 @@ mod tests {
             let g = ArrayGeometry::new(pairs, su, 1 << 30, 0).unwrap();
             prop_assume!(start + len <= g.logical_capacity());
             let exts = g.split(start, len).unwrap();
+            prop_assert_eq!(exts.len(), exts.clone().count());
             let mut cur = start;
-            for e in &exts {
+            for e in exts {
                 prop_assert_eq!(e.logical, cur);
                 prop_assert!(e.bytes > 0 && e.bytes <= su);
                 prop_assert!(e.offset + e.bytes <= g.data_region());

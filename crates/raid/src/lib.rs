@@ -29,4 +29,4 @@
 
 pub mod geometry;
 
-pub use geometry::{ArrayGeometry, DiskRole, GeometryError, PhysExtent};
+pub use geometry::{ArrayGeometry, DiskRole, GeometryError, PhysExtent, Split};
