@@ -25,7 +25,7 @@ use std::time::Instant;
 /// when a disk dies mid-flight its queued wakes must not be delivered to
 /// the hot spare that reuses its slot, so delivery drops any event whose
 /// epoch is stale.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 enum Event {
     Arrival,
     DiskIo(DiskId, u32),
@@ -35,7 +35,9 @@ enum Event {
     Timer(u64),
     PowerSample,
     DiskFail(DiskId),
-    IoRetry(DiskId, u32, DiskRequest),
+    /// Boxed: only injected transient faults retry, and an inline
+    /// request would make every queued event 16 bytes larger.
+    IoRetry(DiskId, u32, Box<DiskRequest>),
     /// A pre-sampled latent-sector-error candidate on a disk; the context
     /// thins it by the disk's current power state.
     LseCandidate(DiskId),
@@ -47,6 +49,10 @@ enum Event {
     ScrubTick,
     TraceEnd,
 }
+
+// The calendar queue moves every event at least twice; keep the queued
+// entry (time, seq, payload) within 40 bytes.
+const _: () = assert!(size_of::<rolo_sim::ScheduledEvent<Event>>() <= 40);
 
 /// Snapshot captured at the `TraceEnd` marker.
 #[derive(Debug, Default)]
@@ -230,7 +236,7 @@ pub fn run_trace_observed<P: Policy>(
                             policy.on_io_error(&mut ctx, d, req, outcome)
                         }
                         IoFate::Retry(req, backoff) => {
-                            let retry = Event::IoRetry(d, ctx.epoch(d), req);
+                            let retry = Event::IoRetry(d, ctx.epoch(d), Box::new(req));
                             queue.schedule(ctx.now + backoff, retry);
                         }
                     }
@@ -272,7 +278,7 @@ pub fn run_trace_observed<P: Policy>(
                     // The disk died while the retry waited out its
                     // backoff; hand the request to the error path so its
                     // accounting still closes.
-                    policy.on_io_error(&mut ctx, d, req, IoOutcome::DiskDead);
+                    policy.on_io_error(&mut ctx, d, *req, IoOutcome::DiskDead);
                 }
             }
             Event::Timer(token) => {

@@ -5,6 +5,7 @@
 //! traffic spreads over all spindles.
 
 use serde::{Deserialize, Serialize};
+use std::iter::FusedIterator;
 
 /// One physically contiguous piece of a logical request on RAID5.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -107,6 +108,11 @@ impl Raid5Geometry {
             offset + bytes,
             self.logical_capacity()
         );
+        self.locate(offset, bytes)
+    }
+
+    /// [`map`](Self::map) without the range checks.
+    fn locate(&self, offset: u64, bytes: u64) -> Raid5Extent {
         let data_per_row = (self.disks as u64 - 1) * self.stripe_unit;
         let row = offset / data_per_row;
         let in_row = offset % data_per_row;
@@ -127,23 +133,66 @@ impl Raid5Geometry {
         }
     }
 
-    /// Splits a logical extent into stripe-unit-bounded pieces.
+    /// Splits a logical extent into stripe-unit-bounded pieces, in
+    /// logical order. The iterator copies the geometry's three
+    /// constants, so it borrows nothing.
     ///
     /// # Panics
     ///
     /// Panics if the extent exceeds the logical capacity.
-    pub fn split(&self, offset: u64, bytes: u64) -> Vec<Raid5Extent> {
-        let mut out = Vec::with_capacity((bytes / self.stripe_unit + 2) as usize);
-        let mut cur = offset;
-        let end = offset + bytes;
-        while cur < end {
-            let e = self.map(cur, end - cur);
-            cur += e.bytes;
-            out.push(e);
+    pub fn split(&self, offset: u64, bytes: u64) -> Raid5Split {
+        assert!(
+            offset + bytes <= self.logical_capacity(),
+            "extent [{offset}, {}) exceeds capacity {}",
+            offset + bytes,
+            self.logical_capacity()
+        );
+        Raid5Split {
+            geometry: self.clone(),
+            cur: offset,
+            end: offset + bytes,
         }
-        out
     }
 }
+
+/// The stripe-unit-bounded pieces of a logical extent, in logical order
+/// (see [`Raid5Geometry::split`]).
+#[derive(Debug, Clone)]
+pub struct Raid5Split {
+    geometry: Raid5Geometry,
+    cur: u64,
+    end: u64,
+}
+
+impl Iterator for Raid5Split {
+    type Item = Raid5Extent;
+
+    fn next(&mut self) -> Option<Raid5Extent> {
+        if self.cur >= self.end {
+            return None;
+        }
+        let e = self.geometry.locate(self.cur, self.end - self.cur);
+        self.cur += e.bytes;
+        Some(e)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.len(), Some(self.len()))
+    }
+}
+
+impl ExactSizeIterator for Raid5Split {
+    /// Stripe units the rest of the extent touches.
+    fn len(&self) -> usize {
+        if self.cur >= self.end {
+            return 0;
+        }
+        let su = self.geometry.stripe_unit;
+        ((self.end - 1) / su - self.cur / su + 1) as usize
+    }
+}
+
+impl FusedIterator for Raid5Split {}
 
 #[cfg(test)]
 mod tests {
@@ -192,7 +241,10 @@ mod tests {
     #[test]
     fn split_tiles_exactly() {
         let g = geo();
-        let exts = g.split(SU / 2, 3 * SU);
+        let split = g.split(SU / 2, 3 * SU);
+        assert_eq!(split.len(), 4);
+        let exts: Vec<_> = split.collect();
+        assert_eq!(exts.len(), 4);
         let total: u64 = exts.iter().map(|e| e.bytes).sum();
         assert_eq!(total, 3 * SU);
         for e in &exts {
@@ -227,7 +279,10 @@ mod tests {
         fn prop_split_preserves_bytes(start in 0u64..(3u64 << 30), len in 1u64..(8u64 << 20)) {
             let g = Raid5Geometry::new(5, 64 * 1024, 1 << 30);
             prop_assume!(start + len <= g.logical_capacity());
-            let exts = g.split(start, len);
+            let split = g.split(start, len);
+            let pieces = split.len();
+            let exts: Vec<_> = split.collect();
+            prop_assert_eq!(pieces, exts.len());
             let total: u64 = exts.iter().map(|e| e.bytes).sum();
             prop_assert_eq!(total, len);
             // Logical continuity.

@@ -31,6 +31,6 @@ pub mod raid5;
 pub mod rolo5;
 
 pub use degraded::{simulate_raid5_rebuild, Raid5RebuildReport};
-pub use geometry::{Raid5Extent, Raid5Geometry};
+pub use geometry::{Raid5Extent, Raid5Geometry, Raid5Split};
 pub use raid5::Raid5Policy;
 pub use rolo5::Rolo5Policy;

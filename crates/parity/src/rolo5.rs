@@ -492,7 +492,7 @@ impl Policy for Rolo5Policy {
             }
             ReqKind::Write => {
                 let uslot = ctx.register_user(user_id, rec.kind, ctx.now, exts.len() as u32);
-                for e in &exts {
+                for e in exts {
                     let mut target = None;
                     if !self.deactivated {
                         target = self.pick_logger(e.bytes);

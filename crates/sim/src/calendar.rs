@@ -22,25 +22,29 @@
 //!   ring advances, newly covered events migrate from the heap into their
 //!   buckets (in heap order, i.e. already `(time, seq)`-sorted).
 //!
-//! A bucket is sorted by `(time, seq)` lazily, on first pop after the clock
-//! enters it. Scheduling *into the current bucket mid-drain* (the common
-//! "completion schedules the next completion" pattern) marks it dirty and
-//! the unpopped remainder is re-sorted on the next pop. This is exact, not
-//! approximate: a newly scheduled event has `time ≥ now` (the due time of
-//! every already-popped event) and a strictly larger `seq` than everything
-//! in the queue, so re-sorting the remainder can never reorder it ahead of
-//! an event that should already have fired.
+//! The bucket being drained is kept sorted by `(time, seq)`. `pop` sorts
+//! a bucket once, when the clock enters it; from then on a schedule into
+//! it (the common "completion schedules the next completion" pattern) is
+//! appended if it sorts last and otherwise binary-searches its place in
+//! the unpopped remainder: after every event due at or before it, since
+//! it carries the largest `seq` in the queue. Its `time ≥ now` (the due
+//! time of every already-popped event), so the insert can never land
+//! ahead of an event that should already have fired. Other buckets stay
+//! unsorted until the clock reaches them.
 //!
-//! Invariants (checked by debug assertions and `tests/queue_diff.rs`):
+//! Invariants, at every public-API boundary (checked by
+//! [`CalendarQueue::check_invariants`], which `tests/queue_diff.rs` runs
+//! after every step, and by debug assertions):
 //!
-//! 1. At every public-API boundary, `now` lies inside the current window
-//!    (or the queue has never popped and both sit at zero), so a schedule
-//!    clamped to `now` always maps into the ring, never behind it.
-//! 2. Ring events satisfy `cur_win ≤ time/W < cur_win + N`; overflow
-//!    events satisfy `time/W ≥ cur_win + N` at the moment they are pushed
-//!    (and migrate as soon as the horizon reaches them).
-//! 3. `len == ring_len + overflow.len()` and
-//!    `scheduled_total == popped_total + len`.
+//! 1. `now` lies inside the current window (`cur_win = now/W`), so a
+//!    schedule clamped to `now` always maps into the ring, never behind
+//!    it.
+//! 2. Ring events satisfy `cur_win ≤ time/W < cur_win + N` and sit in
+//!    their window's slot; overflow events satisfy `time/W ≥ cur_win + N`
+//!    (they migrate as soon as the horizon reaches them).
+//! 3. `ring_len` is the sum of the bucket lengths, and a slot's occupancy
+//!    bit is set exactly when its bucket is non-empty.
+//! 4. The current bucket is sorted by `(time, seq)`.
 
 use crate::queue::{FutureEventList, ScheduledEvent};
 use crate::time::SimTime;
@@ -49,7 +53,7 @@ use std::collections::{BinaryHeap, VecDeque};
 /// Default bucket width: 2^13 µs ≈ 8 ms — a few disk service times per
 /// bucket under load. Wider buckets mean a physically smaller ring (the
 /// dominant cost on sparse streams is cold cache lines, not intra-bucket
-/// sorting, and the sort is lazy and per-entered-bucket anyway).
+/// sorting, and a bucket is sorted only once, when the clock enters it).
 const DEFAULT_WIDTH_SHIFT: u32 = 13;
 /// Default bucket count: 2^9 buckets × 8 ms ≈ 4.2 s of ring horizon,
 /// wide enough that only coarse housekeeping (power samples, scrub ticks,
@@ -85,11 +89,9 @@ pub struct CalendarQueue<T> {
     width_shift: u32,
     /// `buckets.len() - 1`; bucket count is a power of two.
     mask: u64,
-    /// Window index (`time >> width_shift`) of the current bucket.
+    /// Window index (`time >> width_shift`) of the current bucket, which
+    /// is kept sorted by `(time, seq)`.
     cur_win: u64,
-    /// The current bucket's unpopped remainder needs a `(time, seq)` sort
-    /// before the next pop.
-    dirty: bool,
     /// Events pending in the ring (excludes `overflow`).
     ring_len: usize,
     /// Occupancy bitmap, one bit per ring slot (bit set ⟺ bucket
@@ -136,7 +138,6 @@ impl<T> CalendarQueue<T> {
             width_shift,
             mask: (n as u64) - 1,
             cur_win: 0,
-            dirty: false,
             ring_len: 0,
             occ: vec![0; n.div_ceil(64)],
             overflow: BinaryHeap::new(),
@@ -245,14 +246,18 @@ impl<T> CalendarQueue<T> {
         debug_assert!(w >= self.cur_win, "schedule behind the current window");
         if w < self.horizon() {
             let s = self.slot(w);
-            self.buckets[s].push_back(ev);
+            let bucket = &mut self.buckets[s];
+            if w == self.cur_win && bucket.back().is_some_and(|e| e.time > ev.time) {
+                // Mid-drain insert into the sorted bucket being popped:
+                // after every event due at or before it, as its seq is
+                // the largest. One that sorts last is appended below.
+                let at = bucket.partition_point(|e| e.time <= ev.time);
+                bucket.insert(at, ev);
+            } else {
+                bucket.push_back(ev);
+            }
             self.ring_len += 1;
             self.occ_set(s);
-            if w == self.cur_win {
-                // Mid-drain insert into the bucket being popped: the
-                // unpopped remainder re-sorts on the next pop.
-                self.dirty = true;
-            }
         } else {
             self.overflow.push(ev);
         }
@@ -267,16 +272,7 @@ impl<T> CalendarQueue<T> {
         }
         loop {
             let s = self.slot(self.cur_win);
-            if !self.buckets[s].is_empty() {
-                if self.dirty {
-                    if self.buckets[s].len() > 1 {
-                        self.buckets[s]
-                            .make_contiguous()
-                            .sort_unstable_by_key(|e| (e.time, e.seq));
-                    }
-                    self.dirty = false;
-                }
-                let ev = self.buckets[s].pop_front().expect("checked non-empty");
+            if let Some(ev) = self.buckets[s].pop_front() {
                 self.ring_len -= 1;
                 if self.buckets[s].is_empty() {
                     self.occ_clear(s);
@@ -298,7 +294,15 @@ impl<T> CalendarQueue<T> {
                 self.cur_win += self.next_occupied_step();
             }
             self.migrate_overflow();
-            self.dirty = true; // entering a bucket: sort before first pop
+            // Entering a bucket: sort it once; `schedule` keeps it sorted
+            // from here on.
+            let s = self.slot(self.cur_win);
+            let bucket = &mut self.buckets[s];
+            if bucket.len() > 1 {
+                bucket
+                    .make_contiguous()
+                    .sort_unstable_by_key(|e| (e.time, e.seq));
+            }
         }
     }
 
@@ -349,7 +353,6 @@ impl<T> CalendarQueue<T> {
         self.occ.fill(0);
         self.overflow.clear();
         self.ring_len = 0;
-        self.dirty = false;
         self.cur_win = self.win(self.now);
     }
 
@@ -357,6 +360,59 @@ impl<T> CalendarQueue<T> {
     /// (diagnostics for bench reports and tests).
     pub fn overflow_len(&self) -> usize {
         self.overflow.len()
+    }
+
+    /// Checks the module-level invariants: the clock inside the current
+    /// window, every ring event inside the horizon and in its window's
+    /// slot, every overflow event beyond the horizon, `ring_len` and the
+    /// occupancy bits in step with the buckets, and the current bucket
+    /// sorted by `(time, seq)`.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        if self.win(self.now) != self.cur_win {
+            return Err(format!(
+                "now {:?} is outside the current window {}",
+                self.now, self.cur_win
+            ));
+        }
+        let horizon = self.horizon();
+        let mut ring_len = 0;
+        for (s, bucket) in self.buckets.iter().enumerate() {
+            ring_len += bucket.len();
+            let occupied = self.occ[s / 64] & (1u64 << (s % 64)) != 0;
+            if occupied == bucket.is_empty() {
+                return Err(format!(
+                    "slot {s}: occupancy bit {occupied} with {} events",
+                    bucket.len()
+                ));
+            }
+            for e in bucket {
+                let w = self.win(e.time);
+                if w < self.cur_win || w >= horizon || self.slot(w) != s {
+                    return Err(format!(
+                        "slot {s} holds an event of window {w} (ring covers [{}, {horizon}))",
+                        self.cur_win
+                    ));
+                }
+            }
+        }
+        if ring_len != self.ring_len {
+            return Err(format!(
+                "ring_len {} != {ring_len} bucketed events",
+                self.ring_len
+            ));
+        }
+        if let Some(e) = self.overflow.iter().find(|e| self.win(e.time) < horizon) {
+            return Err(format!(
+                "overflow holds window {} inside the horizon {horizon}",
+                self.win(e.time)
+            ));
+        }
+        let cur = &self.buckets[self.slot(self.cur_win)];
+        let keys = || cur.iter().map(|e| (e.time, e.seq));
+        if let Some((a, b)) = keys().zip(keys().skip(1)).find(|(a, b)| a >= b) {
+            return Err(format!("current bucket out of order: {a:?} before {b:?}"));
+        }
+        Ok(())
     }
 }
 
@@ -440,18 +496,20 @@ mod tests {
     }
 
     #[test]
-    fn schedule_during_drain_resorts_current_bucket() {
+    fn schedule_during_drain_inserts_in_order() {
         let mut q = CalendarQueue::new();
         // Three events in one bucket; after popping the first, schedule
-        // two more inside the same bucket, one earlier than the pending
-        // remainder.
+        // three more inside the same bucket: one between the pending
+        // events, one ahead of them and one tying with one of them.
         q.schedule(SimTime::from_micros(100), "a");
         q.schedule(SimTime::from_micros(300), "d");
         q.schedule(SimTime::from_micros(500), "f");
         assert_eq!(q.pop().unwrap().payload, "a");
-        q.schedule(SimTime::from_micros(400), "e");
-        q.schedule(SimTime::from_micros(200), "b");
-        q.schedule(SimTime::from_micros(300), "d2"); // ties after "d" (larger seq)
+        for (us, name) in [(400, "e"), (200, "b"), (300, "d2")] {
+            // "d2" ties with "d" and goes after it (larger seq).
+            q.schedule(SimTime::from_micros(us), name);
+            q.check_invariants().unwrap();
+        }
         let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
         assert_eq!(order, vec!["b", "d", "d2", "e", "f"]);
     }

@@ -10,7 +10,9 @@
 //! and lifetime counters — including the corners where a bucketed design
 //! can diverge from a heap: same-instant ties, scheduling into the bucket
 //! currently being drained, far-future overflow spill and migration, and
-//! events landing exactly on bucket/horizon boundaries.
+//! events landing exactly on bucket/horizon boundaries. After every step
+//! the calendar queue's own invariants are checked as well
+//! ([`CalendarQueue::check_invariants`]).
 
 use proptest::prelude::*;
 use rolo_sim::{CalendarQueue, Duration, EventQueue, ScheduledEvent, SimTime};
@@ -31,6 +33,7 @@ fn pop_both(
         }
         _ => prop_assert!(false, "one queue empty while the other pops"),
     }
+    prop_assert_eq!(cal.check_invariants(), Ok(()));
     prop_assert_eq!(heap.now(), cal.now(), "clocks diverged");
     prop_assert_eq!(heap.len(), cal.len(), "lengths diverged");
     prop_assert_eq!(heap.popped_total(), cal.popped_total());
@@ -47,12 +50,15 @@ fn schedule_both(
     let sa = heap.schedule(time, payload);
     let sb = cal.schedule(time, payload);
     prop_assert_eq!(sa, sb, "schedule() returned different seqs");
+    prop_assert_eq!(cal.check_invariants(), Ok(()));
     prop_assert_eq!(heap.scheduled_total(), cal.scheduled_total());
     prop_assert_eq!(heap.len(), cal.len());
     Ok(())
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
     /// Randomized interleavings of schedules (at arbitrary offsets from
     /// the advancing clock) and pops, on the production geometry. Offsets
     /// up to ~8 s straddle the default 4.2 s ring horizon, so both ring
@@ -149,6 +155,33 @@ proptest! {
         }
         while pop_both(&mut heap, &mut cal)?.is_some() {}
     }
+
+    /// A deep draining bucket: every schedule stays inside the current
+    /// 8 ms window (offsets from its start, clamped up to `now`), in
+    /// bursts of same-instant ties, with fewer pops than schedules on
+    /// average. The sorted remainder grows to hundreds of events, and
+    /// inserts land at its front, middle and end, and at `now` itself.
+    #[test]
+    fn prop_lockstep_deep_draining_bucket(
+        ops in proptest::collection::vec((0u64..8_192, 1usize..6, 0usize..4), 1..200)
+    ) {
+        const WIDTH: u64 = 1 << 13; // default bucket width, µs
+        let mut heap = EventQueue::new();
+        let mut cal = CalendarQueue::new();
+        let mut idx = 0u64;
+        for (offset, burst, pops) in ops {
+            let now = heap.now().as_micros();
+            let t = SimTime::from_micros((now / WIDTH * WIDTH + offset).max(now));
+            for _ in 0..burst {
+                schedule_both(&mut heap, &mut cal, t, idx)?;
+                idx += 1;
+            }
+            for _ in 0..pops {
+                pop_both(&mut heap, &mut cal)?;
+            }
+        }
+        while pop_both(&mut heap, &mut cal)?.is_some() {}
+    }
 }
 
 /// Deterministic worst case: drain a bucket while a chain of completions
@@ -171,6 +204,7 @@ fn chained_reschedule_with_pending_overflow() {
         let t = heap.now() + Duration::from_micros(7);
         heap.schedule(t, i + 1);
         cal.schedule(t, i + 1);
+        cal.check_invariants().unwrap();
     }
     // Drain: the chain tail, then the overflow tick.
     let mut rest = 0;
