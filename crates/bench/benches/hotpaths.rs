@@ -5,9 +5,10 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rolo_core::logspace::LoggerSpace;
 use rolo_core::{dirty::DirtyMap, Scheme, SimConfig, SimCtx};
-use rolo_disk::{DiskParams, IoKind, Priority, ServiceModel};
+use rolo_disk::{DiskParams, IoKind, PowerState, Priority, ServiceBreakdown, ServiceModel};
+use rolo_obs::{critical_path, ExemplarRecorder, LegFlavor, SpanCollector};
 use rolo_sim::{CalendarQueue, Duration, EventQueue, ExtentMap, SimRng, SimTime};
-use rolo_trace::SyntheticConfig;
+use rolo_trace::{ReqKind, SyntheticConfig};
 
 fn bench_service_model(c: &mut Criterion) {
     c.bench_function("service_model_random_64k", |b| {
@@ -194,6 +195,56 @@ fn bench_extent_map(c: &mut Criterion) {
     });
 }
 
+/// The observed completion path: each request opens a span, tags and
+/// records one or two legs, closes, has its critical path folded and is
+/// offered to an exemplar recorder that stays warm across iterations.
+/// Requests arrive 0.6 s apart, so a 60 s window sees 100 of them and,
+/// with four windows retained, evicted windows' slots are reused.
+fn bench_span_exemplar(c: &mut Criterion) {
+    c.bench_function("span_exemplar_cycle_1k", |b| {
+        let mut rng = SimRng::seed_from(17);
+        let mut rec = ExemplarRecorder::new(8, Duration::from_secs(60), 4);
+        let power = [PowerState::Idle; 8];
+        let mut next_id = 0u64;
+        b.iter(|| {
+            let mut spans = SpanCollector::new();
+            for _ in 0..1000 {
+                let id = next_id;
+                next_id += 1;
+                let submit = SimTime::from_micros(id * 600_000);
+                spans.open_request(id, ReqKind::Read, submit);
+                let legs = 1 + id % 2;
+                for io in 2 * id..2 * id + legs {
+                    spans.tag_io(io, id, LegFlavor::Transfer);
+                }
+                let mut end = submit;
+                for io in 2 * id..2 * id + legs {
+                    let seek = Duration::from_micros(rng.below(8_000));
+                    let transfer = Duration::from_micros(1 + rng.below(4_000));
+                    let start = submit + Duration::from_micros(rng.below(50_000));
+                    let leg = ServiceBreakdown {
+                        id: io,
+                        background: false,
+                        submit,
+                        start,
+                        end: start + seek + transfer,
+                        seek,
+                        rotation: Duration::ZERO,
+                        transfer,
+                        spinup_stall: Duration::ZERO,
+                        bg_interference: Duration::ZERO,
+                    };
+                    end = end.max(leg.end);
+                    spans.record_leg(io, (io % 8) as usize, &leg);
+                }
+                let span = spans.close_request(id, end).expect("span is open");
+                rec.observe(end, span, &critical_path(span), &power);
+            }
+            spans
+        });
+    });
+}
+
 fn bench_end_to_end(c: &mut Criterion) {
     let mut g = c.benchmark_group("end_to_end_10min_4pairs");
     g.sample_size(10);
@@ -222,6 +273,7 @@ criterion_group!(
     bench_logspace,
     bench_dirty_map,
     bench_extent_map,
+    bench_span_exemplar,
     bench_end_to_end
 );
 criterion_main!(benches);

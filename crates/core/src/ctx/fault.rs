@@ -88,9 +88,10 @@ pub enum IoFate {
     /// A policy transfer and its outcome: `Ok`, a media error, or a
     /// timeout whose retry budget is spent.
     Policy(DiskRequest, IoOutcome),
-    /// A policy transfer that timed out with retries left: the driver
-    /// resubmits it after the backoff.
-    Retry(DiskRequest, Duration),
+    /// A policy transfer that timed out with retries left, parked under
+    /// its I/O id: the driver hands the id back to
+    /// [`SimCtx::retry_parked`] after the backoff.
+    Retry(u64, Duration),
 }
 
 /// Live state of one in-run rebuild onto a replacement disk.
@@ -134,6 +135,9 @@ pub(super) struct FaultEngine {
     first_failure_at: Option<SimTime>,
     /// Timeout retries spent per policy I/O.
     retries: IoMap<u32>,
+    /// Timed-out policy requests waiting out their retry backoff, keyed
+    /// by I/O id.
+    parked: IoMap<DiskRequest>,
     rebuilds: HashMap<DiskId, RebuildState>,
     finished_rebuilds: Vec<DiskId>,
     /// Energy history of dead disks, merged into the slot's live report
@@ -170,6 +174,7 @@ impl FaultEngine {
             degraded_since: None,
             first_failure_at: None,
             retries: IoMap::default(),
+            parked: IoMap::default(),
             rebuilds: HashMap::new(),
             finished_rebuilds: Vec::new(),
             retired: HashMap::new(),
@@ -323,10 +328,41 @@ impl SimCtx {
         }
         match self.classify_completion(disk, &req) {
             IoOutcome::Timeout => match self.note_timeout(req.id) {
-                Some(backoff) => IoFate::Retry(req, backoff),
+                Some(backoff) => {
+                    let id = req.id;
+                    self.fault.parked.insert(id, req);
+                    IoFate::Retry(id, backoff)
+                }
                 None => IoFate::Policy(req, IoOutcome::Timeout),
             },
             outcome => IoFate::Policy(req, outcome),
+        }
+    }
+
+    /// Driver hook: the backoff of request `id`, parked by
+    /// [`SimCtx::complete_io`], has elapsed. Resubmits it to `disk` when
+    /// the slot still holds the disk it timed out on (`epoch`);
+    /// otherwise that disk died during the backoff and the request is
+    /// returned for the policy's error path.
+    pub fn retry_parked(&mut self, disk: DiskId, epoch: u32, id: u64) -> Option<DiskRequest> {
+        let req = self
+            .fault
+            .parked
+            .remove(&id)
+            .expect("a retry event for a parked request");
+        if !self.epoch_live(disk, epoch) {
+            return Some(req);
+        }
+        self.submit_with_id(disk, req.id, req.kind, req.offset, req.bytes, req.priority);
+        None
+    }
+
+    /// End-of-run audit: every parked request was resubmitted or failed
+    /// over, so none outlives its retry event.
+    pub fn check_parked_retries(&self) -> Result<(), String> {
+        match self.fault.parked.len() {
+            0 => Ok(()),
+            n => Err(format!("{n} timed-out requests still parked for retry")),
         }
     }
 

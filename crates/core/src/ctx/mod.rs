@@ -666,6 +666,37 @@ mod tests {
     }
 
     #[test]
+    fn timed_out_requests_stay_parked_until_their_retry() {
+        let mut cfg = SimConfig::paper_default(Scheme::Raid10, 2);
+        cfg.faults.timeout_per_io = 1.0;
+        let geo = cfg.geometry().unwrap();
+        let standby = vec![false; cfg.disk_count()];
+        let mut c = SimCtx::new(&cfg, geo, &standby);
+        let id = c.submit(0, IoKind::Read, 0, 4096, Priority::Foreground);
+        let time_out = |c: &mut SimCtx| {
+            let mut wakes = Vec::new();
+            c.drain_wakes_into(&mut wakes);
+            c.now = wakes[0].1.due();
+            match c.complete_io(0) {
+                IoFate::Retry(parked, _) => parked,
+                other => panic!("a timeout with retries left parks, not {other:?}"),
+            }
+        };
+        assert_eq!(time_out(&mut c), id);
+        assert!(c.check_parked_retries().is_err());
+        // The slot still holds the disk: the request is resubmitted.
+        assert!(c.retry_parked(0, c.epoch(0), id).is_none());
+        assert!(c.check_parked_retries().is_ok());
+        // The disk dies during the next backoff: the request comes back.
+        assert_eq!(time_out(&mut c), id);
+        let epoch = c.epoch(0);
+        c.fail_disk(0).expect("first failure injects");
+        let req = c.retry_parked(0, epoch, id).expect("dead slot");
+        assert_eq!(req.id, id);
+        assert!(c.check_parked_retries().is_ok());
+    }
+
+    #[test]
     fn corruption_skips_degraded_slots() {
         let mut c = ctx();
         c.fail_disk(0).expect("first failure injects");

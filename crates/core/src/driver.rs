@@ -14,7 +14,7 @@ use crate::config::SimConfig;
 use crate::ctx::{IoFate, RunObservations, ShockEffect, SimCtx, WakeKind};
 use crate::policy::Policy;
 use crate::report::SimReport;
-use rolo_disk::{DiskEnergyReport, DiskId, DiskRequest, DiskWake, IoOutcome};
+use rolo_disk::{DiskEnergyReport, DiskId, DiskWake, IoOutcome};
 use rolo_metrics::Phase;
 use rolo_obs::{NullSink, RunProfile, SimEvent, TraceSink};
 use rolo_sim::{CalendarQueue, Duration, SimTime};
@@ -25,7 +25,7 @@ use std::time::Instant;
 /// when a disk dies mid-flight its queued wakes must not be delivered to
 /// the hot spare that reuses its slot, so delivery drops any event whose
 /// epoch is stale.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum Event {
     Arrival,
     DiskIo(DiskId, u32),
@@ -35,9 +35,9 @@ enum Event {
     Timer(u64),
     PowerSample,
     DiskFail(DiskId),
-    /// Boxed: only injected transient faults retry, and an inline
-    /// request would make every queued event 16 bytes larger.
-    IoRetry(DiskId, u32, Box<DiskRequest>),
+    /// A timed-out request's backoff elapsed; the fault engine holds the
+    /// request under this I/O id.
+    IoRetry(DiskId, u32, u64),
     /// A pre-sampled latent-sector-error candidate on a disk; the context
     /// thins it by the disk's current power state.
     LseCandidate(DiskId),
@@ -52,6 +52,7 @@ enum Event {
 
 // The calendar queue moves every event at least twice; keep the queued
 // entry (time, seq, payload) within 40 bytes.
+const _: () = assert!(size_of::<Event>() <= 24);
 const _: () = assert!(size_of::<rolo_sim::ScheduledEvent<Event>>() <= 40);
 
 /// Snapshot captured at the `TraceEnd` marker.
@@ -235,8 +236,8 @@ pub fn run_trace_observed<P: Policy>(
                         IoFate::Policy(req, outcome) => {
                             policy.on_io_error(&mut ctx, d, req, outcome)
                         }
-                        IoFate::Retry(req, backoff) => {
-                            let retry = Event::IoRetry(d, ctx.epoch(d), Box::new(req));
+                        IoFate::Retry(id, backoff) => {
+                            let retry = Event::IoRetry(d, ctx.epoch(d), id);
                             queue.schedule(ctx.now + backoff, retry);
                         }
                     }
@@ -271,14 +272,12 @@ pub fn run_trace_observed<P: Policy>(
                     }
                 }
             }
-            Event::IoRetry(d, ep, req) => {
-                if ctx.epoch_live(d, ep) {
-                    ctx.submit_with_id(d, req.id, req.kind, req.offset, req.bytes, req.priority);
-                } else {
+            Event::IoRetry(d, ep, id) => {
+                if let Some(req) = ctx.retry_parked(d, ep, id) {
                     // The disk died while the retry waited out its
                     // backoff; hand the request to the error path so its
                     // accounting still closes.
-                    policy.on_io_error(&mut ctx, d, *req, IoOutcome::DiskDead);
+                    policy.on_io_error(&mut ctx, d, req, IoOutcome::DiskDead);
                 }
             }
             Event::Timer(token) => {
@@ -372,7 +371,9 @@ pub fn run_trace_observed<P: Policy>(
         .energy_by_disk
         .iter()
         .fold(DiskEnergyReport::default(), |acc, r| acc.merged(r));
-    let consistency = policy.check_consistency(&ctx);
+    let consistency = policy
+        .check_consistency(&ctx)
+        .and_then(|()| ctx.check_parked_retries());
     let report = SimReport {
         scheme: policy.name().to_owned(),
         trace_duration: duration,

@@ -19,8 +19,13 @@
 //!
 //! The recorder is a threshold + bounded insertion structure: once a
 //! window holds k exemplars, a completing span is compared against the
-//! current floor (the k-th slowest) and rejected without cloning
-//! unless it ranks before it.
+//! current floor (the k-th slowest) and rejected on that one comparison
+//! unless it ranks before it. A captured span is written over a slot the
+//! recorder already owns, with its buffers kept: the floor it displaces,
+//! or an entry of a window evicted past the retention bound. The
+//! recorder builds at most `(retain + 1)·k` slots over a run, and a slot
+//! allocates again only when a span has more legs than any span the slot
+//! held before.
 
 use crate::span::{PathAttribution, RequestSpan, NUM_PHASES};
 use rolo_disk::{DiskId, PowerState};
@@ -141,7 +146,8 @@ pub fn slowest_spans(spans: &[RequestSpan], k: usize) -> Vec<&RequestSpan> {
 /// time, so a window seals as soon as a later one is observed (or on
 /// [`ExemplarRecorder::advance`], which the context calls alongside
 /// `Telemetry::advance`). At most `retain` sealed windows are kept,
-/// oldest evicted first — memory is bounded by `retain · k` spans.
+/// oldest evicted first — memory is bounded by `(retain + 1) · k`
+/// spans, counting the evicted entries kept as spare slots.
 #[derive(Debug)]
 pub struct ExemplarRecorder {
     k: usize,
@@ -150,6 +156,8 @@ pub struct ExemplarRecorder {
     current_window: u64,
     /// The open window's selection, ordered by [`ranks_before`].
     current: Vec<ExemplarSpan>,
+    /// Entries of evicted windows, overwritten by later captures.
+    spare: Vec<ExemplarSpan>,
     sealed: VecDeque<WindowExemplars>,
     considered: u64,
     captured: u64,
@@ -172,6 +180,7 @@ impl ExemplarRecorder {
             retain: retain.max(1),
             current_window: 0,
             current: Vec::new(),
+            spare: Vec::new(),
             sealed: VecDeque::new(),
             considered: 0,
             captured: 0,
@@ -203,21 +212,34 @@ impl ExemplarRecorder {
         self.roll_to(window);
         self.considered += 1;
         let (resp, rid) = (path.total_us, span.id);
-        if self.current.len() == self.k {
-            // Threshold fast path: reject without cloning unless the
-            // span outranks the current floor.
+        let slot = if self.current.len() == self.k {
+            // Threshold fast path: reject on one comparison unless the
+            // span outranks the current floor, whose slot it then takes.
             let floor = self.current.last().expect("k > 0");
             if !ranks_before(resp, rid, floor.response_us, floor.rid) {
                 return;
             }
-        }
-        let mut disks: Vec<DiskId> = span.legs.iter().map(|l| l.disk).collect();
-        disks.sort_unstable();
-        disks.dedup();
-        let disk_states = disks
-            .into_iter()
-            .filter_map(|d| power.get(d).map(|&s| (d, s)))
-            .collect();
+            self.current.pop()
+        } else {
+            self.spare.pop()
+        };
+        // Overwrite the slot's buffers; only a cold recorder has no slot.
+        let (mut legs, mut disk_states) = match slot {
+            Some(old) => (old.span.legs, old.disk_states),
+            None => (
+                Vec::with_capacity(span.legs.len()),
+                Vec::with_capacity(span.legs.len()),
+            ),
+        };
+        legs.clone_from(&span.legs);
+        disk_states.clear();
+        disk_states.extend(
+            span.legs
+                .iter()
+                .filter_map(|l| power.get(l.disk).map(|&s| (l.disk, s))),
+        );
+        disk_states.sort_unstable_by_key(|&(d, _)| d);
+        disk_states.dedup_by_key(|&mut (d, _)| d);
         let ex = ExemplarSpan {
             rid,
             kind: span.kind,
@@ -226,7 +248,13 @@ impl ExemplarRecorder {
             response_us: resp,
             phase_us: path.phase_us,
             unattributed_us: path.unattributed_us,
-            span: span.clone(),
+            span: RequestSpan {
+                id: rid,
+                kind: span.kind,
+                begin: span.begin,
+                end: span.end,
+                legs,
+            },
             disk_states,
         };
         let at_idx = self
@@ -235,7 +263,6 @@ impl ExemplarRecorder {
             .position(|t| ranks_before(resp, rid, t.response_us, t.rid))
             .unwrap_or(self.current.len());
         self.current.insert(at_idx, ex);
-        self.current.truncate(self.k);
         self.captured += 1;
     }
 
@@ -247,37 +274,38 @@ impl ExemplarRecorder {
     }
 
     fn roll_to(&mut self, window: u64) {
-        if window <= self.current_window {
+        if window > self.current_window {
+            self.seal();
+            self.current_window = window;
+        }
+    }
+
+    /// Seals the open window if it captured anything. Past `retain`
+    /// sealed windows the oldest is evicted: its entries become spare
+    /// slots and its vector holds the next window's selection.
+    fn seal(&mut self) {
+        if self.current.is_empty() {
             return;
         }
-        if !self.current.is_empty() {
-            self.sealed.push_back(WindowExemplars {
-                window: self.current_window,
-                spans: std::mem::take(&mut self.current),
-            });
-            while self.sealed.len() > self.retain {
-                self.sealed.pop_front();
-            }
+        let mut next = Vec::new();
+        if self.sealed.len() == self.retain {
+            next = self.sealed.pop_front().expect("retain > 0").spans;
+            self.spare.append(&mut next);
         }
-        self.current_window = window;
+        self.sealed.push_back(WindowExemplars {
+            window: self.current_window,
+            spans: std::mem::replace(&mut self.current, next),
+        });
     }
 
     /// Consumes the recorder, sealing the open window and returning
     /// every retained window in ascending order.
     pub fn finish(mut self) -> ExemplarSet {
-        if !self.current.is_empty() {
-            self.sealed.push_back(WindowExemplars {
-                window: self.current_window,
-                spans: std::mem::take(&mut self.current),
-            });
-            while self.sealed.len() > self.retain {
-                self.sealed.pop_front();
-            }
-        }
+        self.seal();
         ExemplarSet {
             window_us: self.window_us,
             per_window: self.k,
-            windows: self.sealed.into_iter().collect(),
+            windows: self.sealed.into(),
         }
     }
 }

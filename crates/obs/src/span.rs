@@ -154,26 +154,24 @@ pub struct PhaseSlice {
 }
 
 /// A leg's phase slices, stored inline: at most [`MAX_LEG_SLICES`],
-/// so a leg needs no allocation of its own. Derefs to `[PhaseSlice]`
-/// and serializes as that JSON array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// so a leg needs no allocation of its own. Phases and durations sit in
+/// two arrays, 56 bytes in all, where `[PhaseSlice; 6]` would pad each
+/// 9-byte slice to 16. [`LegSlices::iter`] yields the slices by value;
+/// the type serializes as a `[PhaseSlice]` JSON array.
+#[derive(Clone, Copy)]
 pub struct LegSlices {
     len: u8,
-    /// Slots from `len` on keep the value [`LegSlices::new`] put there,
-    /// so the derived equality compares the slices alone.
-    buf: [PhaseSlice; MAX_LEG_SLICES],
+    phases: [Phase; MAX_LEG_SLICES],
+    durations: [Duration; MAX_LEG_SLICES],
 }
 
 impl LegSlices {
     /// No slices.
     pub const fn new() -> Self {
-        const UNUSED: PhaseSlice = PhaseSlice {
-            phase: Phase::QueueWait,
-            duration: Duration::ZERO,
-        };
         LegSlices {
             len: 0,
-            buf: [UNUSED; MAX_LEG_SLICES],
+            phases: [Phase::QueueWait; MAX_LEG_SLICES],
+            durations: [Duration::ZERO; MAX_LEG_SLICES],
         }
     }
 
@@ -188,8 +186,18 @@ impl LegSlices {
             len < MAX_LEG_SLICES,
             "a leg holds at most {MAX_LEG_SLICES} slices"
         );
-        self.buf[len] = slice;
+        self.phases[len] = slice.phase;
+        self.durations[len] = slice.duration;
         self.len += 1;
+    }
+
+    /// The slices in push order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = PhaseSlice> + '_ {
+        let len = usize::from(self.len);
+        self.phases[..len]
+            .iter()
+            .zip(&self.durations[..len])
+            .map(|(&phase, &duration)| PhaseSlice { phase, duration })
     }
 }
 
@@ -199,11 +207,19 @@ impl Default for LegSlices {
     }
 }
 
-impl std::ops::Deref for LegSlices {
-    type Target = [PhaseSlice];
+/// Compares the pushed slices only; slots past the length are ignored.
+impl PartialEq for LegSlices {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
 
-    fn deref(&self) -> &[PhaseSlice] {
-        &self.buf[..usize::from(self.len)]
+impl Eq for LegSlices {}
+
+/// Prints the pushed slices only, so equal values print alike.
+impl std::fmt::Debug for LegSlices {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -219,7 +235,7 @@ impl FromIterator<PhaseSlice> for LegSlices {
 
 impl Serialize for LegSlices {
     fn to_value(&self) -> Value {
-        (**self).to_value()
+        Value::Array(self.iter().map(|s| s.to_value()).collect())
     }
 }
 
@@ -242,6 +258,9 @@ pub struct SpanLeg {
     /// Id of the [`BgSpan`] whose transfer delayed this leg, if any.
     pub delayed_by: Option<u64>,
 }
+
+// Every retained span holds its legs; keep a leg within 112 bytes.
+const _: () = assert!(size_of::<SpanLeg>() <= 112);
 
 impl SpanLeg {
     /// Sum of the slice durations (equals `end − submit`).
@@ -1017,6 +1036,50 @@ mod tests {
             serde_json::to_string(&inline).unwrap(),
             serde_json::to_string(&slices.to_vec()).unwrap()
         );
+    }
+
+    fn slice(phase: Phase, us: u64) -> PhaseSlice {
+        PhaseSlice {
+            phase,
+            duration: Duration::from_micros(us),
+        }
+    }
+
+    #[test]
+    fn inline_slices_iterate_in_push_order() {
+        let pushed = [
+            slice(Phase::SpinUpStall, 9),
+            slice(Phase::QueueWait, 4),
+            slice(Phase::Seek, 3),
+            slice(Phase::Rotation, 2),
+            slice(Phase::MirrorCopy, 7),
+            slice(Phase::DestageInterference, 1),
+        ];
+        let mut inline = LegSlices::new();
+        assert_eq!(inline.iter().len(), 0);
+        for (n, &s) in pushed.iter().enumerate() {
+            inline.push(s);
+            assert_eq!(inline.iter().len(), n + 1);
+            assert_eq!(inline.iter().collect::<Vec<_>>(), pushed[..=n]);
+        }
+    }
+
+    #[test]
+    fn inline_slice_equality_ignores_unused_slots() {
+        let a: LegSlices = [slice(Phase::Seek, 3), slice(Phase::Transfer, 7)]
+            .into_iter()
+            .collect();
+        let mut b = a;
+        b.phases[4] = Phase::Compaction;
+        b.durations[5] = Duration::from_micros(99);
+        assert_eq!(a, b);
+        let mut longer = a;
+        longer.push(slice(Phase::QueueWait, 0));
+        assert_ne!(a, longer);
+        let mut other = LegSlices::new();
+        other.push(slice(Phase::Seek, 3));
+        other.push(slice(Phase::Transfer, 8));
+        assert_ne!(a, other);
     }
 
     #[test]
