@@ -1,7 +1,6 @@
-//! The command line of the `inspect` tool: one scheme-slug table, one
-//! run-spec parser shared by every subcommand, and each subcommand's
-//! flags and defaults. `simulate` reads the same slug table; `smoke`
-//! parses its positional arguments with the same checks and errors.
+//! The command lines of the `inspect` and `paper` tools: one
+//! scheme-slug table, one parser for both tools' subcommands, and each
+//! subcommand's flags and defaults.
 //!
 //! A run spec is the positional `[scheme] [trace] [hours]` plus
 //! `--seed`/`--pairs`. Each subcommand keeps the defaults of the tool it
@@ -9,6 +8,8 @@
 //! with a typed [`ArgError`] instead of panicking or silently falling
 //! back to a default.
 
+use crate::paper::{log_recovery::CRASH_SECS, STUDIES};
+use crate::WEEK;
 use rolo_core::{run_scheme_observed, RunObservations, Scheme, SimConfig, SimReport};
 use rolo_obs::TraceSink;
 use rolo_sim::Duration;
@@ -25,7 +26,7 @@ const SCHEME_SLUGS: [(&str, Scheme); 5] = [
 ];
 
 /// The scheme a command-line slug names.
-pub fn scheme_from_slug(slug: &str) -> Option<Scheme> {
+fn scheme_from_slug(slug: &str) -> Option<Scheme> {
     SCHEME_SLUGS
         .iter()
         .find(|(s, _)| *s == slug)
@@ -37,7 +38,7 @@ pub fn scheme_from_slug(slug: &str) -> Option<Scheme> {
 /// # Errors
 ///
 /// [`ArgError::Value`] if `arg` is no scheme's slug.
-pub fn scheme_arg(arg: &str) -> Result<Scheme, ArgError> {
+fn scheme_arg(arg: &str) -> Result<Scheme, ArgError> {
     scheme_from_slug(arg)
         .ok_or_else(|| bad("scheme", arg, "raid10, graid, rolo-p, rolo-r or rolo-e"))
 }
@@ -47,7 +48,7 @@ pub fn scheme_arg(arg: &str) -> Result<Scheme, ArgError> {
 /// # Errors
 ///
 /// [`ArgError::Value`] if [`profiles::by_name`] knows no such profile.
-pub fn trace_arg(arg: &str) -> Result<TraceProfile, ArgError> {
+fn trace_arg(arg: &str) -> Result<TraceProfile, ArgError> {
     profiles::by_name(arg).ok_or_else(|| bad("trace", arg, "a Table III profile"))
 }
 
@@ -78,8 +79,36 @@ trace:  a Table III profile (src2_2, proj_0, mds_0, wdev_0, web_1, rsrch_2, hm_1
 hours:  simulated window, finite and > 0
 ";
 
-/// A malformed `inspect` command line, by what is wrong with it; the
-/// message names the argument. The tool prints it and exits 2.
+/// `paper --help`.
+pub const PAPER_USAGE: &str = "\
+usage: paper <subcommand> [args]
+
+  <study> [--week-secs S]  one of the 20 studies behind the paper's tables
+                           and figures, in DESIGN.md §4's order: fig2 fig3
+                           table1 fig9 fig10 fig11 fig12 fig13
+                           stripe_sensitivity disksize_sensitivity
+                           recovery_study ablation parity_study
+                           related_work_study idle_slots diskmodel_study
+                           seed_variance threshold_sensitivity fig14
+                           table_traces
+  all [--week-secs S]      every study, in that order
+  fault_study
+  scrub_study  [--seeds N] [--check]
+  log_recovery [--pairs N] [--secs S] [--iops R]
+  export_csv   [results_dir] [out_dir]
+  run          [scheme] [trace] [hours] [--seed S] [--pairs N]
+               [--msr FILE] [--stripe-kib K] [--free-gib G] [--json PATH]
+
+A study writes its rows to $ROLO_RESULTS_DIR/<study>.json (default
+results/). --week-secs: the trace-driven studies' replay window,
+default 604800 (a week).
+scheme: raid10 | graid | rolo-p | rolo-r | rolo-e
+trace:  a Table III profile (src2_2, proj_0, mds_0, wdev_0, web_1, rsrch_2, hm_1)
+hours:  simulated window, finite and > 0
+";
+
+/// A malformed command line, by what is wrong with it; the message
+/// names the argument. The tool prints it and exits 2.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ArgError {
     /// The subcommand is missing or unknown.
@@ -119,6 +148,25 @@ pub enum Command {
     Spans,
 }
 
+/// A `paper` subcommand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Paper {
+    /// The study `STUDIES[i]` of [`crate::paper::STUDIES`].
+    Study(usize),
+    /// Every study, in [`crate::paper::STUDIES`] order.
+    All,
+    /// Degraded mode under disk failures, MTTDL cross-validation.
+    FaultStudy,
+    /// Latent errors against the power-aware scrub.
+    ScrubStudy,
+    /// Crash-consistency replay matrix.
+    LogRecovery,
+    /// `results/*.json` as CSV.
+    ExportCsv,
+    /// One scheme over one trace, with the full report.
+    Run,
+}
+
 /// What one positional argument of a subcommand sets.
 #[derive(Debug, Clone, Copy)]
 enum Slot {
@@ -128,17 +176,27 @@ enum Slot {
     File,
 }
 
-impl Command {
+/// The grammar of one tool's subcommands, which [`parse`] and
+/// [`parse_paper`] read through.
+trait Subcommand: Copy + Sized {
     /// Every subcommand, in usage order.
-    const ALL: [Command; 5] = [
-        Command::Dump,
-        Command::Export,
-        Command::Diff,
-        Command::Rca,
-        Command::Spans,
-    ];
-
+    fn every() -> Vec<Self>;
     /// The name the command line spells.
+    fn name(self) -> &'static str;
+    /// Every flag the subcommand takes.
+    fn flags(self) -> &'static [&'static str];
+    /// What each positional argument sets, in order.
+    fn positionals(self) -> &'static [Slot];
+    /// The run the subcommand replays when no argument overrides it.
+    fn default_spec(self) -> RunSpec;
+}
+
+impl Subcommand for Command {
+    fn every() -> Vec<Self> {
+        use Command::{Diff, Dump, Export, Rca, Spans};
+        vec![Dump, Export, Diff, Rca, Spans]
+    }
+
     fn name(self) -> &'static str {
         match self {
             Command::Dump => "dump",
@@ -149,7 +207,6 @@ impl Command {
         }
     }
 
-    /// Every flag the subcommand takes.
     fn flags(self) -> &'static [&'static str] {
         match self {
             Command::Dump => &["--seed", "--pairs", "--out", "--check", "--scrub", "--slo"],
@@ -177,7 +234,6 @@ impl Command {
         }
     }
 
-    /// The run the subcommand replays when no argument overrides it.
     /// `rca` defaults to the locked telemetry acceptance run; `spans`
     /// replays every scheme, each at its paper-default seed.
     fn default_spec(self) -> RunSpec {
@@ -209,6 +265,75 @@ impl Command {
     }
 }
 
+impl Subcommand for Paper {
+    fn every() -> Vec<Self> {
+        let fixed = [
+            Paper::All,
+            Paper::FaultStudy,
+            Paper::ScrubStudy,
+            Paper::LogRecovery,
+            Paper::ExportCsv,
+            Paper::Run,
+        ];
+        (0..STUDIES.len()).map(Paper::Study).chain(fixed).collect()
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Paper::Study(i) => STUDIES[i].0,
+            Paper::All => "all",
+            Paper::FaultStudy => "fault_study",
+            Paper::ScrubStudy => "scrub_study",
+            Paper::LogRecovery => "log_recovery",
+            Paper::ExportCsv => "export_csv",
+            Paper::Run => "run",
+        }
+    }
+
+    /// `--week-secs` sets the trace-driven studies' replay window.
+    fn flags(self) -> &'static [&'static str] {
+        match self {
+            Paper::Study(_) | Paper::All => &["--week-secs"],
+            Paper::FaultStudy | Paper::ExportCsv => &[],
+            Paper::ScrubStudy => &["--seeds", "--check"],
+            Paper::LogRecovery => &["--pairs", "--secs", "--iops"],
+            Paper::Run => &[
+                "--seed",
+                "--pairs",
+                "--msr",
+                "--stripe-kib",
+                "--free-gib",
+                "--json",
+            ],
+        }
+    }
+
+    fn positionals(self) -> &'static [Slot] {
+        match self {
+            Paper::Run => &[Slot::Scheme, Slot::Trace, Slot::Hours],
+            Paper::ExportCsv => &[Slot::File, Slot::File],
+            _ => &[],
+        }
+    }
+
+    /// `run` replays RoLo-P over src2_2 for 24 h on 20 pairs, seed 1;
+    /// `log_recovery` takes only its pair count, 4, from the spec.
+    fn default_spec(self) -> RunSpec {
+        let run = RunSpec {
+            scheme: Scheme::RoloP,
+            trace: "src2_2".to_owned(),
+            hours: 24.0,
+            seed: 1,
+            pairs: 20,
+            trace_seed: None,
+        };
+        match self {
+            Paper::LogRecovery => RunSpec { pairs: 4, ..run },
+            _ => run,
+        }
+    }
+}
+
 /// One replay a subcommand observes: a scheme over a Table III trace
 /// profile for a simulated window, and its seeds.
 #[derive(Debug, Clone, PartialEq)]
@@ -234,9 +359,9 @@ impl RunSpec {
         format!("{}_{}", scheme_slug(self.scheme), self.trace)
     }
 
-    /// The simulated window, truncated to whole seconds.
+    /// The simulated window, to the nearest microsecond.
     pub fn duration(&self) -> Duration {
-        Duration::from_secs((self.hours * 3600.0) as u64)
+        Duration::from_secs_f64(self.hours * 3600.0)
     }
 
     /// The named trace profile.
@@ -275,14 +400,16 @@ impl RunSpec {
     }
 }
 
-/// A parsed `inspect` command line.
+/// A parsed command line of `inspect` (`C` = [`Command`]) or `paper`
+/// (`C` = [`Paper`]).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Invocation {
+pub struct Invocation<C = Command> {
     /// The subcommand.
-    pub command: Command,
-    /// The replay to observe (`diff` replays nothing).
+    pub command: C,
+    /// The replay to observe or run (`diff` replays nothing).
     pub spec: RunSpec,
-    /// `diff`: the two export documents, A then B.
+    /// `diff`: the two export documents, A then B. `export_csv`: the
+    /// results and output directories.
     pub files: Vec<String>,
     /// `dump --out`: the JSONL path.
     pub out: Option<String>,
@@ -295,7 +422,7 @@ pub struct Invocation {
     /// `rca --expect-dominant`: the first breach window's required
     /// dominant phase.
     pub expect_dominant: Option<String>,
-    /// `--check` of `dump`, `diff` and `rca`.
+    /// `--check` of `dump`, `diff`, `rca` and `scrub_study`.
     pub check: bool,
     /// `dump --scrub`.
     pub scrub: bool,
@@ -303,6 +430,22 @@ pub struct Invocation {
     pub slo: bool,
     /// `rca --expect-clean`.
     pub expect_clean: bool,
+    /// `--week-secs` of the studies: the trace replay window.
+    pub window: Duration,
+    /// `scrub_study --seeds`: seeds per (flavor × scrub) cell.
+    pub seeds: u64,
+    /// `log_recovery --secs`: the crash window in seconds.
+    pub secs: u64,
+    /// `log_recovery --iops`: the write load.
+    pub iops: f64,
+    /// `run --msr`: an MSR trace to replay instead of the profile.
+    pub msr: Option<String>,
+    /// `run --stripe-kib`: the stripe unit in KiB.
+    pub stripe_kib: u64,
+    /// `run --free-gib`: the free (logger) space per disk in GiB.
+    pub free_gib: f64,
+    /// `run --json`: where to write the report as JSON.
+    pub json: Option<String>,
 }
 
 /// Parses `inspect`'s arguments, program name excluded.
@@ -314,11 +457,33 @@ pub struct Invocation {
 /// unknown scheme or trace, non-positive hours or pairs, or the wrong
 /// number of positional arguments.
 pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Invocation, ArgError> {
+    let inv = parse_as::<Command, S>(args)?;
+    if inv.command == Command::Diff && inv.files.len() != 2 {
+        let need = "diff needs two export files: <a.json> <b.json>";
+        return Err(ArgError::Positional(need.to_owned()));
+    }
+    Ok(inv)
+}
+
+/// Parses `paper`'s arguments, program name excluded.
+///
+/// # Errors
+///
+/// Returns an [`ArgError`] for a missing or unknown subcommand, a flag
+/// the subcommand does not take, a missing or malformed value, an
+/// unknown scheme or trace, a non-positive window, count or rate, a
+/// `log_recovery` window that ends before its last crash, or a
+/// positional argument too many.
+pub fn parse_paper<S: AsRef<str>>(args: &[S]) -> Result<Invocation<Paper>, ArgError> {
+    parse_as(args)
+}
+
+fn parse_as<C: Subcommand, S: AsRef<str>>(args: &[S]) -> Result<Invocation<C>, ArgError> {
     let mut args = args.iter().map(AsRef::as_ref);
     let name = args
         .next()
         .ok_or_else(|| ArgError::Command("missing subcommand".to_owned()))?;
-    let command = Command::ALL
+    let command = C::every()
         .into_iter()
         .find(|c| c.name() == name)
         .ok_or_else(|| ArgError::Command(format!("unknown subcommand `{name}`")))?;
@@ -335,6 +500,14 @@ pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Invocation, ArgError> {
         scrub: false,
         slo: false,
         expect_clean: false,
+        window: WEEK,
+        seeds: 167,
+        secs: 400,
+        iops: 40.0,
+        msr: None,
+        stripe_kib: 64,
+        free_gib: 8.0,
+        json: None,
     };
     let mut slots = command.positionals().iter();
     while let Some(arg) = args.next() {
@@ -342,7 +515,7 @@ pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Invocation, ArgError> {
             match slots.next() {
                 Some(Slot::Scheme) => inv.spec.scheme = scheme_arg(arg)?,
                 Some(Slot::Trace) => inv.spec.trace = trace_arg(arg)?.name.to_owned(),
-                Some(Slot::Hours) => inv.spec.hours = hours(arg)?,
+                Some(Slot::Hours) => inv.spec.hours = real("hours", arg)?,
                 Some(Slot::File) => inv.files.push(arg.to_owned()),
                 None => return Err(ArgError::Positional(format!("unexpected argument `{arg}`"))),
             }
@@ -357,12 +530,7 @@ pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Invocation, ArgError> {
         match flag {
             "--seed" => inv.spec.seed = number(flag, value()?)?,
             "--trace-seed" => inv.spec.trace_seed = Some(number(flag, value()?)?),
-            "--pairs" => {
-                inv.spec.pairs = number(flag, value()?)?;
-                if inv.spec.pairs == 0 {
-                    return Err(bad(flag, "0", "a positive integer"));
-                }
-            }
+            "--pairs" => inv.spec.pairs = positive(flag, value()?)?,
             "--top" => inv.top = number(flag, value()?)?,
             "--out" => inv.out = Some(value()?.to_owned()),
             "--tag" => inv.tag = Some(value()?.to_owned()),
@@ -372,12 +540,29 @@ pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Invocation, ArgError> {
             "--scrub" => inv.scrub = true,
             "--slo" => inv.slo = true,
             "--expect-clean" => inv.expect_clean = true,
+            "--week-secs" => {
+                let v = value()?;
+                let micros = positive::<u64>(flag, v)?.checked_mul(1_000_000);
+                let micros = micros.ok_or_else(|| bad(flag, v, "a window the clock can hold"))?;
+                inv.window = Duration::from_micros(micros);
+            }
+            "--seeds" => inv.seeds = positive(flag, value()?)?,
+            "--secs" => {
+                let v = value()?;
+                inv.secs = number(flag, v)?;
+                let last = CRASH_SECS[CRASH_SECS.len() - 1];
+                if inv.secs <= last {
+                    let past = format!("a window past the last crash instant ({last} s)");
+                    return Err(bad(flag, v, &past));
+                }
+            }
+            "--iops" => inv.iops = real(flag, value()?)?,
+            "--msr" => inv.msr = Some(value()?.to_owned()),
+            "--stripe-kib" => inv.stripe_kib = positive(flag, value()?)?,
+            "--free-gib" => inv.free_gib = real(flag, value()?)?,
+            "--json" => inv.json = Some(value()?.to_owned()),
             _ => unreachable!("{flag} is listed but not handled"),
         }
-    }
-    if command == Command::Diff && inv.files.len() != 2 {
-        let need = "diff needs two export files: <a.json> <b.json>";
-        return Err(ArgError::Positional(need.to_owned()));
     }
     Ok(inv)
 }
@@ -391,16 +576,29 @@ fn bad(what: &str, value: &str, expected: &str) -> ArgError {
 /// # Errors
 ///
 /// [`ArgError::Value`] if `value` does not parse as a `T`.
-pub fn number<T: std::str::FromStr>(what: &str, value: &str) -> Result<T, ArgError> {
+fn number<T: std::str::FromStr>(what: &str, value: &str) -> Result<T, ArgError> {
     value
         .parse()
         .map_err(|_| bad(what, value, "an unsigned integer"))
 }
 
-fn hours(value: &str) -> Result<f64, ArgError> {
+/// `value` parsed as a non-zero unsigned integer, or an error naming
+/// `what`.
+fn positive<T: std::str::FromStr + Default + PartialEq>(
+    what: &str,
+    value: &str,
+) -> Result<T, ArgError> {
+    match value.parse::<T>() {
+        Ok(n) if n != T::default() => Ok(n),
+        _ => Err(bad(what, value, "a positive integer")),
+    }
+}
+
+/// `value` parsed as a finite number > 0, or an error naming `what`.
+fn real(what: &str, value: &str) -> Result<f64, ArgError> {
     match value.parse::<f64>() {
-        Ok(h) if h.is_finite() && h > 0.0 => Ok(h),
-        _ => Err(bad("hours", value, "a finite number > 0")),
+        Ok(x) if x.is_finite() && x > 0.0 => Ok(x),
+        _ => Err(bad(what, value, "a finite number > 0")),
     }
 }
 
@@ -500,6 +698,88 @@ mod tests {
         }
     }
 
+    fn paper_line(line: &str) -> Result<Invocation<Paper>, ArgError> {
+        parse_paper(&line.split_whitespace().collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn paper_keeps_the_retired_binaries_defaults() {
+        let run = paper_line("run").unwrap();
+        assert_eq!(
+            fields(&run.spec),
+            (Scheme::RoloP, "src2_2", 24.0, 1, 20, None)
+        );
+        assert_eq!((run.stripe_kib, run.free_gib), (64, 8.0));
+        assert!(run.msr.is_none() && run.json.is_none());
+        let crash = paper_line("log_recovery").unwrap();
+        assert_eq!((crash.spec.pairs, crash.secs, crash.iops), (4, 400, 40.0));
+        let scrub = paper_line("scrub_study").unwrap();
+        assert_eq!((scrub.seeds, scrub.check), (167, false));
+        assert_eq!(paper_line("fig10").unwrap().window, WEEK);
+        let csv = paper_line("export_csv").unwrap();
+        assert!(csv.files.is_empty());
+    }
+
+    #[test]
+    fn paper_flags_and_positionals_land_in_the_invocation() {
+        let r = paper_line(
+            "run rolo-e hm_1 2 --pairs 10 --seed 7 --msr t.csv --stripe-kib 32 \
+             --free-gib 4.5 --json r.json",
+        )
+        .unwrap();
+        assert_eq!(fields(&r.spec), (Scheme::RoloE, "hm_1", 2.0, 7, 10, None));
+        assert_eq!((r.stripe_kib, r.free_gib), (32, 4.5));
+        assert_eq!(
+            (r.msr.as_deref(), r.json.as_deref()),
+            (Some("t.csv"), Some("r.json"))
+        );
+        let w = paper_line("all --week-secs 3600").unwrap();
+        assert_eq!(
+            (w.command, w.window),
+            (Paper::All, Duration::from_secs(3600))
+        );
+        let f = paper_line("fig10 --week-secs 86400").unwrap();
+        assert_eq!(f.command.name(), "fig10");
+        let lr = paper_line("log_recovery --pairs 2 --secs 241 --iops 12.5").unwrap();
+        assert_eq!((lr.spec.pairs, lr.secs, lr.iops), (2, 241, 12.5));
+        let s = paper_line("scrub_study --seeds 24 --check").unwrap();
+        assert_eq!((s.seeds, s.check), (24, true));
+        let csv = paper_line("export_csv in out").unwrap();
+        assert_eq!(csv.files, ["in", "out"]);
+    }
+
+    #[test]
+    fn malformed_paper_lines_are_errors_not_panics() {
+        for case in [
+            "run rolo-p src2_2 1 --stripe-kib 0 => --stripe-kib: `0` is not a positive integer",
+            "run --free-gib -1 => --free-gib: `-1` is not a finite number > 0",
+            "run --scheme rolo-e => `run` takes no flag --scheme",
+            "fig10 --week-secs 18446744073710 => \
+             --week-secs: `18446744073710` is not a window the clock can hold",
+            "fault_study --week-secs 60 => `fault_study` takes no flag --week-secs",
+            "export_csv a b c => unexpected argument `c`",
+            "smoke => unknown subcommand `smoke`",
+        ] {
+            let (line, message) = case.split_once(" => ").expect("`line => message`");
+            assert_eq!(paper_line(line).expect_err(line).to_string(), message);
+        }
+    }
+
+    #[test]
+    fn paper_usage_lists_every_subcommand_in_order() {
+        let names: Vec<&str> = Paper::every().into_iter().map(Paper::name).collect();
+        let words: Vec<&str> = PAPER_USAGE
+            .split_whitespace()
+            .filter(|w| names.contains(w))
+            .collect();
+        assert_eq!(words, names);
+        // One flag per study and `all`, and each retired binary's own:
+        // scrub_study 2, log_recovery 3, simulate's 6 beside its
+        // positional scheme, trace and hours.
+        let total: usize = Paper::every().iter().map(|c| c.flags().len()).sum();
+        assert_eq!(total, STUDIES.len() + 1 + 2 + 3 + 6);
+    }
+
     #[test]
     fn the_fixed_knobs_are_gone_and_nothing_was_added() {
         for line in [
@@ -513,7 +793,7 @@ mod tests {
         }
         // 6 dump + 4 export + 1 diff + 6 rca + 1 spans: the 22 flags of
         // the five retired tools minus those four.
-        let total: usize = Command::ALL.iter().map(|c| c.flags().len()).sum();
+        let total: usize = Command::every().iter().map(|c| c.flags().len()).sum();
         assert_eq!(total, 18);
     }
 }

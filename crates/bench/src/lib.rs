@@ -1,50 +1,49 @@
-//! Experiment harness shared by the figure/table binaries.
+//! Experiment harness: every table and figure of the paper as a
+//! library function, and the two binaries that drive them.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md §4 for the index). They all follow the same
-//! shape: build configs, run the simulator (in parallel across a sweep),
-//! print the same rows/series the paper reports, and write
+//! Each experiment in [`paper`] builds its configs, runs the simulator
+//! (in parallel across a sweep), prints the rows/series the paper
+//! reports and returns them; DESIGN.md §4 is the index. The `paper`
+//! binary runs one experiment per subcommand and writes its rows to
 //! `results/<name>.json` for EXPERIMENTS.md. The observability tools
-//! are one binary, `inspect`, whose command line lives in [`cli`].
+//! are the other binary, `inspect`; both parse their command lines in
+//! [`cli`].
 
 pub mod cli;
+pub mod paper;
 
 use rolo_core::{SimConfig, SimReport};
 use rolo_sim::Duration;
 use rolo_trace::{TraceProfile, TraceRecord};
 use serde::Serialize;
 use std::path::PathBuf;
+use std::sync::Mutex;
 
-/// Seconds in the simulated "week" used by trace-driven experiments.
-///
-/// The MSR traces cover one week; the profiles' long-run rates are
-/// calibrated per week, so experiments default to simulating the full
-/// window. Override with the `ROLO_WEEK_SECS` environment variable to
-/// trade fidelity for speed (e.g. CI smoke runs).
-pub fn week_secs() -> u64 {
-    std::env::var("ROLO_WEEK_SECS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(7 * 24 * 3600)
+/// The simulated "week" of the trace-driven experiments: the window
+/// the MSR traces cover and the profiles' long-run rates are
+/// calibrated per. It is their default replay window; `paper
+/// --week-secs` trades fidelity for speed.
+pub const WEEK: Duration = Duration::from_secs(7 * 24 * 3600);
+
+/// `window` as a fraction of [`WEEK`], to scale per-week volume
+/// expectations to a shorter run (Table I-style counts).
+pub fn week_scale(window: Duration) -> f64 {
+    window.as_secs_f64() / WEEK.as_secs_f64()
 }
 
-/// The simulated duration used by trace-driven experiments.
-pub fn week() -> Duration {
-    Duration::from_secs(week_secs())
+/// `window` in whole hours, as the studies' headings print it.
+pub fn whole_hours(window: Duration) -> u64 {
+    window.as_micros() / 3_600_000_000
 }
 
-/// Scales a profile's per-week volume expectations to the configured
-/// window (used when reporting Table I-style per-week counts from a
-/// shorter run).
-pub fn week_scale() -> f64 {
-    week_secs() as f64 / (7.0 * 24.0 * 3600.0)
-}
-
-/// Runs one scheme over a profile-generated trace for the configured
-/// week window.
-pub fn run_profile(cfg: &SimConfig, profile: &TraceProfile, seed: u64) -> SimReport {
-    let dur = week();
-    rolo_core::run_scheme(cfg, profile.generator(dur, seed), dur)
+/// Runs one scheme over a profile-generated trace for `window`.
+pub fn run_profile(
+    cfg: &SimConfig,
+    profile: &TraceProfile,
+    seed: u64,
+    window: Duration,
+) -> SimReport {
+    rolo_core::run_scheme(cfg, profile.generator(window, seed), window)
 }
 
 /// Runs one scheme over explicit records.
@@ -74,62 +73,56 @@ pub fn run_jobs(jobs: Vec<RunJob>) -> Vec<SimReport> {
     })
 }
 
-/// Runs a set of independent jobs in parallel with crossbeam scoped
-/// threads, preserving input order.
+/// Runs independent jobs on scoped threads, at most one per available
+/// core, and returns their results in input order. A job that panics
+/// panics the caller with its own payload, once every worker stops.
 pub fn parallel_map<T, R, F>(jobs: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let n = jobs.len();
-    let mut slots: Vec<parking_lot::Mutex<Option<R>>> = Vec::with_capacity(n);
-    slots.resize_with(n, || parking_lot::Mutex::new(None));
-    let jobs: Vec<parking_lot::Mutex<Option<T>>> = jobs
-        .into_iter()
-        .map(|j| parking_lot::Mutex::new(Some(j)))
-        .collect();
     let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .min(n.max(1));
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    crossbeam::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|_| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let job = jobs[i].lock().take().expect("job taken once");
-                let r = f(job);
-                *slots[i].lock() = Some(r);
-            });
+        .map_or(4, |p| p.get())
+        .min(jobs.len().max(1));
+    let queue = Mutex::new(jobs.into_iter().enumerate());
+    let worker = || {
+        let mut done = Vec::new();
+        loop {
+            // The lock is released before the job runs.
+            let next = queue.lock().expect("no job runs under the lock").next();
+            let Some((i, job)) = next else { return done };
+            done.push((i, f(job)));
         }
-    })
-    .expect("worker panicked");
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("job completed"))
-        .collect()
+    };
+    let mut done: Vec<(usize, R)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers).map(|_| s.spawn(worker)).collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Writes `value` to `results/<name>.json` (pretty-printed), creating
-/// the directory if needed. Prints the path on success.
-pub fn write_results<T: Serialize>(name: &str, value: &T) {
+/// the directory if needed, and prints the path. Returns whether the
+/// file was written; when it was not, prints why instead.
+pub fn write_results<T: Serialize>(name: &str, value: &T) -> bool {
     let dir = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
     let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => match std::fs::write(&path, json) {
-            Ok(()) => println!("\nresults written to {}", path.display()),
-            Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-        },
-        Err(e) => eprintln!("warning: cannot serialise results: {e}"),
+    let written = std::fs::create_dir_all(&dir).and_then(|()| {
+        std::fs::write(
+            &path,
+            serde_json::to_string_pretty(value).map_err(std::io::Error::other)?,
+        )
+    });
+    match &written {
+        Ok(()) => println!("\nresults written to {}", path.display()),
+        Err(e) => eprintln!("cannot write {}: {e}", path.display()),
     }
+    written.is_ok()
 }
 
 /// The results directory: `$ROLO_RESULTS_DIR` or `./results`.
@@ -177,9 +170,18 @@ mod tests {
     }
 
     #[test]
-    fn week_scale_default_is_one() {
-        if std::env::var("ROLO_WEEK_SECS").is_err() {
-            assert!((week_scale() - 1.0).abs() < 1e-12);
-        }
+    #[should_panic(expected = "job 7 failed")]
+    fn a_panicking_job_panics_the_caller() {
+        parallel_map((0..20).collect(), |x: i32| {
+            assert!(x != 7, "job {x} failed");
+            x
+        });
+    }
+
+    #[test]
+    fn week_scale_is_the_fraction_of_a_week() {
+        assert_eq!(week_scale(WEEK), 1.0);
+        assert_eq!(week_scale(Duration::from_secs(3600)), 1.0 / 168.0);
+        assert_eq!(whole_hours(Duration::from_secs(3600 * 24 + 3599)), 24);
     }
 }

@@ -1,33 +1,21 @@
-//! Drives the `log_recovery` binary with bad arguments: each exits 2
-//! with a message naming the argument, before any crash cell runs.
+//! Drives `paper log_recovery` with bad arguments: each exits 2 with a
+//! message naming the argument, before any crash cell runs.
 
-use std::process::Command;
+mod common;
 
 #[test]
 fn bad_arguments_exit_2_naming_the_argument() {
-    for (args, named) in [
-        (&["--pairs", "abc"][..], "--pairs: `abc`"),
-        (&["--pairs", "0"][..], "--pairs: `0`"),
-        (&["--secs", "1.5"][..], "--secs: `1.5`"),
-        (&["--secs", "100"][..], "--secs: `100`"),
-        (&["--secs", "240"][..], "--secs: `240`"),
-        (&["--iops", "-5"][..], "--iops: `-5`"),
-        (&["--iops", "0"][..], "--iops: `0`"),
-        (&["--iops", "inf"][..], "--iops: `inf`"),
-        (&["--iops", "NaN"][..], "--iops: `NaN`"),
-        (&["--pairs"][..], "--pairs: missing value"),
-        (&["--seed", "1"][..], "`--seed`"),
-    ] {
-        let out = Command::new(env!("CARGO_BIN_EXE_log_recovery"))
-            .args(args)
-            .output()
-            .expect("run log_recovery");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(
-            stderr.starts_with("log_recovery: ") && stderr.contains(named),
-            "{args:?}: {stderr}"
-        );
-        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
-    }
+    common::assert_malformed(&[
+        ("log_recovery --pairs abc", "--pairs: `abc`"),
+        ("log_recovery --pairs 0", "--pairs: `0`"),
+        ("log_recovery --secs 1.5", "--secs: `1.5`"),
+        ("log_recovery --secs 100", "--secs: `100`"),
+        ("log_recovery --secs 240", "--secs: `240`"),
+        ("log_recovery --iops -5", "--iops: `-5`"),
+        ("log_recovery --iops 0", "--iops: `0`"),
+        ("log_recovery --iops inf", "--iops: `inf`"),
+        ("log_recovery --iops NaN", "--iops: `NaN`"),
+        ("log_recovery --pairs", "missing value for --pairs"),
+        ("log_recovery --seed 1", "takes no flag --seed"),
+    ]);
 }

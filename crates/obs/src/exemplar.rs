@@ -160,7 +160,6 @@ pub struct ExemplarRecorder {
     spare: Vec<ExemplarSpan>,
     sealed: VecDeque<WindowExemplars>,
     considered: u64,
-    captured: u64,
 }
 
 impl ExemplarRecorder {
@@ -183,7 +182,6 @@ impl ExemplarRecorder {
             spare: Vec::new(),
             sealed: VecDeque::new(),
             considered: 0,
-            captured: 0,
         }
     }
 
@@ -263,7 +261,6 @@ impl ExemplarRecorder {
             .position(|t| ranks_before(resp, rid, t.response_us, t.rid))
             .unwrap_or(self.current.len());
         self.current.insert(at_idx, ex);
-        self.captured += 1;
     }
 
     /// Seals every window that ended at or before `now`, mirroring
