@@ -7,7 +7,7 @@ use rolo_core::logspace::LoggerSpace;
 use rolo_core::{dirty::DirtyMap, Scheme, SimConfig, SimCtx};
 use rolo_disk::{DiskParams, IoKind, PowerState, Priority, ServiceBreakdown, ServiceModel};
 use rolo_obs::{critical_path, ExemplarRecorder, LegFlavor, SpanCollector};
-use rolo_sim::{CalendarQueue, Duration, EventQueue, ExtentMap, SimRng, SimTime};
+use rolo_sim::{CalendarQueue, Duration, EventQueue, ExtentMap, IoSlot, SimRng, SimTime};
 use rolo_trace::{ReqKind, SyntheticConfig};
 
 fn bench_service_model(c: &mut Criterion) {
@@ -103,13 +103,8 @@ fn bench_dispatch(c: &mut Criterion) {
                 let mut wakes = Vec::new();
                 for i in 0..1000u64 {
                     let d = (i as usize) % disks;
-                    ctx.submit(
-                        d,
-                        IoKind::Write,
-                        (i % 512) * 4096,
-                        4096,
-                        Priority::Foreground,
-                    );
+                    let (off, tag) = ((i % 512) * 4096, IoSlot::DANGLING);
+                    ctx.submit(d, IoKind::Write, off, 4096, Priority::Foreground, tag);
                     ctx.drain_wakes_into(&mut wakes);
                     for (disk, wake) in wakes.drain(..) {
                         ctx.now = wake.due();

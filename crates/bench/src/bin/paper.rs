@@ -76,8 +76,7 @@ fn main() {
             let report = paper::run::run(&inv).unwrap_or_else(|e| fail(e));
             paper::run::print_report(&report);
             if let Some(path) = &inv.json {
-                let json = serde_json::to_string_pretty(&report).expect("serializable");
-                std::fs::write(path, json)
+                std::fs::write(path, report.deterministic_json())
                     .unwrap_or_else(|e| fail(format!("cannot write {path}: {e}")));
                 println!("\nreport written to {path}");
             }

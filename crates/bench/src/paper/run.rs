@@ -9,7 +9,9 @@
 //! Defaults: RoLo-P over src2_2 for 24 h on 20 pairs, seed 1, a 64 KiB
 //! stripe unit and 8 GiB of free space per disk. `--msr` replays the
 //! file instead of the profile, for its span plus one second. `paper`
-//! prints the report and, with `--json`, writes it as JSON.
+//! prints the report and, with `--json`, writes it as JSON without the
+//! wall-clock profile ([`SimReport::deterministic_json`]), so two runs of
+//! one invocation write the same bytes.
 
 use crate::cli::{Invocation, Paper};
 use rolo_core::SimReport;

@@ -2,8 +2,9 @@
 //! exits 2 with a message naming the argument before anything runs
 //! (`run`'s and `log_recovery`'s own flags are in `smoke.rs` and
 //! `log_recovery.rs`), a study that cannot write its results exits 1,
-//! and the two studies whose committed results the simulator still
-//! reproduces regenerate them byte for byte.
+//! the two studies whose committed results the simulator still
+//! reproduces regenerate them byte for byte, and two runs of one `run
+//! --json` invocation write the same bytes.
 
 mod common;
 
@@ -52,4 +53,23 @@ fn fig9_and_recovery_study_regenerate_their_committed_results() {
         let kept = std::fs::read(committed.join(&file)).expect("committed results");
         assert!(fresh == kept, "{study} no longer reproduces results/{file}");
     }
+}
+
+#[test]
+fn run_json_is_byte_identical_across_runs() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let files = ["paper_run_a.json", "paper_run_b.json"].map(|f| dir.join(f));
+    for file in &files {
+        let out = Command::new(env!("CARGO_BIN_EXE_paper"))
+            .args(["run", "rolo-p", "src2_2", "0.05", "--pairs", "2", "--json"])
+            .arg(file)
+            .output()
+            .expect("run paper");
+        assert!(out.status.success(), "{out:?}");
+    }
+    let [a, b] = files.map(|f| std::fs::read(f).expect("the run wrote its report"));
+    assert!(
+        !a.is_empty() && a == b,
+        "`run --json` differs between two runs"
+    );
 }

@@ -137,7 +137,7 @@ pub(super) struct FaultEngine {
     retries: IoMap<u32>,
     /// Timed-out policy requests waiting out their retry backoff, keyed
     /// by I/O id.
-    parked: IoMap<DiskRequest>,
+    pub(super) parked: IoMap<DiskRequest>,
     rebuilds: HashMap<DiskId, RebuildState>,
     finished_rebuilds: Vec<DiskId>,
     /// Energy history of dead disks, merged into the slot's live report
@@ -288,13 +288,13 @@ impl SimCtx {
         let mut policy_owned = Vec::new();
         for req in aborted {
             match self.fault.ios.get(&req.id).copied() {
-                Some((Job::Rebuild(slot, phase), offset, bytes)) => {
+                Some((Job::Rebuild(slot, phase), _, _)) => {
                     debug_assert_eq!(
                         phase,
                         RebuildPhase::Read,
                         "rebuild writes target the degraded slot, which cannot fail again"
                     );
-                    self.reissue_rebuild_read(slot, req.id, offset, bytes);
+                    self.reissue_rebuild_read(slot, req);
                 }
                 Some((Job::Scrub(d, _), _, _)) => {
                     self.fault.ios.remove(&req.id);
@@ -353,7 +353,7 @@ impl SimCtx {
         if !self.epoch_live(disk, epoch) {
             return Some(req);
         }
-        self.submit_with_id(disk, req.id, req.kind, req.offset, req.bytes, req.priority);
+        self.submit_request(disk, req);
         None
     }
 
@@ -511,27 +511,32 @@ impl SimCtx {
     /// Re-serves user `user`'s failed read `req` from the surviving
     /// partner of `disk`, when the read hit a media error or a degraded
     /// slot and the partner is healthy: notes the redirect, emits
-    /// [`SimEvent::ReadRedirected`], submits the foreground read and tags
-    /// it [`LegFlavor::DegradedRedirect`]. Returns the new sub-request's
-    /// id, under which the caller re-keys its bookkeeping; `None` leaves
-    /// the failure to the caller's ordinary completion path.
+    /// [`SimEvent::ReadRedirected`], submits the foreground read under a
+    /// fresh id and `req`'s tag, and tags the new span leg
+    /// [`LegFlavor::DegradedRedirect`]. Returns true when it did, so the
+    /// caller keeps its per-I/O state for the redirected read; false
+    /// leaves the failure to the caller's ordinary completion path.
     pub fn redirect_read(
         &mut self,
         disk: DiskId,
         req: &DiskRequest,
         outcome: IoOutcome,
         user: u64,
-    ) -> Option<u64> {
+    ) -> bool {
         if req.kind != IoKind::Read || (outcome != IoOutcome::MediaError && !self.is_degraded(disk))
         {
-            return None;
+            return false;
         }
-        let p = surviving_partner(&self.geometry, disk).filter(|&p| !self.is_degraded(p))?;
+        let Some(p) = surviving_partner(&self.geometry, disk).filter(|&p| !self.is_degraded(p))
+        else {
+            return false;
+        };
         self.note_redirect();
         self.emit(|| SimEvent::ReadRedirected { from: disk, to: p });
-        let id = self.submit(p, IoKind::Read, req.offset, req.bytes, Priority::Foreground);
+        let (off, len) = (req.offset, req.bytes);
+        let id = self.submit(p, IoKind::Read, off, len, Priority::Foreground, req.tag);
         self.tag_io(id, user, LegFlavor::DegradedRedirect);
-        Some(id)
+        true
     }
 
     /// Closes the degraded-time window at `now` (called by the driver
@@ -683,11 +688,9 @@ impl SimCtx {
             if first {
                 self.emit(|| SimEvent::ScrubStart { disk: d, pass });
             }
-            let id = self.alloc_io_id();
             let job = Job::Scrub(d, ScrubPhase::Verify);
-            self.fault.ios.insert(id, (job, offset, bytes));
             self.bg_span_begin(BgSpanKind::Scrub, Some(d), &[d]);
-            self.submit_with_id(d, id, IoKind::Read, offset, bytes, Priority::Background);
+            self.submit_job(d, job, IoKind::Read, offset, bytes);
         }
     }
 
@@ -724,10 +727,8 @@ impl SimCtx {
             });
         }
         if repaired {
-            let id = self.alloc_io_id();
             let job = Job::Scrub(disk, ScrubPhase::Repair);
-            self.fault.ios.insert(id, (job, offset, bytes));
-            self.submit_with_id(disk, id, IoKind::Write, offset, bytes, Priority::Background);
+            self.submit_job(disk, job, IoKind::Write, offset, bytes);
         } else {
             self.fault.scrub_state[disk].inflight = false;
             self.bg_span_end(BgSpanKind::Scrub, Some(disk));
@@ -810,10 +811,8 @@ impl SimCtx {
     fn on_rebuild_io(&mut self, slot: DiskId, phase: RebuildPhase, offset: u64, bytes: u64) {
         match phase {
             RebuildPhase::Read => {
-                let id = self.alloc_io_id();
                 let job = Job::Rebuild(slot, RebuildPhase::Write);
-                self.fault.ios.insert(id, (job, offset, bytes));
-                self.submit_with_id(slot, id, IoKind::Write, offset, bytes, Priority::Background);
+                self.submit_job(slot, job, IoKind::Write, offset, bytes);
             }
             RebuildPhase::Write => {
                 let st = self
@@ -870,23 +869,14 @@ impl SimCtx {
         st.inflight += 1;
         let source = st.sources[st.next_source % st.sources.len()];
         st.next_source += 1;
-        let id = self.alloc_io_id();
         let job = Job::Rebuild(slot, RebuildPhase::Read);
-        self.fault.ios.insert(id, (job, offset, bytes));
-        self.submit_with_id(
-            source,
-            id,
-            IoKind::Read,
-            offset,
-            bytes,
-            Priority::Background,
-        );
+        self.submit_job(source, job, IoKind::Read, offset, bytes);
     }
 
-    /// Re-issues rebuild read `id` of `[offset, offset + bytes)`, aborted
-    /// by a source failure, on the next surviving source (the dead
-    /// source has already been removed from the rebuild's source list).
-    fn reissue_rebuild_read(&mut self, slot: DiskId, id: u64, offset: u64, bytes: u64) {
+    /// Re-issues rebuild read `req`, aborted by a source failure, on the
+    /// next surviving source (the dead source has already been removed
+    /// from the rebuild's source list).
+    fn reissue_rebuild_read(&mut self, slot: DiskId, req: DiskRequest) {
         let st = self
             .fault
             .rebuilds
@@ -901,14 +891,16 @@ impl SimCtx {
         }
         let source = st.sources[st.next_source % st.sources.len()];
         st.next_source += 1;
-        self.submit_with_id(
-            source,
-            id,
-            IoKind::Read,
-            offset,
-            bytes,
-            Priority::Background,
-        );
+        self.submit_request(source, req);
+    }
+
+    /// Submits an engine transfer of `[offset, offset + bytes)` at
+    /// background priority under a fresh id, recording `job` for it.
+    fn submit_job(&mut self, disk: DiskId, job: Job, kind: IoKind, offset: u64, bytes: u64) {
+        let id = self.alloc_io_id();
+        self.fault.ios.insert(id, (job, offset, bytes));
+        let req = DiskRequest::new(id, kind, offset, bytes, Priority::Background);
+        self.submit_request(disk, req);
     }
 }
 

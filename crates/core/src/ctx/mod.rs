@@ -25,7 +25,6 @@ pub use observe::RunObservations;
 
 use crate::config::SimConfig;
 use crate::faults::FaultMetrics;
-use crate::slot::{IoSlab, IoSlot};
 use fault::FaultEngine;
 use observe::Observer;
 use rolo_disk::{
@@ -34,7 +33,7 @@ use rolo_disk::{
 use rolo_metrics::{IntervalTracker, ResponseStats, Timeline};
 use rolo_obs::{MetricId, MetricsRegistry, NullSink, SimEvent, TraceSink};
 use rolo_raid::ArrayGeometry;
-use rolo_sim::{Duration, SimRng, SimTime};
+use rolo_sim::{Duration, IoSlab, IoSlot, SimRng, SimTime};
 use rolo_trace::ReqKind;
 
 /// Outcome of the final sub-request of a user request.
@@ -253,7 +252,9 @@ impl SimCtx {
         id
     }
 
-    /// Submits a sub-request to `disk`, returning its id.
+    /// Submits a sub-request to `disk` under a fresh id, returning the
+    /// id. `tag` comes back unchanged in the finished request: it is the
+    /// slot of the caller's per-I/O state.
     pub fn submit(
         &mut self,
         disk: DiskId,
@@ -261,39 +262,36 @@ impl SimCtx {
         offset: u64,
         bytes: u64,
         priority: Priority,
+        tag: IoSlot,
     ) -> u64 {
         let id = self.alloc_io_id();
-        self.submit_with_id(disk, id, kind, offset, bytes, priority);
+        let req = DiskRequest {
+            tag,
+            ..DiskRequest::new(id, kind, offset, bytes, priority)
+        };
+        self.submit_request(disk, req);
         id
     }
 
-    /// Submits a sub-request with a caller-chosen id.
-    pub fn submit_with_id(
-        &mut self,
-        disk: DiskId,
-        id: u64,
-        kind: IoKind,
-        offset: u64,
-        bytes: u64,
-        priority: Priority,
-    ) {
-        let req = DiskRequest::new(id, kind, offset, bytes, priority);
+    /// Submits `req` to `disk` as it stands: an engine transfer under a
+    /// pre-allocated id, or a parked request's retry.
+    pub fn submit_request(&mut self, disk: DiskId, req: DiskRequest) {
         let now = self.now;
         let before = self.disks[disk].power_state();
         if let Some(w) = self.disks[disk].submit(req, now) {
             self.pending_wakes.push((disk, w));
         }
         self.metrics.inc(self.mids.dispatches, 1);
-        self.metrics.inc(self.mids.dispatched_bytes, bytes);
-        self.obs.on_dispatch(bytes);
+        self.metrics.inc(self.mids.dispatched_bytes, req.bytes);
+        self.obs.on_dispatch(req.bytes);
         self.note_disk_state(disk, before);
         self.emit(|| SimEvent::RequestDispatch {
-            io: id,
+            io: req.id,
             disk,
-            kind,
-            offset,
-            bytes,
-            background: priority == Priority::Background,
+            kind: req.kind,
+            offset: req.offset,
+            bytes: req.bytes,
+            background: req.priority == Priority::Background,
         });
     }
 
@@ -525,10 +523,27 @@ mod tests {
         SimCtx::new(&cfg, geo, &standby)
     }
 
-    /// Submits one foreground transfer to idle `disk` and completes it
-    /// through the driver's routing call, returning its outcome.
-    fn complete(c: &mut SimCtx, disk: DiskId, kind: IoKind, bytes: u64) -> IoOutcome {
-        c.submit(disk, kind, 0, bytes, Priority::Foreground);
+    /// A slot no request gets by default, so a round trip shows.
+    fn tag() -> IoSlot {
+        let tag = IoSlab::new().insert(());
+        assert_ne!(tag, IoSlot::DANGLING);
+        tag
+    }
+
+    /// Submits one foreground transfer, tagged [`tag`], to idle `disk`
+    /// and completes it through the driver's routing call.
+    fn complete(
+        c: &mut SimCtx,
+        disk: DiskId,
+        kind: IoKind,
+        bytes: u64,
+    ) -> (DiskRequest, IoOutcome) {
+        c.submit(disk, kind, 0, bytes, Priority::Foreground, tag());
+        finish(c)
+    }
+
+    /// Completes the one pending transfer, which must be a policy's.
+    fn finish(c: &mut SimCtx) -> (DiskRequest, IoOutcome) {
         let mut wakes = Vec::new();
         c.drain_wakes_into(&mut wakes);
         let [(d, DiskWake::Io(due))] = wakes[..] else {
@@ -536,7 +551,7 @@ mod tests {
         };
         c.now = due;
         match c.complete_io(d) {
-            IoFate::Policy(_, outcome) => outcome,
+            IoFate::Policy(req, outcome) => (req, outcome),
             other => panic!("a policy transfer, not {other:?}"),
         }
     }
@@ -544,7 +559,7 @@ mod tests {
     #[test]
     fn submit_produces_wake() {
         let mut c = ctx();
-        c.submit(0, IoKind::Write, 0, 4096, Priority::Foreground);
+        c.submit(0, IoKind::Write, 0, 4096, Priority::Foreground, tag());
         let mut wakes = Vec::new();
         c.drain_wakes_into(&mut wakes);
         assert_eq!(wakes.len(), 1);
@@ -614,10 +629,17 @@ mod tests {
         c.apply_corruption(0, 4096);
         assert_eq!(c.faults.lse_injected, 1);
         assert_eq!(c.fault.corrupt[0].len(), 1);
-        let outcome = complete(&mut c, 0, IoKind::Read, 64 * 1024);
+        let (req, outcome) = complete(&mut c, 0, IoKind::Read, 64 * 1024);
         assert_eq!(outcome, IoOutcome::MediaError);
         assert_eq!(c.faults.lse_repaired_on_read, 1);
         assert_eq!(c.fault.corrupt[0].len(), 0);
+        // The partner re-serves the read under a new id and the same tag.
+        assert!(c.redirect_read(0, &req, outcome, 1));
+        let (redirected, outcome) = finish(&mut c);
+        assert_eq!(outcome, IoOutcome::Ok);
+        assert_ne!(redirected.id, req.id);
+        assert_eq!((redirected.offset, redirected.tag), (req.offset, tag()));
+        assert_eq!(c.faults.reads_redirected, 1);
         c.finalize_faults();
         assert!(c.faults.lse_conserved(), "{:?}", c.faults);
     }
@@ -627,7 +649,7 @@ mod tests {
         let mut c = ctx();
         c.apply_corruption(0, 0);
         c.apply_corruption(2, 0); // pair 0's mirror
-        let outcome = complete(&mut c, 0, IoKind::Read, 8192);
+        let (_, outcome) = complete(&mut c, 0, IoKind::Read, 8192);
         assert_eq!(outcome, IoOutcome::MediaError);
         assert_eq!(c.faults.lse_lost, 2, "both copies of the extent are gone");
         assert_eq!(c.fault.corrupt[0].len() + c.fault.corrupt[2].len(), 0);
@@ -639,8 +661,9 @@ mod tests {
     fn write_replaces_latent_extent() {
         let mut c = ctx();
         c.apply_corruption(0, 4096);
-        let outcome = complete(&mut c, 0, IoKind::Write, 64 * 1024);
+        let (req, outcome) = complete(&mut c, 0, IoKind::Write, 64 * 1024);
         assert_eq!(outcome, IoOutcome::Ok);
+        assert_eq!(req.tag, tag(), "a clean completion returns the tag");
         assert_eq!(c.faults.lse_overwritten, 1);
         assert_eq!(c.fault.corrupt[0].len(), 0);
         c.finalize_faults();
@@ -672,27 +695,30 @@ mod tests {
         let geo = cfg.geometry().unwrap();
         let standby = vec![false; cfg.disk_count()];
         let mut c = SimCtx::new(&cfg, geo, &standby);
-        let id = c.submit(0, IoKind::Read, 0, 4096, Priority::Foreground);
+        let id = c.submit(0, IoKind::Read, 0, 4096, Priority::Foreground, tag());
+        // Times out the pending transfer, returning the parked request.
         let time_out = |c: &mut SimCtx| {
             let mut wakes = Vec::new();
             c.drain_wakes_into(&mut wakes);
             c.now = wakes[0].1.due();
             match c.complete_io(0) {
-                IoFate::Retry(parked, _) => parked,
+                IoFate::Retry(parked, _) => c.fault.parked[&parked],
                 other => panic!("a timeout with retries left parks, not {other:?}"),
             }
         };
-        assert_eq!(time_out(&mut c), id);
+        let parked = time_out(&mut c);
+        assert_eq!((parked.id, parked.tag), (id, tag()));
         assert!(c.check_parked_retries().is_err());
-        // The slot still holds the disk: the request is resubmitted.
+        // The slot still holds the disk: the whole request is resubmitted
+        // and comes off the disk unchanged.
         assert!(c.retry_parked(0, c.epoch(0), id).is_none());
         assert!(c.check_parked_retries().is_ok());
+        assert_eq!(time_out(&mut c), parked);
         // The disk dies during the next backoff: the request comes back.
-        assert_eq!(time_out(&mut c), id);
         let epoch = c.epoch(0);
         c.fail_disk(0).expect("first failure injects");
         let req = c.retry_parked(0, epoch, id).expect("dead slot");
-        assert_eq!(req.id, id);
+        assert_eq!(req, parked);
         assert!(c.check_parked_retries().is_ok());
     }
 
@@ -783,10 +809,12 @@ mod tests {
                     let disk = disk4 % c.disk_count();
                     match kind {
                         0 => {
-                            c.submit(disk, IoKind::Write, arg * 4096, 4096, Priority::Foreground);
+                            let fg = Priority::Foreground;
+                            c.submit(disk, IoKind::Write, arg * 4096, 4096, fg, tag());
                         }
                         1 => {
-                            c.submit(disk, IoKind::Read, arg * 4096, 4096, Priority::Background);
+                            let bg = Priority::Background;
+                            c.submit(disk, IoKind::Read, arg * 4096, 4096, bg, tag());
                         }
                         _ => c.set_timer(Duration::from_micros(arg), i as u64),
                     }

@@ -17,11 +17,10 @@ use crate::journal::{JournalSet, PendingAppend};
 use crate::logspace::LoggerSpace;
 use crate::policy::{Policy, PolicyStats};
 use crate::recovery::recovery_plan;
-use crate::slot::IoSlot;
 use rolo_disk::{DiskId, DiskRequest, IoKind, IoOutcome, Priority};
 use rolo_metrics::Phase;
 use rolo_obs::{BgSpanKind, LegFlavor, SimEvent};
-use rolo_sim::{Duration, IoMap};
+use rolo_sim::{Duration, IoMap, IoSlab, IoSlot};
 use rolo_trace::{ReqKind, TraceRecord};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,7 +72,8 @@ pub struct GraidPolicy {
     chain_active: Vec<bool>,
     mode: Mode,
     period: u64,
-    io_map: IoMap<Tag>,
+    /// Per sub-request, under the slot its `DiskRequest` carries.
+    tags: IoSlab<Tag>,
     user_meta: IoMap<UserMeta>,
     /// Finished requests' metas, reused by the next requests.
     spare_meta: Vec<UserMeta>,
@@ -110,7 +110,7 @@ impl GraidPolicy {
             chain_active: vec![false; pairs],
             mode: Mode::Logging,
             period: 0,
-            io_map: IoMap::default(),
+            tags: IoSlab::new(),
             user_meta: IoMap::default(),
             spare_meta: Vec::new(),
             logging_token: None,
@@ -184,8 +184,8 @@ impl GraidPolicy {
             Some((off, len)) => {
                 self.chain_active[pair] = true;
                 let p = ctx.geometry().primary_disk(pair);
-                let id = ctx.submit(p, IoKind::Read, off, len, Priority::Background);
-                self.io_map.insert(id, Tag::DestageRead { pair, off, len });
+                let tag = self.tags.insert(Tag::DestageRead { pair, off, len });
+                ctx.submit(p, IoKind::Read, off, len, Priority::Background, tag);
             }
             None => self.check_destage_done(ctx),
         }
@@ -268,9 +268,9 @@ impl Policy for GraidPolicy {
                         ctx.note_redirect();
                         ctx.emit(|| SimEvent::ReadRedirected { from, to: d });
                     }
-                    let id =
-                        ctx.submit(d, IoKind::Read, ext.offset, ext.bytes, Priority::Foreground);
-                    self.io_map.insert(id, Tag::User(user_id, uslot));
+                    let tag = self.tags.insert(Tag::User(user_id, uslot));
+                    let (off, len) = (ext.offset, ext.bytes);
+                    let id = ctx.submit(d, IoKind::Read, off, len, Priority::Foreground, tag);
                     ctx.tag_io(id, user_id, flavor);
                     subs += 1;
                 }
@@ -279,14 +279,9 @@ impl Policy for GraidPolicy {
                 // Primary copies in place.
                 for ext in exts.clone() {
                     let p = ctx.geometry().primary_disk(ext.pair);
-                    let id = ctx.submit(
-                        p,
-                        IoKind::Write,
-                        ext.offset,
-                        ext.bytes,
-                        Priority::Foreground,
-                    );
-                    self.io_map.insert(id, Tag::User(user_id, uslot));
+                    let tag = self.tags.insert(Tag::User(user_id, uslot));
+                    let (off, len) = (ext.offset, ext.bytes);
+                    let id = ctx.submit(p, IoKind::Write, off, len, Priority::Foreground, tag);
                     ctx.tag_io(id, user_id, LegFlavor::Transfer);
                     subs += 1;
                 }
@@ -295,14 +290,10 @@ impl Policy for GraidPolicy {
                 let log_disk = self.log_disk;
                 for ext in exts {
                     let logged = self.log.alloc(ext.bytes, ext.pair, self.period, |seg| {
-                        let id = ctx.submit(
-                            log_disk,
-                            IoKind::Write,
-                            seg.offset,
-                            seg.bytes,
-                            Priority::Foreground,
-                        );
-                        self.io_map.insert(id, Tag::User(user_id, uslot));
+                        let tag = self.tags.insert(Tag::User(user_id, uslot));
+                        let (off, len) = (seg.offset, seg.bytes);
+                        let prio = Priority::Foreground;
+                        let id = ctx.submit(log_disk, IoKind::Write, off, len, prio, tag);
                         ctx.tag_io(id, user_id, LegFlavor::LogAppend);
                         subs += 1;
                         self.stats.log_appended_bytes += seg.bytes;
@@ -322,14 +313,9 @@ impl Policy for GraidPolicy {
                         logged_all = false;
                         // Log full: fall back to a direct mirror copy.
                         let m = ctx.geometry().mirror_disk(ext.pair);
-                        let id = ctx.submit(
-                            m,
-                            IoKind::Write,
-                            ext.offset,
-                            ext.bytes,
-                            Priority::Foreground,
-                        );
-                        self.io_map.insert(id, Tag::User(user_id, uslot));
+                        let tag = self.tags.insert(Tag::User(user_id, uslot));
+                        let (off, len) = (ext.offset, ext.bytes);
+                        let id = ctx.submit(m, IoKind::Write, off, len, Priority::Foreground, tag);
                         ctx.tag_io(id, user_id, LegFlavor::MirrorCopy);
                         subs += 1;
                         meta.clears.push((ext.pair, ext.offset, ext.bytes));
@@ -353,7 +339,7 @@ impl Policy for GraidPolicy {
     }
 
     fn on_io_complete(&mut self, ctx: &mut SimCtx, _disk: DiskId, req: DiskRequest) {
-        match self.io_map.remove(&req.id).expect("unknown sub-request") {
+        match self.tags.remove(req.tag).expect("unknown sub-request") {
             Tag::User(user, uslot) => {
                 if ctx.user_sub_done(uslot).is_some() {
                     let mut meta = self.user_meta.remove(&user).unwrap_or_default();
@@ -375,8 +361,8 @@ impl Policy for GraidPolicy {
             }
             Tag::DestageRead { pair, off, len } => {
                 let m = ctx.geometry().mirror_disk(pair);
-                let id = ctx.submit(m, IoKind::Write, off, len, Priority::Background);
-                self.io_map.insert(id, Tag::DestageWrite { pair, len });
+                let tag = self.tags.insert(Tag::DestageWrite { pair, len });
+                ctx.submit(m, IoKind::Write, off, len, Priority::Background, tag);
             }
             Tag::DestageWrite { pair, len } => {
                 self.stats.destaged_bytes += len;
@@ -397,10 +383,8 @@ impl Policy for GraidPolicy {
         // slot can be re-served elsewhere; everything else closes through
         // the normal completion path (the rebuild restores the
         // replacement's copy).
-        if let Some(Tag::User(user, uslot)) = self.io_map.get(&req.id).copied() {
-            if let Some(id) = ctx.redirect_read(disk, &req, outcome, user) {
-                self.io_map.remove(&req.id);
-                self.io_map.insert(id, Tag::User(user, uslot));
+        if let Some(&Tag::User(user, _)) = self.tags.get(req.tag) {
+            if ctx.redirect_read(disk, &req, outcome, user) {
                 return;
             }
         }
@@ -465,7 +449,7 @@ impl Policy for GraidPolicy {
             && self.log.used_bytes() == 0
             && self.journal.all_clean()
             && ctx.outstanding_users() == 0
-            && self.io_map.is_empty()
+            && self.tags.is_empty()
     }
 
     fn stats(&self) -> PolicyStats {
@@ -484,8 +468,8 @@ impl Policy for GraidPolicy {
                 ctx.outstanding_users()
             ));
         }
-        if !self.io_map.is_empty() {
-            return Err(format!("{} orphaned sub-requests", self.io_map.len()));
+        if !self.tags.is_empty() {
+            return Err(format!("{} orphaned sub-requests", self.tags.len()));
         }
         Ok(())
     }

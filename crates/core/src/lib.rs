@@ -43,7 +43,6 @@ pub mod report;
 pub mod rolo;
 pub mod roloe;
 pub mod segment;
-pub mod slot;
 
 pub use config::{ConfigError, Scheme, SimConfig};
 pub use ctx::{RunObservations, SimCtx};
@@ -59,9 +58,9 @@ pub use rebuild::{
 pub use recovery::{recovery_plan, RecoveryPlan};
 pub use report::SimReport;
 pub use rolo::{RoloFlavor, RoloPolicy};
+pub use rolo_sim::{IoSlab, IoSlot};
 pub use roloe::RoloEPolicy;
 pub use segment::{
     replay_journals, AppendOutcome, AppendRecord, ArchiveFrame, LogManifest, ReplayOutcome,
     Segment, SegmentState, SegmentStats, SegmentStore,
 };
-pub use slot::{IoSlab, IoSlot};

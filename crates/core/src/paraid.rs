@@ -26,10 +26,9 @@ use crate::ctx::SimCtx;
 use crate::dirty::DirtyMap;
 use crate::logspace::LoggerSpace;
 use crate::policy::{Policy, PolicyStats};
-use crate::slot::IoSlot;
 use rolo_disk::{DiskId, DiskRequest, IoKind, Priority};
 use rolo_obs::{BgSpanKind, LegFlavor};
-use rolo_sim::{Duration, IoMap, SimTime};
+use rolo_sim::{Duration, IoMap, IoSlab, IoSlot, SimTime};
 use rolo_trace::{ReqKind, TraceRecord};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,7 +73,8 @@ pub struct ParaidPolicy {
     chain_active: Vec<bool>,
     gear: Gear,
     syncing: bool,
-    io_map: IoMap<Tag>,
+    /// Per sub-request, under the slot its `DiskRequest` carries.
+    tags: IoSlab<Tag>,
     user_meta: IoMap<UserMeta>,
     /// Finished requests' metas, reused by the next requests.
     spare_meta: Vec<UserMeta>,
@@ -125,7 +125,7 @@ impl ParaidPolicy {
             chain_active: vec![false; pairs],
             gear: Gear::Low,
             syncing: false,
-            io_map: IoMap::default(),
+            tags: IoSlab::new(),
             user_meta: IoMap::default(),
             spare_meta: Vec::new(),
             rate: 0.0,
@@ -219,8 +219,8 @@ impl ParaidPolicy {
         if let Some((off, len)) = self.dirty[pair].take_next(self.chunk) {
             self.chain_active[pair] = true;
             let p = ctx.geometry().primary_disk(pair);
-            let id = ctx.submit(p, IoKind::Read, off, len, Priority::Background);
-            self.io_map.insert(id, Tag::SyncRead { pair, off, len });
+            let tag = self.tags.insert(Tag::SyncRead { pair, off, len });
+            ctx.submit(p, IoKind::Read, off, len, Priority::Background, tag);
         }
     }
 
@@ -251,14 +251,9 @@ impl ParaidPolicy {
         ext: rolo_raid::PhysExtent,
     ) -> u32 {
         let p = ctx.geometry().primary_disk(ext.pair);
-        let id = ctx.submit(
-            p,
-            IoKind::Write,
-            ext.offset,
-            ext.bytes,
-            Priority::Foreground,
-        );
-        self.io_map.insert(id, Tag::User(user_id, uslot));
+        let (off, len) = (ext.offset, ext.bytes);
+        let tag = self.tags.insert(Tag::User(user_id, uslot));
+        let id = ctx.submit(p, IoKind::Write, off, len, Priority::Foreground, tag);
         ctx.tag_io(id, user_id, LegFlavor::Transfer);
         let mut subs = 1;
         // Shadow copy on the next primary over (never the same disk,
@@ -269,36 +264,25 @@ impl ParaidPolicy {
         }
         self.shadow_cursor = (target + 1) % self.pairs;
         let shadowed = self.shadows[target].alloc(ext.bytes, ext.pair, 0, |seg| {
-            let id = ctx.submit(
-                target,
-                IoKind::Write,
-                seg.offset,
-                seg.bytes,
-                Priority::Foreground,
-            );
-            self.io_map.insert(id, Tag::User(user_id, uslot));
+            let tag = self.tags.insert(Tag::User(user_id, uslot));
+            let (soff, slen) = (seg.offset, seg.bytes);
+            let id = ctx.submit(target, IoKind::Write, soff, slen, Priority::Foreground, tag);
             ctx.tag_io(id, user_id, LegFlavor::LogAppend);
             subs += 1;
             self.stats.log_appended_bytes += seg.bytes;
         });
         if shadowed {
-            meta.marks.push((ext.pair, ext.offset, ext.bytes));
+            meta.marks.push((ext.pair, off, len));
         } else {
             // Shadow space exhausted: forced gear-up (PARAID has no
             // rotation to fall back on).
             self.stats.direct_writes += 1;
             let m = ctx.geometry().mirror_disk(ext.pair);
-            let id = ctx.submit(
-                m,
-                IoKind::Write,
-                ext.offset,
-                ext.bytes,
-                Priority::Foreground,
-            );
-            self.io_map.insert(id, Tag::User(user_id, uslot));
+            let tag = self.tags.insert(Tag::User(user_id, uslot));
+            let id = ctx.submit(m, IoKind::Write, off, len, Priority::Foreground, tag);
             ctx.tag_io(id, user_id, LegFlavor::MirrorCopy);
             subs += 1;
-            meta.clears.push((ext.pair, ext.offset, ext.bytes));
+            meta.clears.push((ext.pair, off, len));
             self.gear_up(ctx);
         }
         subs
@@ -338,9 +322,9 @@ impl Policy for ParaidPolicy {
             ReqKind::Read => {
                 for ext in exts {
                     let p = ctx.geometry().primary_disk(ext.pair);
-                    let id =
-                        ctx.submit(p, IoKind::Read, ext.offset, ext.bytes, Priority::Foreground);
-                    self.io_map.insert(id, Tag::User(user_id, uslot));
+                    let tag = self.tags.insert(Tag::User(user_id, uslot));
+                    let (off, len) = (ext.offset, ext.bytes);
+                    let id = ctx.submit(p, IoKind::Read, off, len, Priority::Foreground, tag);
                     ctx.tag_io(id, user_id, LegFlavor::Transfer);
                     subs += 1;
                 }
@@ -360,14 +344,10 @@ impl Policy for ParaidPolicy {
                     if self.gear == Gear::High && ready && !ctx.disk(m).is_park_pending() {
                         let p = ctx.geometry().primary_disk(ext.pair);
                         for d in [p, m] {
-                            let id = ctx.submit(
-                                d,
-                                IoKind::Write,
-                                ext.offset,
-                                ext.bytes,
-                                Priority::Foreground,
-                            );
-                            self.io_map.insert(id, Tag::User(user_id, uslot));
+                            let tag = self.tags.insert(Tag::User(user_id, uslot));
+                            let (off, len) = (ext.offset, ext.bytes);
+                            let prio = Priority::Foreground;
+                            let id = ctx.submit(d, IoKind::Write, off, len, prio, tag);
                             let flavor = if d == p {
                                 LegFlavor::Transfer
                             } else {
@@ -391,7 +371,7 @@ impl Policy for ParaidPolicy {
     }
 
     fn on_io_complete(&mut self, ctx: &mut SimCtx, _disk: DiskId, req: DiskRequest) {
-        match self.io_map.remove(&req.id).expect("unknown sub-request") {
+        match self.tags.remove(req.tag).expect("unknown sub-request") {
             Tag::User(user, uslot) => {
                 if ctx.user_sub_done(uslot).is_some() {
                     let mut meta = self.user_meta.remove(&user).unwrap_or_default();
@@ -413,8 +393,8 @@ impl Policy for ParaidPolicy {
             }
             Tag::SyncRead { pair, off, len } => {
                 let m = ctx.geometry().mirror_disk(pair);
-                let id = ctx.submit(m, IoKind::Write, off, len, Priority::Background);
-                self.io_map.insert(id, Tag::SyncWrite { pair, len });
+                let tag = self.tags.insert(Tag::SyncWrite { pair, len });
+                ctx.submit(m, IoKind::Write, off, len, Priority::Background, tag);
             }
             Tag::SyncWrite { pair, len } => {
                 self.stats.destaged_bytes += len;
@@ -477,7 +457,7 @@ impl Policy for ParaidPolicy {
 
     fn is_drained(&self, ctx: &SimCtx) -> bool {
         ctx.outstanding_users() == 0
-            && self.io_map.is_empty()
+            && self.tags.is_empty()
             && self.dirty.iter().all(|d| d.is_clean())
             && self.shadow_used_bytes() == 0
             && !self.chain_active.iter().any(|&c| c)
@@ -509,8 +489,8 @@ impl Policy for ParaidPolicy {
                 ctx.outstanding_users()
             ));
         }
-        if !self.io_map.is_empty() {
-            return Err(format!("{} orphaned sub-requests", self.io_map.len()));
+        if !self.tags.is_empty() {
+            return Err(format!("{} orphaned sub-requests", self.tags.len()));
         }
         Ok(())
     }

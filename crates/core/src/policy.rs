@@ -124,7 +124,10 @@ pub trait Policy {
     /// The default forwards to [`Policy::on_io_complete`], so request
     /// accounting always closes and nothing is silently dropped; policies
     /// with a degraded mode override this to redirect failed user reads
-    /// to a surviving copy first.
+    /// to a surviving copy first. [`SimCtx::redirect_read`] resubmits
+    /// such a read under the failed request's `tag`, so the policy keeps
+    /// its per-I/O state where it is, and the redirected read completes
+    /// through [`Policy::on_io_complete`] like any other.
     fn on_io_error(
         &mut self,
         ctx: &mut SimCtx,

@@ -12,17 +12,17 @@
 use crate::ctx::SimCtx;
 use crate::policy::{Policy, PolicyStats};
 use crate::recovery::recovery_plan;
-use crate::slot::IoSlot;
 use rolo_disk::{DiskId, DiskRequest, IoKind, IoOutcome, Priority};
 use rolo_obs::LegFlavor;
-use rolo_sim::IoMap;
+use rolo_sim::{IoSlab, IoSlot};
 use rolo_trace::{ReqKind, TraceRecord};
 
 /// The RAID10 baseline controller.
 #[derive(Debug, Default)]
 pub struct Raid10Policy {
-    /// sub-request id → (user id, user slab slot).
-    io_map: IoMap<(u64, IoSlot)>,
+    /// Per sub-request, under the slot its `DiskRequest` carries: (user
+    /// id, user slab slot).
+    tags: IoSlab<(u64, IoSlot)>,
 }
 
 impl Raid10Policy {
@@ -82,14 +82,9 @@ impl Policy for Raid10Policy {
                     let p = ctx.geometry().primary_disk(ext.pair);
                     let m = ctx.geometry().mirror_disk(ext.pair);
                     for d in [p, m] {
-                        let id = ctx.submit(
-                            d,
-                            IoKind::Write,
-                            ext.offset,
-                            ext.bytes,
-                            Priority::Foreground,
-                        );
-                        self.io_map.insert(id, (user_id, slot));
+                        let tag = self.tags.insert((user_id, slot));
+                        let (off, len) = (ext.offset, ext.bytes);
+                        let id = ctx.submit(d, IoKind::Write, off, len, Priority::Foreground, tag);
                         let flavor = if d == p {
                             LegFlavor::Transfer
                         } else {
@@ -100,9 +95,9 @@ impl Policy for Raid10Policy {
                 }
                 ReqKind::Read => {
                     let d = Self::read_target(ctx, ext.pair);
-                    let id =
-                        ctx.submit(d, IoKind::Read, ext.offset, ext.bytes, Priority::Foreground);
-                    self.io_map.insert(id, (user_id, slot));
+                    let tag = self.tags.insert((user_id, slot));
+                    let (off, len) = (ext.offset, ext.bytes);
+                    let id = ctx.submit(d, IoKind::Read, off, len, Priority::Foreground, tag);
                     ctx.tag_io(id, user_id, LegFlavor::Transfer);
                 }
             }
@@ -110,10 +105,7 @@ impl Policy for Raid10Policy {
     }
 
     fn on_io_complete(&mut self, ctx: &mut SimCtx, _disk: DiskId, req: DiskRequest) {
-        let (_, slot) = self
-            .io_map
-            .remove(&req.id)
-            .expect("RAID10 issues only user sub-requests");
+        let (_, slot) = self.tags.remove(req.tag).expect("unknown sub-request");
         ctx.user_sub_done(slot);
     }
 
@@ -128,13 +120,10 @@ impl Policy for Raid10Policy {
         // dying/degraded slot — is re-served by the mirror copy; every
         // other error (writes, exhausted retries) just closes accounting
         // — the rebuild restores the replacement's copy.
-        let (user, slot) = self.io_map[&req.id];
-        if let Some(id) = ctx.redirect_read(disk, &req, outcome, user) {
-            self.io_map.remove(&req.id);
-            self.io_map.insert(id, (user, slot));
-            return;
+        let &(user, _) = self.tags.get(req.tag).expect("unknown sub-request");
+        if !ctx.redirect_read(disk, &req, outcome, user) {
+            self.on_io_complete(ctx, disk, req);
         }
-        self.on_io_complete(ctx, disk, req);
     }
 
     fn on_disk_failure(&mut self, ctx: &mut SimCtx, disk: DiskId) {
@@ -158,8 +147,8 @@ impl Policy for Raid10Policy {
     }
 
     fn check_consistency(&self, ctx: &SimCtx) -> Result<(), String> {
-        if !self.io_map.is_empty() {
-            return Err(format!("{} orphaned sub-requests", self.io_map.len()));
+        if !self.tags.is_empty() {
+            return Err(format!("{} orphaned sub-requests", self.tags.len()));
         }
         if ctx.outstanding_users() != 0 {
             return Err(format!(

@@ -25,7 +25,7 @@ use crate::config::{Scheme, SimConfig};
 use crate::recovery::RecoveryPlan;
 use rolo_disk::{Disk, DiskWake, IoKind, PowerState, Priority};
 use rolo_obs::{NullSink, SimEvent, TraceSink};
-use rolo_sim::{Duration, EventQueue, SimRng, SimTime};
+use rolo_sim::{CalendarQueue, Duration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Outcome of one simulated rebuild.
@@ -119,7 +119,7 @@ pub fn simulate_rebuild_traced(
         BgRetry(usize),
     }
 
-    let mut queue: EventQueue<Ev> = EventQueue::new();
+    let mut queue: CalendarQueue<Ev> = CalendarQueue::new();
     let mut offset = 0u64;
     let mut src_cursor = 0usize;
     let mut copied = 0u64;
@@ -132,7 +132,7 @@ pub fn simulate_rebuild_traced(
         }
     };
     let submit = |disks: &mut Vec<Disk>,
-                  queue: &mut EventQueue<Ev>,
+                  queue: &mut CalendarQueue<Ev>,
                   sink: &mut dyn TraceSink,
                   idx: usize,
                   kind: IoKind,

@@ -34,12 +34,11 @@ use crate::journal::{JournalSet, PendingAppend, DEFAULT_COMPACT_FRAC};
 use crate::logspace::LoggerSpace;
 use crate::policy::{Policy, PolicyStats};
 use crate::recovery::recovery_plan;
-use crate::slot::IoSlot;
 use rolo_disk::{DiskId, DiskRequest, IoKind, IoOutcome, Priority};
 use rolo_metrics::Phase;
 use rolo_obs::{BgSpanKind, LegFlavor, SimEvent};
 use rolo_raid::Split;
-use rolo_sim::{Duration, IoMap};
+use rolo_sim::{Duration, IoMap, IoSlab, IoSlot};
 use rolo_trace::{ReqKind, TraceRecord};
 use std::collections::BTreeMap;
 
@@ -142,7 +141,8 @@ pub struct RoloPolicy {
     destage_active: Vec<bool>,
     chain_active: Vec<bool>,
     destage_tokens: Vec<Option<u64>>,
-    io_map: IoMap<Tag>,
+    /// Per sub-request, under the slot its `DiskRequest` carries.
+    tags: IoSlab<Tag>,
     user_meta: IoMap<UserMeta>,
     /// Finished requests' metas, reused by the next requests.
     spare_meta: Vec<UserMeta>,
@@ -206,7 +206,7 @@ impl RoloPolicy {
             destage_active: vec![false; pairs],
             chain_active: vec![false; pairs],
             destage_tokens: vec![None; pairs],
-            io_map: IoMap::default(),
+            tags: IoSlab::new(),
             user_meta: IoMap::default(),
             spare_meta: Vec::new(),
             logging_token: None,
@@ -301,8 +301,8 @@ impl RoloPolicy {
             .find(|g| g.pair == pair)
             .map(|g| g.offset)
             .unwrap_or(self.logger_base);
-        let id = ctx.submit(disk, IoKind::Read, src_off, len, Priority::Background);
-        self.io_map.insert(id, Tag::CompactRead { gen });
+        let tag = self.tags.insert(Tag::CompactRead { gen });
+        ctx.submit(disk, IoKind::Read, src_off, len, Priority::Background, tag);
     }
 
     /// The current extent's data is in memory: write it to the targets.
@@ -325,14 +325,9 @@ impl RoloPolicy {
             };
             // A target without room gets no copy.
             let _ = space.alloc(len, pair, period, |g| {
-                let id = ctx.submit(
-                    target,
-                    IoKind::Write,
-                    g.offset,
-                    g.bytes,
-                    Priority::Background,
-                );
-                self.io_map.insert(id, Tag::CompactWrite { gen });
+                let tag = self.tags.insert(Tag::CompactWrite { gen });
+                let (off, len) = (g.offset, g.bytes);
+                ctx.submit(target, IoKind::Write, off, len, Priority::Background, tag);
                 writes += 1;
             });
         }
@@ -650,8 +645,8 @@ impl RoloPolicy {
             Some((off, len)) => {
                 self.chain_active[pair] = true;
                 let p = ctx.geometry().primary_disk(pair);
-                let id = ctx.submit(p, IoKind::Read, off, len, Priority::Background);
-                self.io_map.insert(id, Tag::DestageRead { pair, off, len });
+                let tag = self.tags.insert(Tag::DestageRead { pair, off, len });
+                ctx.submit(p, IoKind::Read, off, len, Priority::Background, tag);
             }
             None => self.complete_destage(ctx, pair),
         }
@@ -720,14 +715,9 @@ impl RoloPolicy {
             let p = ctx.geometry().primary_disk(ext.pair);
             let m = ctx.geometry().mirror_disk(ext.pair);
             for d in [p, m] {
-                let id = ctx.submit(
-                    d,
-                    IoKind::Write,
-                    ext.offset,
-                    ext.bytes,
-                    Priority::Foreground,
-                );
-                self.io_map.insert(id, Tag::User(user_id, uslot));
+                let tag = self.tags.insert(Tag::User(user_id, uslot));
+                let (off, len) = (ext.offset, ext.bytes);
+                let id = ctx.submit(d, IoKind::Write, off, len, Priority::Foreground, tag);
                 let flavor = if d == p {
                     LegFlavor::Transfer
                 } else {
@@ -788,9 +778,9 @@ impl Policy for RoloPolicy {
                         ctx.note_redirect();
                         ctx.emit(|| SimEvent::ReadRedirected { from, to: d });
                     }
-                    let id =
-                        ctx.submit(d, IoKind::Read, ext.offset, ext.bytes, Priority::Foreground);
-                    self.io_map.insert(id, Tag::User(user_id, uslot));
+                    let tag = self.tags.insert(Tag::User(user_id, uslot));
+                    let (off, len) = (ext.offset, ext.bytes);
+                    let id = ctx.submit(d, IoKind::Read, off, len, Priority::Foreground, tag);
                     ctx.tag_io(id, user_id, flavor);
                     subs += 1;
                 }
@@ -814,14 +804,10 @@ impl Policy for RoloPolicy {
                     // Primary copies in place.
                     for ext in exts.clone() {
                         let p = ctx.geometry().primary_disk(ext.pair);
-                        let id = ctx.submit(
-                            p,
-                            IoKind::Write,
-                            ext.offset,
-                            ext.bytes,
-                            Priority::Foreground,
-                        );
-                        self.io_map.insert(id, Tag::User(user_id, uslot));
+                        let tag = self.tags.insert(Tag::User(user_id, uslot));
+                        let (off, len) = (ext.offset, ext.bytes);
+                        let prio = Priority::Foreground;
+                        let id = ctx.submit(p, IoKind::Write, off, len, prio, tag);
                         ctx.tag_io(id, user_id, LegFlavor::Transfer);
                         subs += 1;
                         meta.marks.push((ext.pair, ext.offset, ext.bytes));
@@ -835,14 +821,10 @@ impl Policy for RoloPolicy {
                         for (i, ext) in exts.clone().enumerate() {
                             let space = self.spaces.get_mut(&target).expect("logger space exists");
                             let logged = space.alloc(ext.bytes, ext.pair, self.period, |seg| {
-                                let id = ctx.submit(
-                                    target,
-                                    IoKind::Write,
-                                    seg.offset,
-                                    seg.bytes,
-                                    Priority::Foreground,
-                                );
-                                self.io_map.insert(id, Tag::User(user_id, uslot));
+                                let tag = self.tags.insert(Tag::User(user_id, uslot));
+                                let (off, len) = (seg.offset, seg.bytes);
+                                let prio = Priority::Foreground;
+                                let id = ctx.submit(target, IoKind::Write, off, len, prio, tag);
                                 ctx.tag_io(id, user_id, LegFlavor::LogAppend);
                                 subs += 1;
                                 self.stats.log_appended_bytes += seg.bytes;
@@ -887,7 +869,7 @@ impl Policy for RoloPolicy {
     }
 
     fn on_io_complete(&mut self, ctx: &mut SimCtx, _disk: DiskId, req: DiskRequest) {
-        match self.io_map.remove(&req.id).expect("unknown sub-request") {
+        match self.tags.remove(req.tag).expect("unknown sub-request") {
             Tag::User(user, uslot) => {
                 if ctx.user_sub_done(uslot).is_some() {
                     let mut meta = self.user_meta.remove(&user).unwrap_or_default();
@@ -907,8 +889,8 @@ impl Policy for RoloPolicy {
             }
             Tag::DestageRead { pair, off, len } => {
                 let m = ctx.geometry().mirror_disk(pair);
-                let id = ctx.submit(m, IoKind::Write, off, len, Priority::Background);
-                self.io_map.insert(id, Tag::DestageWrite { pair, len });
+                let tag = self.tags.insert(Tag::DestageWrite { pair, len });
+                ctx.submit(m, IoKind::Write, off, len, Priority::Background, tag);
             }
             Tag::DestageWrite { pair, len } => {
                 self.stats.destaged_bytes += len;
@@ -935,10 +917,8 @@ impl Policy for RoloPolicy {
         // re-served by the surviving partner; every other failure closes
         // through the normal path (the rebuild restores the replacement's
         // copy).
-        if let Some(Tag::User(user, uslot)) = self.io_map.get(&req.id).copied() {
-            if let Some(id) = ctx.redirect_read(disk, &req, outcome, user) {
-                self.io_map.remove(&req.id);
-                self.io_map.insert(id, Tag::User(user, uslot));
+        if let Some(&Tag::User(user, _)) = self.tags.get(req.tag) {
+            if ctx.redirect_read(disk, &req, outcome, user) {
                 return;
             }
         }
@@ -1079,7 +1059,7 @@ impl Policy for RoloPolicy {
 
     fn is_drained(&self, ctx: &SimCtx) -> bool {
         ctx.outstanding_users() == 0
-            && self.io_map.is_empty()
+            && self.tags.is_empty()
             && self.journal.all_clean()
             && self.log_used_bytes() == 0
             && !self.chain_active.iter().any(|&c| c)
@@ -1103,8 +1083,8 @@ impl Policy for RoloPolicy {
                 ctx.outstanding_users()
             ));
         }
-        if !self.io_map.is_empty() {
-            return Err(format!("{} orphaned sub-requests", self.io_map.len()));
+        if !self.tags.is_empty() {
+            return Err(format!("{} orphaned sub-requests", self.tags.len()));
         }
         Ok(())
     }

@@ -19,12 +19,11 @@ use crate::journal::{JournalSet, PendingAppend};
 use crate::logspace::LoggerSpace;
 use crate::policy::{Policy, PolicyStats};
 use crate::recovery::recovery_plan;
-use crate::slot::IoSlot;
 use rolo_disk::{DiskId, DiskRequest, IoKind, IoOutcome, Priority};
 use rolo_metrics::Phase;
 use rolo_obs::{BgSpanKind, LegFlavor, SimEvent};
 use rolo_raid::Split;
-use rolo_sim::{Duration, IoMap};
+use rolo_sim::{Duration, IoMap, IoSlab, IoSlot};
 use rolo_trace::{ReqKind, TraceRecord};
 use std::ops::Range;
 
@@ -103,7 +102,8 @@ pub struct RoloEPolicy {
     /// Remaining destage writes of the in-flight chain per pair (0 = no
     /// chain).
     chain_writes: Vec<u8>,
-    io_map: IoMap<Tag>,
+    /// Per sub-request, under the slot its `DiskRequest` carries.
+    tags: IoSlab<Tag>,
     user_meta: IoMap<UserMeta>,
     /// Finished requests' metas, reused by the next requests.
     spare_meta: Vec<UserMeta>,
@@ -156,7 +156,7 @@ impl RoloEPolicy {
             journal: JournalSet::new(pairs, 0..2 * pairs),
             cache: BlockCache::new((cache_bytes / stripe_unit) as usize),
             chain_writes: vec![0; pairs],
-            io_map: IoMap::default(),
+            tags: IoSlab::new(),
             user_meta: IoMap::default(),
             spare_meta: Vec::new(),
             logging_token: None,
@@ -294,8 +294,8 @@ impl RoloEPolicy {
             self.chain_writes[pair] = u8::MAX; // sentinel: read in flight
             let src = self.next_logger_disk(ctx);
             let read_off = self.log_read_offset(off / self.stripe_unit, len);
-            let id = ctx.submit(src, IoKind::Read, read_off, len, Priority::Background);
-            self.io_map.insert(id, Tag::DestageRead { pair, off, len });
+            let tag = self.tags.insert(Tag::DestageRead { pair, off, len });
+            ctx.submit(src, IoKind::Read, read_off, len, Priority::Background, tag);
         }
     }
 
@@ -366,14 +366,9 @@ impl RoloEPolicy {
             let p = ctx.geometry().primary_disk(ext.pair);
             let m = ctx.geometry().mirror_disk(ext.pair);
             for d in [p, m] {
-                let id = ctx.submit(
-                    d,
-                    IoKind::Write,
-                    ext.offset,
-                    ext.bytes,
-                    Priority::Foreground,
-                );
-                self.io_map.insert(id, Tag::User(user_id, uslot));
+                let tag = self.tags.insert(Tag::User(user_id, uslot));
+                let (off, len) = (ext.offset, ext.bytes);
+                let id = ctx.submit(d, IoKind::Write, off, len, Priority::Foreground, tag);
                 let flavor = if d == p {
                     LegFlavor::Transfer
                 } else {
@@ -437,8 +432,9 @@ impl Policy for RoloEPolicy {
                     }
                     let d = self.next_logger_disk(ctx);
                     let off = self.log_read_offset(rec.offset / self.stripe_unit, rec.bytes);
-                    let id = ctx.submit(d, IoKind::Read, off, rec.bytes, Priority::Foreground);
-                    self.io_map.insert(id, Tag::User(user_id, uslot));
+                    let tag = self.tags.insert(Tag::User(user_id, uslot));
+                    let prio = Priority::Foreground;
+                    let id = ctx.submit(d, IoKind::Read, off, rec.bytes, prio, tag);
                     ctx.tag_io(id, user_id, LegFlavor::Transfer);
                     subs += 1;
                 } else {
@@ -454,14 +450,10 @@ impl Policy for RoloEPolicy {
                             self.stats.read_miss_spinups += 1;
                             ctx.emit(|| SimEvent::ReadMissSpinUp { disk: target });
                         }
-                        let id = ctx.submit(
-                            target,
-                            IoKind::Read,
-                            ext.offset,
-                            ext.bytes,
-                            Priority::Foreground,
-                        );
-                        self.io_map.insert(id, Tag::User(user_id, uslot));
+                        let tag = self.tags.insert(Tag::User(user_id, uslot));
+                        let (off, len) = (ext.offset, ext.bytes);
+                        let prio = Priority::Foreground;
+                        let id = ctx.submit(target, IoKind::Read, off, len, prio, tag);
                         let flavor = if target == p {
                             LegFlavor::Transfer
                         } else {
@@ -485,14 +477,10 @@ impl Policy for RoloEPolicy {
                     } else {
                         p
                     };
-                    let id = ctx.submit(
-                        target,
-                        IoKind::Read,
-                        ext.offset,
-                        ext.bytes,
-                        Priority::Foreground,
-                    );
-                    self.io_map.insert(id, Tag::User(user_id, uslot));
+                    let tag = self.tags.insert(Tag::User(user_id, uslot));
+                    let (off, len) = (ext.offset, ext.bytes);
+                    let prio = Priority::Foreground;
+                    let id = ctx.submit(target, IoKind::Read, off, len, prio, tag);
                     let flavor = if target == p {
                         LegFlavor::Transfer
                     } else {
@@ -520,14 +508,10 @@ impl Policy for RoloEPolicy {
                         ];
                         let logged = self.log.alloc(ext.bytes, ext.pair, self.period, |seg| {
                             for d in targets {
-                                let id = ctx.submit(
-                                    d,
-                                    IoKind::Write,
-                                    seg.offset,
-                                    seg.bytes,
-                                    Priority::Foreground,
-                                );
-                                self.io_map.insert(id, Tag::User(user_id, uslot));
+                                let tag = self.tags.insert(Tag::User(user_id, uslot));
+                                let (off, len) = (seg.offset, seg.bytes);
+                                let prio = Priority::Foreground;
+                                let id = ctx.submit(d, IoKind::Write, off, len, prio, tag);
                                 // First copy is the log append proper;
                                 // the twin on the pair's other disk is
                                 // its mirror.
@@ -579,7 +563,7 @@ impl Policy for RoloEPolicy {
     }
 
     fn on_io_complete(&mut self, ctx: &mut SimCtx, _disk: DiskId, req: DiskRequest) {
-        match self.io_map.remove(&req.id).expect("unknown sub-request") {
+        match self.tags.remove(req.tag).expect("unknown sub-request") {
             Tag::User(user, uslot) => {
                 if ctx.user_sub_done(uslot).is_none() {
                     return;
@@ -613,14 +597,9 @@ impl Policy for RoloEPolicy {
                         let d = self.next_logger_disk(ctx);
                         let off =
                             self.log_read_offset(req.offset / self.stripe_unit, meta.fill_bytes);
-                        let id = ctx.submit(
-                            d,
-                            IoKind::Write,
-                            off,
-                            meta.fill_bytes,
-                            Priority::Background,
-                        );
-                        self.io_map.insert(id, Tag::CacheFill);
+                        let tag = self.tags.insert(Tag::CacheFill);
+                        let len = meta.fill_bytes;
+                        ctx.submit(d, IoKind::Write, off, len, Priority::Background, tag);
                     }
                 }
                 meta.clear();
@@ -632,8 +611,8 @@ impl Policy for RoloEPolicy {
                 let m = ctx.geometry().mirror_disk(pair);
                 self.chain_writes[pair] = 2;
                 for d in [p, m] {
-                    let id = ctx.submit(d, IoKind::Write, off, len, Priority::Background);
-                    self.io_map.insert(id, Tag::DestageWrite { pair, len });
+                    let tag = self.tags.insert(Tag::DestageWrite { pair, len });
+                    ctx.submit(d, IoKind::Write, off, len, Priority::Background, tag);
                 }
             }
             Tag::DestageWrite { pair, len } => {
@@ -654,24 +633,26 @@ impl Policy for RoloEPolicy {
         req: DiskRequest,
         outcome: IoOutcome,
     ) {
-        match self.io_map.get(&req.id).copied() {
-            Some(Tag::User(user, uslot)) => {
+        match self.tags.get(req.tag).copied() {
+            Some(Tag::User(user, _)) => {
                 // The mirrored copy serves the read the failed slot lost.
-                if let Some(id) = ctx.redirect_read(disk, &req, outcome, user) {
-                    self.io_map.remove(&req.id);
-                    self.io_map.insert(id, Tag::User(user, uslot));
-                    return;
+                if !ctx.redirect_read(disk, &req, outcome, user) {
+                    self.on_io_complete(ctx, disk, req);
                 }
-                self.on_io_complete(ctx, disk, req);
             }
-            Some(Tag::DestageRead { pair, off, len }) => {
+            Some(Tag::DestageRead { off, len, .. }) => {
                 // Re-fetch the chunk from a surviving logger copy; the
                 // chain must make progress or the destage never ends.
-                self.io_map.remove(&req.id);
                 let src = self.next_logger_disk(ctx);
                 let read_off = self.log_read_offset(off / self.stripe_unit, len);
-                let id = ctx.submit(src, IoKind::Read, read_off, len, Priority::Background);
-                self.io_map.insert(id, Tag::DestageRead { pair, off, len });
+                ctx.submit(
+                    src,
+                    IoKind::Read,
+                    read_off,
+                    len,
+                    Priority::Background,
+                    req.tag,
+                );
             }
             // Failed destage/cache-fill writes and write sub-requests just
             // close their accounting: the rebuild restores the slot.
@@ -763,7 +744,7 @@ impl Policy for RoloEPolicy {
             && self.log.used_bytes() == 0
             && self.journal.all_clean()
             && ctx.outstanding_users() == 0
-            && self.io_map.is_empty()
+            && self.tags.is_empty()
     }
 
     fn stats(&self) -> PolicyStats {
@@ -782,8 +763,8 @@ impl Policy for RoloEPolicy {
                 ctx.outstanding_users()
             ));
         }
-        if !self.io_map.is_empty() {
-            return Err(format!("{} orphaned sub-requests", self.io_map.len()));
+        if !self.tags.is_empty() {
+            return Err(format!("{} orphaned sub-requests", self.tags.len()));
         }
         Ok(())
     }

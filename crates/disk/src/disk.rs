@@ -17,7 +17,7 @@ use crate::params::DiskParams;
 use crate::power::{EnergyMeter, PowerState};
 use crate::service::{ServiceModel, ServiceParts};
 use crate::DiskId;
-use rolo_sim::{Duration, SimRng, SimTime};
+use rolo_sim::{Duration, IoSlot, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -40,7 +40,7 @@ pub enum Priority {
 }
 
 /// A request addressed to one physical disk (byte offset + length).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DiskRequest {
     /// Caller-assigned identifier, returned unchanged on completion.
     pub id: u64,
@@ -52,10 +52,18 @@ pub struct DiskRequest {
     pub bytes: u64,
     /// Foreground (user) or background (destage).
     pub priority: Priority,
+    /// The submitter's handle for its own per-request state (a slot in
+    /// the controller's [`IoSlab`](rolo_sim::IoSlab)), returned unchanged
+    /// on completion so the owner finds that state without a lookup by
+    /// id. The disk never reads it.
+    pub tag: IoSlot,
 }
 
+// 40 bytes: the disk queues move requests by value on every event.
+const _: () = assert!(std::mem::size_of::<DiskRequest>() == 40);
+
 impl DiskRequest {
-    /// Convenience constructor.
+    /// Convenience constructor; the tag is [`IoSlot::DANGLING`].
     pub fn new(id: u64, kind: IoKind, offset: u64, bytes: u64, priority: Priority) -> Self {
         DiskRequest {
             id,
@@ -63,6 +71,7 @@ impl DiskRequest {
             offset,
             bytes,
             priority,
+            tag: IoSlot::DANGLING,
         }
     }
 }

@@ -22,15 +22,13 @@
 //!
 //! [`Raid5Policy`] is the in-place read-modify-write baseline. Both run
 //! on the same driver/disk substrate as the RAID10 schemes, so the
-//! comparison isolates the logging architecture. The `parity_study`
-//! binary in `rolo-bench` reports the comparison.
+//! comparison isolates the logging architecture. `paper parity_study` in
+//! `rolo-bench` reports the comparison.
 
-pub mod degraded;
 pub mod geometry;
 pub mod raid5;
 pub mod rolo5;
 
-pub use degraded::{simulate_raid5_rebuild, Raid5RebuildReport};
 pub use geometry::{Raid5Extent, Raid5Geometry, Raid5Split};
 pub use raid5::Raid5Policy;
 pub use rolo5::Rolo5Policy;

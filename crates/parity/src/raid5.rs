@@ -7,19 +7,18 @@
 use crate::geometry::Raid5Geometry;
 use rolo_core::ctx::SimCtx;
 use rolo_core::policy::{Policy, PolicyStats};
-use rolo_core::IoSlot;
 use rolo_disk::{DiskId, DiskRequest, IoKind, Priority};
-use rolo_sim::IoMap;
+use rolo_sim::{IoSlab, IoSlot};
 use rolo_trace::{ReqKind, TraceRecord};
 
 #[derive(Debug, Clone, Copy)]
 enum Tag {
     /// Direct user sub-request (reads).
     User(IoSlot),
-    /// Phase-1 read of an RMW chain.
-    ChainRead(u64),
-    /// Phase-2 write of an RMW chain.
-    ChainWrite(u64),
+    /// Phase-1 read of the RMW chain in this `chains` slot.
+    ChainRead(IoSlot),
+    /// Phase-2 write of the RMW chain in this `chains` slot.
+    ChainWrite(IoSlot),
 }
 
 #[derive(Debug)]
@@ -38,9 +37,9 @@ struct Chain {
 #[derive(Debug)]
 pub struct Raid5Policy {
     geometry: Raid5Geometry,
-    io_map: IoMap<Tag>,
-    chains: IoMap<Chain>,
-    next_chain: u64,
+    /// Per sub-request, under the slot its `DiskRequest` carries.
+    tags: IoSlab<Tag>,
+    chains: IoSlab<Chain>,
 }
 
 impl Raid5Policy {
@@ -48,9 +47,8 @@ impl Raid5Policy {
     pub fn new(geometry: Raid5Geometry) -> Self {
         Raid5Policy {
             geometry,
-            io_map: IoMap::default(),
-            chains: IoMap::default(),
-            next_chain: 0,
+            tags: IoSlab::new(),
+            chains: IoSlab::new(),
         }
     }
 
@@ -80,14 +78,9 @@ impl Policy for Raid5Policy {
             ReqKind::Read => {
                 let uslot = ctx.register_user(user_id, rec.kind, ctx.now, exts.len() as u32);
                 for e in exts {
-                    let id = ctx.submit(
-                        e.data_disk,
-                        IoKind::Read,
-                        e.offset,
-                        e.bytes,
-                        Priority::Foreground,
-                    );
-                    self.io_map.insert(id, Tag::User(uslot));
+                    let tag = self.tags.insert(Tag::User(uslot));
+                    let (d, off, len) = (e.data_disk, e.offset, e.bytes);
+                    ctx.submit(d, IoKind::Read, off, len, Priority::Foreground, tag);
                 }
             }
             ReqKind::Write => {
@@ -95,49 +88,32 @@ impl Policy for Raid5Policy {
                 // chain's phase-2 writes land.
                 let uslot = ctx.register_user(user_id, rec.kind, ctx.now, exts.len() as u32);
                 for e in exts {
-                    let chain = self.next_chain;
-                    self.next_chain += 1;
-                    self.chains.insert(
-                        chain,
-                        Chain {
-                            user: uslot,
-                            data_disk: e.data_disk,
-                            data_offset: e.offset,
-                            parity_disk: e.parity_disk,
-                            parity_offset: e.parity_offset,
-                            bytes: e.bytes,
-                            reads_left: 2,
-                            writes_left: 2,
-                        },
-                    );
-                    let r1 = ctx.submit(
-                        e.data_disk,
-                        IoKind::Read,
-                        e.offset,
-                        e.bytes,
-                        Priority::Foreground,
-                    );
-                    self.io_map.insert(r1, Tag::ChainRead(chain));
-                    let r2 = ctx.submit(
-                        e.parity_disk,
-                        IoKind::Read,
-                        e.parity_offset,
-                        e.bytes,
-                        Priority::Foreground,
-                    );
-                    self.io_map.insert(r2, Tag::ChainRead(chain));
+                    let chain = self.chains.insert(Chain {
+                        user: uslot,
+                        data_disk: e.data_disk,
+                        data_offset: e.offset,
+                        parity_disk: e.parity_disk,
+                        parity_offset: e.parity_offset,
+                        bytes: e.bytes,
+                        reads_left: 2,
+                        writes_left: 2,
+                    });
+                    for (d, off) in [(e.data_disk, e.offset), (e.parity_disk, e.parity_offset)] {
+                        let tag = self.tags.insert(Tag::ChainRead(chain));
+                        ctx.submit(d, IoKind::Read, off, e.bytes, Priority::Foreground, tag);
+                    }
                 }
             }
         }
     }
 
     fn on_io_complete(&mut self, ctx: &mut SimCtx, _disk: DiskId, req: DiskRequest) {
-        match self.io_map.remove(&req.id).expect("unknown sub-request") {
+        match self.tags.remove(req.tag).expect("unknown sub-request") {
             Tag::User(user) => {
                 ctx.user_sub_done(user);
             }
             Tag::ChainRead(chain_id) => {
-                let chain = self.chains.get_mut(&chain_id).expect("chain exists");
+                let chain = self.chains.get_mut(chain_id).expect("chain exists");
                 chain.reads_left -= 1;
                 if chain.reads_left == 0 {
                     let (dd, doff, pd, poff, len) = (
@@ -147,18 +123,18 @@ impl Policy for Raid5Policy {
                         chain.parity_offset,
                         chain.bytes,
                     );
-                    let w1 = ctx.submit(dd, IoKind::Write, doff, len, Priority::Foreground);
-                    self.io_map.insert(w1, Tag::ChainWrite(chain_id));
-                    let w2 = ctx.submit(pd, IoKind::Write, poff, len, Priority::Foreground);
-                    self.io_map.insert(w2, Tag::ChainWrite(chain_id));
+                    for (d, off) in [(dd, doff), (pd, poff)] {
+                        let tag = self.tags.insert(Tag::ChainWrite(chain_id));
+                        ctx.submit(d, IoKind::Write, off, len, Priority::Foreground, tag);
+                    }
                 }
             }
             Tag::ChainWrite(chain_id) => {
-                let chain = self.chains.get_mut(&chain_id).expect("chain exists");
+                let chain = self.chains.get_mut(chain_id).expect("chain exists");
                 chain.writes_left -= 1;
                 if chain.writes_left == 0 {
                     let user = chain.user;
-                    self.chains.remove(&chain_id);
+                    self.chains.remove(chain_id);
                     ctx.user_sub_done(user);
                 }
             }
@@ -182,8 +158,8 @@ impl Policy for Raid5Policy {
         if !self.chains.is_empty() {
             return Err(format!("{} RMW chains still open", self.chains.len()));
         }
-        if !self.io_map.is_empty() {
-            return Err(format!("{} orphaned sub-requests", self.io_map.len()));
+        if !self.tags.is_empty() {
+            return Err(format!("{} orphaned sub-requests", self.tags.len()));
         }
         if ctx.outstanding_users() != 0 {
             return Err(format!(

@@ -15,16 +15,17 @@ use rolo_core::ctx::SimCtx;
 use rolo_core::dirty::DirtyMap;
 use rolo_core::logspace::LoggerSpace;
 use rolo_core::policy::{Policy, PolicyStats};
-use rolo_core::IoSlot;
 use rolo_disk::{DiskId, DiskRequest, IoKind, Priority};
-use rolo_sim::IoMap;
+use rolo_sim::{IoSlab, IoSlot};
 use rolo_trace::{ReqKind, TraceRecord};
 
 #[derive(Debug, Clone, Copy)]
 enum Tag {
     User(IoSlot),
-    ChainRead(u64),
-    ChainWrite(u64),
+    /// Phase-1 read of the chain in this `chains` slot.
+    ChainRead(IoSlot),
+    /// Phase-2 write of the chain in this `chains` slot.
+    ChainWrite(IoSlot),
     /// Background flush of NVRAM-staged deltas to the log.
     NvramFlush,
     DestageRead {
@@ -81,9 +82,9 @@ pub struct Rolo5Policy {
     watermark: Vec<u64>,
     destage_active: Vec<bool>,
     chain_busy: Vec<bool>,
-    io_map: IoMap<Tag>,
-    chains: IoMap<Chain>,
-    next_chain: u64,
+    /// Per sub-request, under the slot its `DiskRequest` carries.
+    tags: IoSlab<Tag>,
+    chains: IoSlab<Chain>,
     deactivated: bool,
     drain_mode: bool,
     /// NVRAM append staging: deltas are durable the moment they enter the
@@ -156,9 +157,8 @@ impl Rolo5Policy {
             watermark: vec![0; disks],
             destage_active: vec![false; disks],
             chain_busy: vec![false; disks],
-            io_map: IoMap::default(),
-            chains: IoMap::default(),
-            next_chain: 0,
+            tags: IoSlab::new(),
+            chains: IoSlab::new(),
             deactivated: false,
             drain_mode: false,
             nvram_batch: None,
@@ -222,14 +222,9 @@ impl Rolo5Policy {
         };
         for (pd, len) in entries {
             let logged = self.spaces[target].alloc(len, pd, self.period, |seg| {
-                let id = ctx.submit(
-                    target,
-                    IoKind::Write,
-                    seg.offset,
-                    seg.bytes,
-                    Priority::Background,
-                );
-                self.io_map.insert(id, Tag::NvramFlush);
+                let tag = self.tags.insert(Tag::NvramFlush);
+                let (off, len) = (seg.offset, seg.bytes);
+                ctx.submit(target, IoKind::Write, off, len, Priority::Background, tag);
                 self.stats.log_appended_bytes += seg.bytes;
             });
             assert!(logged, "picked logger has space");
@@ -370,8 +365,8 @@ impl Rolo5Policy {
         match self.draining[disk].take_next(self.chunk) {
             Some((off, len)) => {
                 self.chain_busy[disk] = true;
-                let id = ctx.submit(disk, IoKind::Read, off, len, Priority::Background);
-                self.io_map.insert(id, Tag::DestageRead { disk, off, len });
+                let tag = self.tags.insert(Tag::DestageRead { disk, off, len });
+                ctx.submit(disk, IoKind::Read, off, len, Priority::Background, tag);
             }
             None => self.complete_destage(ctx, disk),
         }
@@ -480,14 +475,9 @@ impl Policy for Rolo5Policy {
             ReqKind::Read => {
                 let uslot = ctx.register_user(user_id, rec.kind, ctx.now, exts.len() as u32);
                 for e in exts {
-                    let id = ctx.submit(
-                        e.data_disk,
-                        IoKind::Read,
-                        e.offset,
-                        e.bytes,
-                        Priority::Foreground,
-                    );
-                    self.io_map.insert(id, Tag::User(uslot));
+                    let tag = self.tags.insert(Tag::User(uslot));
+                    let (d, off, len) = (e.data_disk, e.offset, e.bytes);
+                    ctx.submit(d, IoKind::Read, off, len, Priority::Foreground, tag);
                 }
             }
             ReqKind::Write => {
@@ -505,45 +495,28 @@ impl Policy for Rolo5Policy {
                             }
                         }
                     }
-                    let chain_id = self.next_chain;
-                    self.next_chain += 1;
                     let direct = target.is_none();
-                    self.chains.insert(
-                        chain_id,
-                        Chain {
-                            user: uslot,
-                            data_disk: e.data_disk,
-                            data_offset: e.offset,
-                            bytes: e.bytes,
-                            parity_disk: e.parity_disk,
-                            parity_mark: (e.offset, e.bytes),
-                            writes_left: 0,
-                            direct,
-                            log_target: target.unwrap_or(0),
-                        },
-                    );
                     // Phase 1: read old data (always); plus old parity when
-                    // falling back to the in-place RMW.
-                    let r1 = ctx.submit(
-                        e.data_disk,
-                        IoKind::Read,
-                        e.offset,
-                        e.bytes,
-                        Priority::Foreground,
-                    );
-                    self.io_map.insert(r1, Tag::ChainRead(chain_id));
-                    let chain = self.chains.get_mut(&chain_id).expect("just inserted");
-                    chain.writes_left = 1; // reads pending marker reused below
+                    // falling back to the in-place RMW. `writes_left`
+                    // counts the pending reads until phase 2.
+                    let reads = if direct { 2 } else { 1 };
+                    let chain_id = self.chains.insert(Chain {
+                        user: uslot,
+                        data_disk: e.data_disk,
+                        data_offset: e.offset,
+                        bytes: e.bytes,
+                        parity_disk: e.parity_disk,
+                        parity_mark: (e.offset, e.bytes),
+                        writes_left: reads,
+                        direct,
+                        log_target: target.unwrap_or(0),
+                    });
+                    let phase1 = [(e.data_disk, e.offset), (e.parity_disk, e.parity_offset)];
+                    for (d, off) in phase1.into_iter().take(usize::from(reads)) {
+                        let tag = self.tags.insert(Tag::ChainRead(chain_id));
+                        ctx.submit(d, IoKind::Read, off, e.bytes, Priority::Foreground, tag);
+                    }
                     if direct {
-                        let r2 = ctx.submit(
-                            e.parity_disk,
-                            IoKind::Read,
-                            e.parity_offset,
-                            e.bytes,
-                            Priority::Foreground,
-                        );
-                        self.io_map.insert(r2, Tag::ChainRead(chain_id));
-                        chain.writes_left = 2;
                         self.stats.direct_writes += 1;
                     }
                 }
@@ -552,12 +525,12 @@ impl Policy for Rolo5Policy {
     }
 
     fn on_io_complete(&mut self, ctx: &mut SimCtx, _disk: DiskId, req: DiskRequest) {
-        match self.io_map.remove(&req.id).expect("unknown sub-request") {
+        match self.tags.remove(req.tag).expect("unknown sub-request") {
             Tag::User(user) => {
                 ctx.user_sub_done(user);
             }
             Tag::ChainRead(chain_id) => {
-                let chain = self.chains.get_mut(&chain_id).expect("chain exists");
+                let chain = self.chains.get_mut(chain_id).expect("chain exists");
                 // `writes_left` counts outstanding phase-1 reads here.
                 chain.writes_left -= 1;
                 if chain.writes_left > 0 {
@@ -582,34 +555,30 @@ impl Policy for Rolo5Policy {
                 if direct || raced {
                     // In-place fallback: write data + write parity.
                     chain.writes_left = 2;
-                    let w1 = ctx.submit(dd, IoKind::Write, doff, len, Priority::Foreground);
-                    self.io_map.insert(w1, Tag::ChainWrite(chain_id));
-                    let w2 = ctx.submit(pd, IoKind::Write, poff, len, Priority::Foreground);
-                    self.io_map.insert(w2, Tag::ChainWrite(chain_id));
+                    for (d, off) in [(dd, doff), (pd, poff)] {
+                        let tag = self.tags.insert(Tag::ChainWrite(chain_id));
+                        ctx.submit(d, IoKind::Write, off, len, Priority::Foreground, tag);
+                    }
                 } else if nvram {
                     // Delta staged in NVRAM (already durable): only the
                     // in-place data write remains in the foreground.
-                    let chain = self.chains.get_mut(&chain_id).expect("chain exists");
+                    let chain = self.chains.get_mut(chain_id).expect("chain exists");
                     chain.writes_left = 1;
-                    let w1 = ctx.submit(dd, IoKind::Write, doff, len, Priority::Foreground);
-                    self.io_map.insert(w1, Tag::ChainWrite(chain_id));
+                    let tag = self.tags.insert(Tag::ChainWrite(chain_id));
+                    ctx.submit(dd, IoKind::Write, doff, len, Priority::Foreground, tag);
                     self.nvram_pending.push((pd, len));
                     self.nvram_pending_bytes += len;
                     self.maybe_flush_nvram(ctx, false);
                 } else {
                     // Write data in place + append the parity delta.
-                    let w1 = ctx.submit(dd, IoKind::Write, doff, len, Priority::Foreground);
-                    self.io_map.insert(w1, Tag::ChainWrite(chain_id));
+                    let tag = self.tags.insert(Tag::ChainWrite(chain_id));
+                    ctx.submit(dd, IoKind::Write, doff, len, Priority::Foreground, tag);
                     let mut writes = 1;
                     let logged = self.spaces[log_target].alloc(len, pd, self.period, |seg| {
-                        let id = ctx.submit(
-                            log_target,
-                            IoKind::Write,
-                            seg.offset,
-                            seg.bytes,
-                            Priority::Foreground,
-                        );
-                        self.io_map.insert(id, Tag::ChainWrite(chain_id));
+                        let tag = self.tags.insert(Tag::ChainWrite(chain_id));
+                        let (off, len) = (seg.offset, seg.bytes);
+                        let prio = Priority::Foreground;
+                        ctx.submit(log_target, IoKind::Write, off, len, prio, tag);
                         self.stats.log_appended_bytes += seg.bytes;
                         writes += 1;
                     });
@@ -620,14 +589,14 @@ impl Policy for Rolo5Policy {
             }
             Tag::NvramFlush => {}
             Tag::ChainWrite(chain_id) => {
-                let chain = self.chains.get_mut(&chain_id).expect("chain exists");
+                let chain = self.chains.get_mut(chain_id).expect("chain exists");
                 chain.writes_left -= 1;
                 if chain.writes_left == 0 {
                     let user = chain.user;
                     let pd = chain.parity_disk;
                     let (moff, mlen) = chain.parity_mark;
                     let direct = chain.direct;
-                    self.chains.remove(&chain_id);
+                    self.chains.remove(chain_id);
                     ctx.user_sub_done(user);
                     if direct {
                         // Parity freshly rewritten in place.
@@ -649,8 +618,8 @@ impl Policy for Rolo5Policy {
                 }
             }
             Tag::DestageRead { disk, off, len } => {
-                let id = ctx.submit(disk, IoKind::Write, off, len, Priority::Background);
-                self.io_map.insert(id, Tag::DestageWrite { disk, len });
+                let tag = self.tags.insert(Tag::DestageWrite { disk, len });
+                ctx.submit(disk, IoKind::Write, off, len, Priority::Background, tag);
             }
             Tag::DestageWrite { disk, len } => {
                 self.stats.destaged_bytes += len;
@@ -684,7 +653,7 @@ impl Policy for Rolo5Policy {
         self.nvram_pending_bytes == 0
             && ctx.outstanding_users() == 0
             && self.chains.is_empty()
-            && self.io_map.is_empty()
+            && self.tags.is_empty()
             && self.dirty.iter().all(|d| d.is_clean())
             && self.draining.iter().all(|d| d.is_clean())
             && self.log_used_bytes() == 0

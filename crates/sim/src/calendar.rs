@@ -46,7 +46,7 @@
 //!    bit is set exactly when its bucket is non-empty.
 //! 4. The current bucket is sorted by `(time, seq)`.
 
-use crate::queue::{FutureEventList, ScheduledEvent};
+use crate::queue::ScheduledEvent;
 use crate::time::SimTime;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -63,13 +63,23 @@ const DEFAULT_WIDTH_SHIFT: u32 = 13;
 const DEFAULT_BUCKET_SHIFT: u32 = 9;
 
 /// A two-tier calendar queue: near-future bucketed ring plus far-future
-/// overflow heap. Drop-in replacement for [`EventQueue`] with identical
-/// observable behavior (see [`FutureEventList`]).
+/// overflow heap, the simulator's future-event list.
+///
+/// Its observable behavior is that of the binary-heap [`EventQueue`],
+/// which `tests/queue_diff.rs` drives in lockstep with it:
+/// - events are delivered in non-decreasing `(time, seq)` order, where
+///   `seq` is a per-queue schedule counter, so events due at one instant
+///   fire in the order they were scheduled;
+/// - scheduling in the past is a caller logic error: debug builds panic,
+///   release builds clamp the event to fire "now";
+/// - the lifetime counters ([`CalendarQueue::scheduled_total`],
+///   [`CalendarQueue::popped_total`]) account for every event exactly
+///   once, and [`CalendarQueue::clear`] leaves them and the clock alone.
 ///
 /// # Example
 ///
 /// ```
-/// use rolo_sim::{CalendarQueue, FutureEventList, SimTime};
+/// use rolo_sim::{CalendarQueue, SimTime};
 ///
 /// let mut q = CalendarQueue::new();
 /// q.schedule(SimTime::from_micros(10), 'b');
@@ -227,8 +237,9 @@ impl<T> CalendarQueue<T> {
         self.now
     }
 
-    /// Schedules `payload` to fire at `time` (see
-    /// [`FutureEventList::schedule`] for the past-clamp contract).
+    /// Schedules `payload` to fire at `time`, returning its sequence
+    /// number. A `time` before [`CalendarQueue::now`] panics in debug
+    /// builds and fires "now" in release builds.
     pub fn schedule(&mut self, time: SimTime, payload: T) -> u64 {
         debug_assert!(
             time >= self.now,
@@ -413,41 +424,6 @@ impl<T> CalendarQueue<T> {
             return Err(format!("current bucket out of order: {a:?} before {b:?}"));
         }
         Ok(())
-    }
-}
-
-impl<T> FutureEventList<T> for CalendarQueue<T> {
-    #[inline]
-    fn now(&self) -> SimTime {
-        CalendarQueue::now(self)
-    }
-    #[inline]
-    fn schedule(&mut self, time: SimTime, payload: T) -> u64 {
-        CalendarQueue::schedule(self, time, payload)
-    }
-    #[inline]
-    fn pop(&mut self) -> Option<ScheduledEvent<T>> {
-        CalendarQueue::pop(self)
-    }
-    #[inline]
-    fn peek_time(&self) -> Option<SimTime> {
-        CalendarQueue::peek_time(self)
-    }
-    #[inline]
-    fn len(&self) -> usize {
-        CalendarQueue::len(self)
-    }
-    #[inline]
-    fn clear(&mut self) {
-        CalendarQueue::clear(self)
-    }
-    #[inline]
-    fn scheduled_total(&self) -> u64 {
-        CalendarQueue::scheduled_total(self)
-    }
-    #[inline]
-    fn popped_total(&self) -> u64 {
-        CalendarQueue::popped_total(self)
     }
 }
 

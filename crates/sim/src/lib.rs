@@ -3,10 +3,12 @@
 //!
 //! This crate provides the substrate that the disk model, RAID layer and
 //! logging controllers are built on: a microsecond-resolution simulated
-//! clock ([`SimTime`], [`Duration`]), a deterministic event queue
-//! ([`EventQueue`]), seeded random-number plumbing ([`rng`]), and the
-//! disjoint byte-extent map ([`ExtentMap`]) the layers above keep their
-//! stale, free, live and corrupt extents in.
+//! clock ([`SimTime`], [`Duration`]), a deterministic calendar event
+//! queue ([`CalendarQueue`], with the binary-heap [`EventQueue`] kept as
+//! its differential reference), seeded random-number plumbing ([`rng`]),
+//! the generational slab ([`IoSlab`]) that in-flight request state lives
+//! in, and the disjoint byte-extent map ([`ExtentMap`]) the layers above
+//! keep their stale, free, live and corrupt extents in.
 //!
 //! The engine is deliberately *not* generic over an event trait object
 //! dispatch framework; higher layers drive their own state machines and use
@@ -17,9 +19,9 @@
 //! # Example
 //!
 //! ```
-//! use rolo_sim::{EventQueue, SimTime, Duration};
+//! use rolo_sim::{CalendarQueue, SimTime, Duration};
 //!
-//! let mut q: EventQueue<&'static str> = EventQueue::new();
+//! let mut q: CalendarQueue<&'static str> = CalendarQueue::new();
 //! q.schedule(SimTime::ZERO + Duration::from_millis(5), "later");
 //! q.schedule(SimTime::ZERO, "now");
 //! assert_eq!(q.pop().map(|e| e.payload), Some("now"));
@@ -33,11 +35,13 @@ pub mod fastmap;
 pub mod queue;
 pub mod rng;
 pub mod schedule;
+pub mod slot;
 pub mod time;
 
 pub use calendar::CalendarQueue;
 pub use extent::ExtentMap;
 pub use fastmap::{IdHasher, IoMap, IoSet};
-pub use queue::{EventQueue, FutureEventList, ScheduledEvent};
+pub use queue::{EventQueue, ScheduledEvent};
 pub use rng::SimRng;
+pub use slot::{IoSlab, IoSlot};
 pub use time::{Duration, SimTime};

@@ -43,43 +43,6 @@ impl<T> Ord for ScheduledEvent<T> {
     }
 }
 
-/// The future-event-list contract shared by every queue implementation.
-///
-/// Both the legacy binary-heap [`EventQueue`] (the reference
-/// implementation) and the bucketed [`CalendarQueue`](crate::CalendarQueue)
-/// implement this trait with *identical observable behavior*: events are
-/// delivered in non-decreasing `(time, seq)` order, `seq` is a monotonic
-/// per-queue schedule counter, scheduling in the past clamps to `now` (and
-/// panics in debug builds), and the lifetime counters account for every
-/// event exactly once. The differential proptest in `tests/queue_diff.rs`
-/// drives both implementations in lockstep to lock this down.
-pub trait FutureEventList<T> {
-    /// Current simulated time: the due time of the most recently popped
-    /// event (never moves backwards).
-    fn now(&self) -> SimTime;
-    /// Schedules `payload` to fire at `time`, returning its sequence
-    /// number. Scheduling in the past is a caller logic error: debug
-    /// builds panic, release builds clamp the event to fire "now".
-    fn schedule(&mut self, time: SimTime, payload: T) -> u64;
-    /// Removes and returns the earliest event, advancing the clock to
-    /// its due time. Returns `None` when the queue is empty.
-    fn pop(&mut self) -> Option<ScheduledEvent<T>>;
-    /// Due time of the earliest pending event, if any.
-    fn peek_time(&self) -> Option<SimTime>;
-    /// Number of pending events.
-    fn len(&self) -> usize;
-    /// True if no events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Drops every pending event (the clock and counters are unchanged).
-    fn clear(&mut self);
-    /// Total events scheduled over the queue's lifetime (profiling).
-    fn scheduled_total(&self) -> u64;
-    /// Total events popped over the queue's lifetime (profiling).
-    fn popped_total(&self) -> u64;
-}
-
 /// A future-event list delivering events in non-decreasing time order, with
 /// FIFO tie-breaking among events scheduled for the same instant.
 ///
@@ -189,41 +152,6 @@ impl<T> EventQueue<T> {
     /// Drops every pending event (the clock is unchanged).
     pub fn clear(&mut self) {
         self.heap.clear();
-    }
-}
-
-impl<T> FutureEventList<T> for EventQueue<T> {
-    #[inline]
-    fn now(&self) -> SimTime {
-        EventQueue::now(self)
-    }
-    #[inline]
-    fn schedule(&mut self, time: SimTime, payload: T) -> u64 {
-        EventQueue::schedule(self, time, payload)
-    }
-    #[inline]
-    fn pop(&mut self) -> Option<ScheduledEvent<T>> {
-        EventQueue::pop(self)
-    }
-    #[inline]
-    fn peek_time(&self) -> Option<SimTime> {
-        EventQueue::peek_time(self)
-    }
-    #[inline]
-    fn len(&self) -> usize {
-        EventQueue::len(self)
-    }
-    #[inline]
-    fn clear(&mut self) {
-        EventQueue::clear(self)
-    }
-    #[inline]
-    fn scheduled_total(&self) -> u64 {
-        EventQueue::scheduled_total(self)
-    }
-    #[inline]
-    fn popped_total(&self) -> u64 {
-        EventQueue::popped_total(self)
     }
 }
 
