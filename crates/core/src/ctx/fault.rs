@@ -498,14 +498,38 @@ impl SimCtx {
         Some(backoff)
     }
 
-    /// Records that a user read was redirected to a surviving copy.
-    pub fn note_redirect(&mut self) {
+    /// Counts and emits a user read redirected from `from` to the
+    /// surviving copy on `to`.
+    fn note_redirect(&mut self, from: DiskId, to: DiskId) {
         self.faults.reads_redirected += 1;
         if self.faults.time_to_first_redirect.is_none() {
             if let Some(t0) = self.fault.first_failure_at {
                 self.faults.time_to_first_redirect = Some(self.now.since(t0));
             }
         }
+        self.emit(|| SimEvent::ReadRedirected { from, to });
+    }
+
+    /// Routes a user read that the controller chose to serve from
+    /// `choice`, returning the disk to submit it to and its span leg's
+    /// flavor. When `choice` is a degraded slot, the read goes to the
+    /// slot's pair partner instead (§III-C): the redirect is noted and
+    /// emitted as [`SimEvent::ReadRedirected`], and the leg is a
+    /// [`LegFlavor::DegradedRedirect`]. Otherwise the read stays on
+    /// `choice` as a plain [`LegFlavor::Transfer`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `choice` is degraded and has no pair partner (a logger
+    /// disk outside the mirrored pairs).
+    pub fn route_read(&mut self, choice: DiskId) -> (DiskId, LegFlavor) {
+        if !self.is_degraded(choice) {
+            return (choice, LegFlavor::Transfer);
+        }
+        let to =
+            surviving_partner(&self.geometry, choice).expect("a degraded read slot has a pair");
+        self.note_redirect(choice, to);
+        (to, LegFlavor::DegradedRedirect)
     }
 
     /// Re-serves user `user`'s failed read `req` from the surviving
@@ -531,8 +555,7 @@ impl SimCtx {
         else {
             return false;
         };
-        self.note_redirect();
-        self.emit(|| SimEvent::ReadRedirected { from: disk, to: p });
+        self.note_redirect(disk, p);
         let (off, len) = (req.offset, req.bytes);
         let id = self.submit(p, IoKind::Read, off, len, Priority::Foreground, req.tag);
         self.tag_io(id, user, LegFlavor::DegradedRedirect);

@@ -25,13 +25,14 @@ pub use observe::RunObservations;
 
 use crate::config::SimConfig;
 use crate::faults::FaultMetrics;
+use crate::intervals::IntervalTracker;
+use crate::report::ResponseStats;
 use fault::FaultEngine;
 use observe::Observer;
 use rolo_disk::{
     Disk, DiskEnergyReport, DiskId, DiskRequest, DiskWake, IoKind, PowerState, Priority,
 };
-use rolo_metrics::{IntervalTracker, ResponseStats, Timeline};
-use rolo_obs::{MetricId, MetricsRegistry, NullSink, SimEvent, TraceSink};
+use rolo_obs::{MetricId, MetricsRegistry, NullSink, SimEvent, Timeline, TraceSink};
 use rolo_raid::ArrayGeometry;
 use rolo_sim::{Duration, IoSlab, IoSlot, SimRng, SimTime};
 use rolo_trace::ReqKind;
@@ -79,8 +80,6 @@ pub struct SimCtx {
     /// `power_soa` — power is a pure function of the state, so the two
     /// are maintained together and `total_power_w` is a contiguous sum.
     watts_soa: Vec<f64>,
-    /// Response-time statistics over all user requests.
-    pub responses: ResponseStats,
     /// Response-time statistics over reads only.
     pub read_responses: ResponseStats,
     /// Response-time statistics over writes only.
@@ -176,7 +175,6 @@ impl SimCtx {
             pending_timers: Vec::new(),
             outstanding: IoSlab::with_capacity(256),
             next_io_id: 1,
-            responses: ResponseStats::new(),
             read_responses: ResponseStats::new(),
             write_responses: ResponseStats::new(),
             intervals: IntervalTracker::new(),
@@ -432,7 +430,6 @@ impl SimCtx {
         let response = self.now.since(o.arrival);
         self.obs
             .on_complete(self.now, o.user_id, response, &self.power_soa);
-        self.responses.record(response);
         match o.kind {
             ReqKind::Read => self.read_responses.record(response),
             ReqKind::Write => self.write_responses.record(response),
@@ -575,7 +572,6 @@ mod tests {
         let done = c.user_sub_done(slot).unwrap();
         assert_eq!(done.kind, ReqKind::Write);
         assert_eq!(done.response, Duration::from_millis(5));
-        assert_eq!(c.responses.count(), 1);
         assert_eq!(c.write_responses.count(), 1);
         assert_eq!(c.read_responses.count(), 0);
         assert_eq!(c.outstanding_users(), 0);

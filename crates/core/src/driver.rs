@@ -12,10 +12,10 @@
 
 use crate::config::SimConfig;
 use crate::ctx::{IoFate, RunObservations, ShockEffect, SimCtx, WakeKind};
+use crate::intervals::{Phase, PhaseSummary};
 use crate::policy::Policy;
 use crate::report::SimReport;
 use rolo_disk::{DiskEnergyReport, DiskId, DiskWake, IoOutcome};
-use rolo_metrics::Phase;
 use rolo_obs::{NullSink, RunProfile, SimEvent, TraceSink};
 use rolo_sim::{CalendarQueue, Duration, SimTime};
 use rolo_trace::TraceRecord;
@@ -62,8 +62,8 @@ struct TraceEndSnapshot {
     spin_cycles: u64,
     interval_ratio: f64,
     energy_ratio: f64,
-    logging: rolo_metrics::PhaseSummary,
-    destaging: rolo_metrics::PhaseSummary,
+    logging: PhaseSummary,
+    destaging: PhaseSummary,
 }
 
 /// Runs `policy` over `records` for `duration`, then drains and audits.
@@ -374,16 +374,18 @@ pub fn run_trace_observed<P: Policy>(
     let consistency = policy
         .check_consistency(&ctx)
         .and_then(|()| ctx.check_parked_retries());
+    let mut responses = ctx.read_responses.clone();
+    responses.merge(&ctx.write_responses);
     let report = SimReport {
         scheme: policy.name().to_owned(),
         trace_duration: duration,
         drained_at: ctx.now.since(SimTime::ZERO),
-        user_requests: ctx.responses.count(),
+        user_requests: responses.count(),
         total_energy_j: aggregate.total_joules,
         energy_by_disk: snapshot.energy_by_disk,
         aggregate_energy: aggregate,
         spin_cycles: snapshot.spin_cycles,
-        responses: ctx.responses.clone(),
+        responses,
         read_responses: ctx.read_responses.clone(),
         write_responses: ctx.write_responses.clone(),
         logging_phase: snapshot.logging,

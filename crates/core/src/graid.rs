@@ -13,12 +13,12 @@
 //! guarantees the destage terminates.
 
 use crate::ctx::SimCtx;
+use crate::intervals::Phase;
 use crate::journal::{JournalSet, PendingAppend};
 use crate::logspace::LoggerSpace;
 use crate::policy::{Policy, PolicyStats};
 use crate::recovery::recovery_plan;
 use rolo_disk::{DiskId, DiskRequest, IoKind, IoOutcome, Priority};
-use rolo_metrics::Phase;
 use rolo_obs::{BgSpanKind, LegFlavor, SimEvent};
 use rolo_sim::{Duration, IoMap, IoSlab, IoSlot};
 use rolo_trace::{ReqKind, TraceRecord};
@@ -257,17 +257,9 @@ impl Policy for GraidPolicy {
         match rec.kind {
             ReqKind::Read => {
                 for ext in exts {
-                    let mut d = ctx.geometry().primary_disk(ext.pair);
-                    let mut flavor = LegFlavor::Transfer;
-                    if ctx.is_degraded(d) {
-                        // Degraded mode: the mirror absorbs the primary's
-                        // reads until its rebuild completes (§III-C).
-                        let from = d;
-                        d = ctx.geometry().mirror_disk(ext.pair);
-                        flavor = LegFlavor::DegradedRedirect;
-                        ctx.note_redirect();
-                        ctx.emit(|| SimEvent::ReadRedirected { from, to: d });
-                    }
+                    // Degraded mode: the mirror absorbs the primary's
+                    // reads until its rebuild completes (§III-C).
+                    let (d, flavor) = ctx.route_read(ctx.geometry().primary_disk(ext.pair));
                     let tag = self.tags.insert(Tag::User(user_id, uslot));
                     let (off, len) = (ext.offset, ext.bytes);
                     let id = ctx.submit(d, IoKind::Read, off, len, Priority::Foreground, tag);

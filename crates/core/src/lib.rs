@@ -32,6 +32,7 @@ pub mod dirty;
 pub mod driver;
 pub mod faults;
 pub mod graid;
+pub mod intervals;
 pub mod journal;
 pub mod logspace;
 pub mod paraid;
@@ -56,7 +57,7 @@ pub use rebuild::{
     rebuild_primary_failure, simulate_rebuild, simulate_rebuild_traced, RebuildReport,
 };
 pub use recovery::{recovery_plan, RecoveryPlan};
-pub use report::SimReport;
+pub use report::{ResponseStats, SimReport};
 pub use rolo::{RoloFlavor, RoloPolicy};
 pub use rolo_sim::{IoSlab, IoSlot};
 pub use roloe::RoloEPolicy;

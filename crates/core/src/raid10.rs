@@ -31,18 +31,12 @@ impl Raid10Policy {
         Self::default()
     }
 
-    /// Chooses the less-loaded disk of a pair for a read, never a
-    /// degraded slot (its replacement does not hold the data yet).
-    fn read_target(ctx: &SimCtx, pair: usize) -> DiskId {
+    /// Chooses the less-loaded disk of a pair for a read. A degraded
+    /// choice is [`SimCtx::route_read`]'s to redirect.
+    fn read_choice(ctx: &SimCtx, pair: usize) -> DiskId {
         let geo = ctx.geometry();
         let p = geo.primary_disk(pair);
         let m = geo.mirror_disk(pair);
-        if ctx.is_degraded(p) {
-            return m;
-        }
-        if ctx.is_degraded(m) {
-            return p;
-        }
         let load = |d: DiskId| {
             let disk = ctx.disk(d);
             disk.foreground_pending() + usize::from(disk.is_busy())
@@ -94,11 +88,11 @@ impl Policy for Raid10Policy {
                     }
                 }
                 ReqKind::Read => {
-                    let d = Self::read_target(ctx, ext.pair);
+                    let (d, flavor) = ctx.route_read(Self::read_choice(ctx, ext.pair));
                     let tag = self.tags.insert((user_id, slot));
                     let (off, len) = (ext.offset, ext.bytes);
                     let id = ctx.submit(d, IoKind::Read, off, len, Priority::Foreground, tag);
-                    ctx.tag_io(id, user_id, LegFlavor::Transfer);
+                    ctx.tag_io(id, user_id, flavor);
                 }
             }
         }

@@ -1,12 +1,87 @@
 //! End-of-run simulation report.
 
 use crate::faults::FaultMetrics;
+use crate::intervals::PhaseSummary;
 use crate::policy::PolicyStats;
 use rolo_disk::DiskEnergyReport;
-use rolo_metrics::{PhaseSummary, ResponseStats};
-use rolo_obs::{MetricsReport, RunProfile};
+use rolo_obs::{MetricsReport, QuantileSketch, RunProfile};
 use rolo_sim::Duration;
 use serde::{Deserialize, Map, Serialize, Value};
+
+/// Response-time statistics: a [`Duration`]-typed view over a
+/// [`QuantileSketch`] of microseconds. Percentiles are within 1 % (plus
+/// the rounding to whole microseconds) of the exact sample percentiles,
+/// the mean is exact (the sketch sums integer microseconds), and [`ResponseStats::merge`] adds bucket counts, so a
+/// merge answers every query as one collector fed both streams would.
+///
+/// # Example
+///
+/// ```
+/// use rolo_core::ResponseStats;
+/// use rolo_sim::Duration;
+///
+/// let mut s = ResponseStats::new();
+/// s.record(Duration::from_millis(2));
+/// s.record(Duration::from_millis(4));
+/// assert_eq!(s.count(), 2);
+/// assert_eq!(s.mean(), Duration::from_millis(3));
+/// ```
+#[derive(Debug, Clone, Default, Serialize)]
+pub struct ResponseStats(QuantileSketch);
+
+impl ResponseStats {
+    /// Creates an empty collector.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records one response time.
+    pub fn record(&mut self, d: Duration) {
+        self.0.record(d.as_micros() as f64);
+    }
+
+    /// Number of recorded responses.
+    pub fn count(&self) -> u64 {
+        self.0.count()
+    }
+
+    /// Mean response time (zero if empty).
+    pub fn mean(&self) -> Duration {
+        Duration::from_micros(self.0.mean().round() as u64)
+    }
+
+    /// Mean as fractional milliseconds (the unit of Fig. 12).
+    pub fn mean_ms(&self) -> f64 {
+        self.0.mean() / 1e3
+    }
+
+    /// Fastest recorded response, or `None` if empty.
+    pub fn min(&self) -> Option<Duration> {
+        (!self.0.is_empty()).then(|| Duration::from_micros(self.0.min() as u64))
+    }
+
+    /// Slowest recorded response, or `None` if empty.
+    pub fn max(&self) -> Option<Duration> {
+        (!self.0.is_empty()).then(|| Duration::from_micros(self.0.max() as u64))
+    }
+
+    /// The `p`-th percentile (0–100) to the microsecond, or `None` if
+    /// empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is outside `[0, 100]`.
+    pub fn percentile(&self, p: f64) -> Option<Duration> {
+        self.0
+            .percentile(p)
+            .map(|us| Duration::from_micros(us.round() as u64))
+    }
+
+    /// Merges another collector into this one.
+    pub fn merge(&mut self, other: &ResponseStats) {
+        self.0.merge(&other.0);
+    }
+}
 
 /// Everything a run produces. Energy, spin counts and phase summaries are
 /// snapshotted at the configured trace end (before the drain phase), so
@@ -30,7 +105,8 @@ pub struct SimReport {
     pub aggregate_energy: DiskEnergyReport,
     /// Spin cycles (spin-ups) over the trace window, array-wide.
     pub spin_cycles: u64,
-    /// Response times over all user requests.
+    /// Response times over all user requests: the merge of
+    /// `read_responses` and `write_responses`.
     pub responses: ResponseStats,
     /// Response times over reads.
     pub read_responses: ResponseStats,
@@ -123,6 +199,170 @@ impl SimReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rolo_obs::sketch::exact_percentile;
+
+    #[test]
+    fn empty_stats() {
+        let s = ResponseStats::new();
+        assert_eq!(s.count(), 0);
+        assert_eq!(s.mean(), Duration::ZERO);
+        assert!(s.min().is_none());
+        assert!(s.max().is_none());
+    }
+
+    #[test]
+    fn empty_has_no_percentiles() {
+        let s = ResponseStats::new();
+        assert_eq!(s.count(), 0);
+        for p in [0.0, 50.0, 100.0] {
+            assert!(s.percentile(p).is_none(), "p{p}");
+        }
+    }
+
+    #[test]
+    fn mean_and_extremes() {
+        let mut s = ResponseStats::new();
+        for ms in [1u64, 2, 3, 4, 5] {
+            s.record(Duration::from_millis(ms));
+        }
+        assert_eq!(s.mean(), Duration::from_millis(3));
+        assert_eq!(s.min().unwrap(), Duration::from_millis(1));
+        assert_eq!(s.max().unwrap(), Duration::from_millis(5));
+    }
+
+    #[test]
+    fn single_value_dominates_all_percentiles() {
+        let mut s = ResponseStats::new();
+        s.record(Duration::from_millis(10));
+        for p in [0.0, 1.0, 50.0, 99.0, 100.0] {
+            assert_eq!(s.percentile(p), Some(Duration::from_millis(10)), "p{p}");
+        }
+    }
+
+    #[test]
+    fn percentiles_are_monotone() {
+        let mut s = ResponseStats::new();
+        for us in [10u64, 100, 1_000, 10_000, 100_000, 1_000_000] {
+            for _ in 0..10 {
+                s.record(Duration::from_micros(us));
+            }
+        }
+        let mut prev = Duration::ZERO;
+        for p in [1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0] {
+            let v = s.percentile(p).unwrap();
+            assert!(v >= prev, "p{p}: {v} < {prev}");
+            prev = v;
+        }
+    }
+
+    #[test]
+    fn handles_extremes() {
+        let mut s = ResponseStats::new();
+        s.record(Duration::ZERO);
+        s.record(Duration::from_secs(100_000));
+        assert_eq!(s.count(), 2);
+        // Sub-microsecond responses share the sketch's first bucket.
+        assert!(s.percentile(0.0).unwrap() <= Duration::from_micros(1));
+        assert_eq!(s.percentile(100.0), Some(Duration::from_secs(100_000)));
+    }
+
+    #[test]
+    fn merge_equals_sequential() {
+        let mut all = ResponseStats::new();
+        let mut a = ResponseStats::new();
+        let mut b = ResponseStats::new();
+        for i in 0..100u64 {
+            // Microseconds through seconds, so the merge spans buckets.
+            let d = Duration::from_micros(10 + i * i * i * 37);
+            all.record(d);
+            if i % 2 == 0 {
+                a.record(d);
+            } else {
+                b.record(d);
+            }
+        }
+        a.merge(&b);
+        assert_eq!(a.count(), all.count());
+        assert_eq!(a.mean_ms(), all.mean_ms());
+        assert_eq!((a.min(), a.max()), (all.min(), all.max()));
+        for p in [1.0, 50.0, 95.0, 99.0, 100.0] {
+            assert_eq!(a.percentile(p), all.percentile(p), "p{p}");
+        }
+    }
+
+    #[test]
+    fn merge_combines_counts() {
+        let mut a = ResponseStats::new();
+        let mut b = ResponseStats::new();
+        a.record(Duration::from_micros(50));
+        b.record(Duration::from_secs(5));
+        a.merge(&b);
+        assert_eq!(a.count(), 2);
+        assert!(a.percentile(99.0).unwrap() > Duration::from_secs(1));
+        assert_eq!(a.min(), Some(Duration::from_micros(50)));
+    }
+
+    #[test]
+    fn merged_folds_many() {
+        let mut m = ResponseStats::new();
+        for d in [
+            Duration::from_micros(10),
+            Duration::from_millis(10),
+            Duration::from_secs(10),
+        ] {
+            let mut part = ResponseStats::new();
+            part.record(d);
+            m.merge(&part);
+        }
+        assert_eq!(m.count(), 3);
+        assert!(m.percentile(99.0).unwrap() >= Duration::from_secs(9));
+        assert_eq!(m.min(), Some(Duration::from_micros(10)));
+        assert_eq!(m.max(), Some(Duration::from_secs(10)));
+    }
+
+    #[test]
+    fn merge_with_empty() {
+        let mut a = ResponseStats::new();
+        a.record(Duration::from_millis(7));
+        let b = ResponseStats::new();
+        a.merge(&b);
+        assert_eq!(a.count(), 1);
+        let mut c = ResponseStats::new();
+        c.merge(&a);
+        assert_eq!(c.count(), 1);
+        assert_eq!(c.mean(), Duration::from_millis(7));
+    }
+
+    proptest! {
+        #[test]
+        fn prop_mean_within_extremes(values in proptest::collection::vec(1u64..10_000_000, 1..100)) {
+            let mut s = ResponseStats::new();
+            for v in &values {
+                s.record(Duration::from_micros(*v));
+            }
+            prop_assert!(s.mean() >= s.min().unwrap());
+            prop_assert!(s.mean() <= s.max().unwrap());
+            prop_assert_eq!(s.count(), values.len() as u64);
+        }
+
+        /// Rounding the sketch to whole microseconds keeps it within
+        /// 1 % (plus the half microsecond rounding adds) of the exact
+        /// sample percentile.
+        #[test]
+        fn prop_percentile_within_one_percent(values in proptest::collection::vec(1u64..100_000_000, 1..100)) {
+            let mut s = ResponseStats::new();
+            for v in &values {
+                s.record(Duration::from_micros(*v));
+            }
+            let samples: Vec<f64> = values.iter().map(|&v| v as f64).collect();
+            for p in [50.0, 95.0, 99.0] {
+                let exact = exact_percentile(&samples, p).unwrap();
+                let est = s.percentile(p).unwrap().as_micros() as f64;
+                prop_assert!((est - exact).abs() <= 0.01 * exact + 0.5, "p{}: {} vs {}", p, est, exact);
+            }
+        }
+    }
 
     fn report(energy: f64, mean_us: u64) -> SimReport {
         let mut responses = ResponseStats::new();

@@ -30,12 +30,12 @@
 //! logging space pool.
 
 use crate::ctx::SimCtx;
+use crate::intervals::Phase;
 use crate::journal::{JournalSet, PendingAppend, DEFAULT_COMPACT_FRAC};
 use crate::logspace::LoggerSpace;
 use crate::policy::{Policy, PolicyStats};
 use crate::recovery::recovery_plan;
 use rolo_disk::{DiskId, DiskRequest, IoKind, IoOutcome, Priority};
-use rolo_metrics::Phase;
 use rolo_obs::{BgSpanKind, LegFlavor, SimEvent};
 use rolo_raid::Split;
 use rolo_sim::{Duration, IoMap, IoSlab, IoSlot};
@@ -769,15 +769,7 @@ impl Policy for RoloPolicy {
                 // spin-up latency on reads (§III-B1). A degraded primary
                 // slot hands its reads to the pair's mirror (§III-C).
                 for ext in exts {
-                    let mut d = ctx.geometry().primary_disk(ext.pair);
-                    let mut flavor = LegFlavor::Transfer;
-                    if ctx.is_degraded(d) {
-                        let from = d;
-                        d = ctx.geometry().mirror_disk(ext.pair);
-                        flavor = LegFlavor::DegradedRedirect;
-                        ctx.note_redirect();
-                        ctx.emit(|| SimEvent::ReadRedirected { from, to: d });
-                    }
+                    let (d, flavor) = ctx.route_read(ctx.geometry().primary_disk(ext.pair));
                     let tag = self.tags.insert(Tag::User(user_id, uslot));
                     let (off, len) = (ext.offset, ext.bytes);
                     let id = ctx.submit(d, IoKind::Read, off, len, Priority::Foreground, tag);

@@ -15,12 +15,12 @@
 
 use crate::cache::BlockCache;
 use crate::ctx::SimCtx;
+use crate::intervals::Phase;
 use crate::journal::{JournalSet, PendingAppend};
 use crate::logspace::LoggerSpace;
 use crate::policy::{Policy, PolicyStats};
 use crate::recovery::recovery_plan;
 use rolo_disk::{DiskId, DiskRequest, IoKind, IoOutcome, Priority};
-use rolo_metrics::Phase;
 use rolo_obs::{BgSpanKind, LegFlavor, SimEvent};
 use rolo_raid::Split;
 use rolo_sim::{Duration, IoMap, IoSlab, IoSlot};
@@ -440,12 +440,8 @@ impl Policy for RoloEPolicy {
                 } else {
                     self.stats.cache_misses += 1;
                     for ext in extents(ctx, rec) {
-                        let p = ctx.geometry().primary_disk(ext.pair);
-                        let target = if ctx.is_degraded(p) {
-                            ctx.geometry().mirror_disk(ext.pair)
-                        } else {
-                            p
-                        };
+                        let (target, flavor) =
+                            ctx.route_read(ctx.geometry().primary_disk(ext.pair));
                         if !ctx.disk(target).is_spun_up() {
                             self.stats.read_miss_spinups += 1;
                             ctx.emit(|| SimEvent::ReadMissSpinUp { disk: target });
@@ -454,11 +450,6 @@ impl Policy for RoloEPolicy {
                         let (off, len) = (ext.offset, ext.bytes);
                         let prio = Priority::Foreground;
                         let id = ctx.submit(target, IoKind::Read, off, len, prio, tag);
-                        let flavor = if target == p {
-                            LegFlavor::Transfer
-                        } else {
-                            LegFlavor::DegradedRedirect
-                        };
                         ctx.tag_io(id, user_id, flavor);
                         subs += 1;
                         // Spin the awakened disk back down once idle.
@@ -471,21 +462,11 @@ impl Policy for RoloEPolicy {
             ReqKind::Read => {
                 // Centralized destage in progress: everything is up.
                 for ext in extents(ctx, rec) {
-                    let p = ctx.geometry().primary_disk(ext.pair);
-                    let target = if ctx.is_degraded(p) {
-                        ctx.geometry().mirror_disk(ext.pair)
-                    } else {
-                        p
-                    };
+                    let (target, flavor) = ctx.route_read(ctx.geometry().primary_disk(ext.pair));
                     let tag = self.tags.insert(Tag::User(user_id, uslot));
                     let (off, len) = (ext.offset, ext.bytes);
                     let prio = Priority::Foreground;
                     let id = ctx.submit(target, IoKind::Read, off, len, prio, tag);
-                    let flavor = if target == p {
-                        LegFlavor::Transfer
-                    } else {
-                        LegFlavor::DegradedRedirect
-                    };
                     ctx.tag_io(id, user_id, flavor);
                     subs += 1;
                 }

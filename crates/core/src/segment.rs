@@ -237,12 +237,14 @@ impl SegmentStore {
     /// Replaces the chain with a blank one of the same segment size —
     /// a replacement disk's journal — that keeps counting record ids,
     /// so an id handed out before the restart never matches a new
-    /// record.
+    /// record, and keeps the lifetime counters, so the dead disk's
+    /// seals, archives and retirements still count.
     pub fn restart(&mut self) {
         *self = SegmentStore {
             seg_bytes: self.seg_bytes,
             next_rid: self.next_rid,
             pending_base: self.next_rid,
+            stats: self.stats,
             ..Default::default()
         };
     }
@@ -1162,16 +1164,19 @@ mod tests {
         s.commit(done.rid, 1);
         s.restart();
         assert!(s.segments().is_empty());
+        // The counters outlive the chain.
+        let before = s.stats().committed_records;
+        assert_eq!(before, 1);
         // Pre-restart ids commit nothing, before or after new appends.
         s.commit(torn.rid, 2);
         let fresh = s.append(0, 2, 0, 100);
         assert!(fresh.rid > done.rid, "ids continue past the old ones");
         s.commit(torn.rid, 3);
         s.commit(done.rid, 3);
-        assert_eq!(s.stats().committed_records, 0);
+        assert_eq!(s.stats().committed_records, before);
         assert_eq!(s.live_bytes(), 0);
         s.commit(fresh.rid, 4);
-        assert_eq!(s.stats().committed_records, 1);
+        assert_eq!(s.stats().committed_records, before + 1);
         assert_eq!(s.live_bytes(), 100);
         s.check_invariants().unwrap();
     }

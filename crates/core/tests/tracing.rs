@@ -2,10 +2,10 @@
 //! lifecycle events DESIGN.md §9 promises, in time order, without ever
 //! perturbing the simulation itself.
 
-use rolo_core::{run_scheme_observed, Scheme, SimConfig};
-use rolo_obs::{NullSink, RingSink, SimEvent, TracedEvent};
-use rolo_sim::Duration;
-use rolo_trace::SyntheticConfig;
+use rolo_core::{run_scheme_observed, FaultPlan, Scheme, SimConfig};
+use rolo_obs::{NullSink, Phase, RingSink, SimEvent, TracedEvent};
+use rolo_sim::{Duration, SimTime};
+use rolo_trace::{ReqKind, SyntheticConfig, TraceRecord};
 
 fn small_cfg(scheme: Scheme) -> SimConfig {
     let mut cfg = SimConfig::paper_default(scheme, 4);
@@ -118,4 +118,45 @@ fn fault_run_emits_failure_and_rebuild_milestones() {
         })
         .expect("disk_failed present");
     assert_eq!(failed, 1);
+}
+
+/// Every scheme counts, emits and flavors a read routed away from a
+/// degraded slot the same way (DESIGN.md §8): pair 0's primary dies at
+/// 1 s and one read of pair 0 arrives 1 ms later, mid-rebuild (a miss
+/// of RoLo-E's cold read cache).
+#[test]
+fn a_read_of_a_degraded_primary_is_redirected_once_under_every_scheme() {
+    let dur = Duration::from_secs(2);
+    for scheme in Scheme::all() {
+        let mut cfg = small_cfg(scheme);
+        cfg.faults = FaultPlan::single(0, Duration::from_secs(1));
+        let mirror = cfg.geometry().expect("geometry").mirror_disk(0);
+        let read = TraceRecord::new(SimTime::from_millis(1_001), ReqKind::Read, 0, 4096);
+        let sink = Box::new(RingSink::new(1 << 16));
+        let (report, mut obs) = run_scheme_observed(&cfg, [read], dur, sink, true);
+        report
+            .consistency
+            .as_ref()
+            .unwrap_or_else(|e| panic!("{scheme}: {e}"));
+        assert_eq!(report.faults.reads_redirected, 1, "{scheme}: counted");
+        let redirects: Vec<_> = obs
+            .sink
+            .drain()
+            .into_iter()
+            .filter_map(|e| match e.event {
+                SimEvent::ReadRedirected { from, to } => Some((from, to)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(redirects, [(0, mirror)], "{scheme}: emitted");
+        let spans = obs.spans.expect("spans on");
+        let legs: Vec<_> = spans.requests.iter().flat_map(|r| &r.legs).collect();
+        assert_eq!(legs.len(), 1, "{scheme}: one leg");
+        assert_eq!(legs[0].disk, mirror, "{scheme}: served by the mirror");
+        let flavored = legs[0]
+            .slices
+            .iter()
+            .any(|s| s.phase == Phase::DegradedRedirect);
+        assert!(flavored, "{scheme}: flavored");
+    }
 }

@@ -29,6 +29,7 @@ pub mod sink;
 pub mod sketch;
 pub mod slo;
 pub mod span;
+pub mod timeline;
 pub mod timeseries;
 
 pub use event::{SimEvent, TracedEvent};
@@ -49,6 +50,7 @@ pub use span::{
     PathAttribution, Phase, PhaseShare, PhaseSlice, PhaseStats, RequestSpan, SpanAnalysis,
     SpanCollector, SpanLeg, SpanSet, NUM_PHASES,
 };
+pub use timeline::Timeline;
 pub use timeseries::{
     ClosedWindow, RollupValue, SeriesId, SeriesKind, SeriesSnapshot, Telemetry, TelemetrySnapshot,
     WindowRollup,

@@ -6,7 +6,7 @@
 //! seed and config export byte-identical reports regardless of tracing.
 
 use crate::sketch::QuantileSketch;
-use rolo_metrics::Timeline;
+use crate::timeline::Timeline;
 use rolo_sim::{Duration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;

@@ -138,7 +138,7 @@ impl QuantileSketch {
     /// The `p`-th percentile (0–100), or `None` when empty.
     ///
     /// Uses the same rank convention as the exact reference
-    /// (`rolo_metrics::exact_percentile`): the value at 1-based rank
+    /// ([`exact_percentile`]): the value at 1-based rank
     /// `ceil(p/100 · n)`. The estimate is the geometric midpoint of the
     /// rank's bucket, clamped into `[min, max]` so degenerate sketches
     /// (single value, extreme p) stay exact.
@@ -242,9 +242,39 @@ pub struct SketchDigest {
     pub p99: Option<f64>,
 }
 
+/// Exact sample percentile over raw observations — the ground-truth
+/// reference the sketch is validated against. Returns the value at
+/// 1-based rank `ceil(p/100 · n)` of the sorted samples (`None` when
+/// empty), the rank convention of [`QuantileSketch::percentile`].
+///
+/// # Panics
+///
+/// Panics if `p` is outside `[0, 100]`.
+pub fn exact_percentile(samples: &[f64], p: f64) -> Option<f64> {
+    assert!((0.0..=100.0).contains(&p), "percentile out of range: {p}");
+    if samples.is_empty() {
+        return None;
+    }
+    let mut sorted: Vec<f64> = samples.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("non-NaN samples"));
+    let rank = ((p / 100.0) * sorted.len() as f64).ceil().max(1.0) as usize;
+    Some(sorted[rank - 1])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn exact_percentile_rank_convention() {
+        assert_eq!(exact_percentile(&[], 50.0), None);
+        let v = [5.0, 1.0, 3.0, 2.0, 4.0];
+        assert_eq!(exact_percentile(&v, 0.0), Some(1.0));
+        assert_eq!(exact_percentile(&v, 50.0), Some(3.0));
+        assert_eq!(exact_percentile(&v, 100.0), Some(5.0));
+        // rank = ceil(0.95 * 5) = 5 → the max.
+        assert_eq!(exact_percentile(&v, 95.0), Some(5.0));
+    }
 
     #[test]
     fn empty_sketch_has_no_percentiles() {

@@ -5,7 +5,7 @@
 //! spin-up stalls — the bench matrix's dynamic range).
 
 use proptest::prelude::*;
-use rolo_metrics::exact_percentile;
+use rolo_obs::sketch::exact_percentile;
 use rolo_obs::QuantileSketch;
 
 /// One drawn sample stream: a scale index (spreads streams across the

@@ -33,11 +33,6 @@ impl IoSlot {
         index: u32::MAX,
         gen: u32::MAX,
     };
-
-    /// The raw slot index (diagnostics only — not stable across reuse).
-    pub fn index(self) -> u32 {
-        self.index
-    }
 }
 
 #[derive(Debug)]
@@ -142,21 +137,6 @@ impl<T> IoSlab<T> {
     pub fn is_empty(&self) -> bool {
         self.live == 0
     }
-
-    /// Iterates over live entries (slot order, not insertion order).
-    pub fn iter(&self) -> impl Iterator<Item = (IoSlot, &T)> {
-        self.entries.iter().enumerate().filter_map(|(i, e)| {
-            e.value.as_ref().map(|v| {
-                (
-                    IoSlot {
-                        index: i as u32,
-                        gen: e.gen,
-                    },
-                    v,
-                )
-            })
-        })
-    }
 }
 
 #[cfg(test)]
@@ -184,7 +164,7 @@ mod tests {
         s.remove(a);
         let b = s.insert(2u32);
         // Same index, new generation: the old handle stays dead.
-        assert_eq!(a.index(), b.index());
+        assert_eq!(a.index, b.index);
         assert_ne!(a, b);
         assert_eq!(s.get(a), None);
         assert_eq!(s.get_mut(a), None);
@@ -209,16 +189,6 @@ mod tests {
         assert!(s.is_empty());
         // LIFO reuse: last freed comes back first.
         let r = s.insert(100);
-        assert_eq!(r.index(), slots[7].index());
-    }
-
-    #[test]
-    fn iter_visits_only_live() {
-        let mut s = IoSlab::new();
-        let a = s.insert(1);
-        let _b = s.insert(2);
-        s.remove(a);
-        let vals: Vec<_> = s.iter().map(|(_, v)| *v).collect();
-        assert_eq!(vals, vec![2]);
+        assert_eq!(r.index, slots[7].index);
     }
 }

@@ -9,12 +9,12 @@
 //! * [`raid`] — RAID10 striping/mirroring geometry;
 //! * [`trace`] — MSR trace parsing + calibrated synthetic workloads;
 //! * [`core`] — the controllers (RAID10, GRAID, RoLo-P/R/E, PARAID-style
-//!   gear shifting), the simulation driver, recovery and rebuild;
+//!   gear shifting), the simulation driver, recovery and rebuild, and
+//!   the run report with its response-time and phase statistics;
 //! * [`parity`] — RoLo on RAID5 (the paper's §VII future work);
 //! * [`reliability`] — MTTDL models (CTMC solver + closed forms);
-//! * [`metrics`] — response-time, phase and timeline statistics;
-//! * [`obs`] — structured trace events, sinks, metrics registry and
-//!   run profiling (see `DESIGN.md` §9).
+//! * [`obs`] — structured trace events, sinks, metrics registry, the
+//!   quantile sketch, timelines and run profiling (see `DESIGN.md` §9).
 //!
 //! # Example
 //!
@@ -39,7 +39,6 @@
 
 pub use rolo_core as core;
 pub use rolo_disk as disk;
-pub use rolo_metrics as metrics;
 pub use rolo_obs as obs;
 pub use rolo_parity as parity;
 pub use rolo_raid as raid;

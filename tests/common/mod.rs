@@ -9,15 +9,12 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-/// 64-bit FNV-1a digest of `bytes` as fixed-width hex. It folds with
-/// 2^44 + 0x1b3, a mistyped FNV prime (2^40 + 0x1b3), kept so the
-/// committed digests stay valid; the multiplier is odd, so each step is
-/// still a bijection.
+/// 64-bit FNV-1a digest of `bytes` as fixed-width hex.
 pub fn digest(bytes: &[u8]) -> String {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     format!("{h:016x}")
 }

@@ -127,9 +127,25 @@ fn rolop_proj0() -> Observed {
     observe(&cfg, "proj_0", Duration::from_secs(3600))
 }
 
+/// The report's response summary (reads merged with writes) and the
+/// registry's `sim.response_us` sketch hold one distribution: the same
+/// count, and the same quantiles to the microsecond.
+fn check_response_summaries(name: &str, r: &SimReport) {
+    let sketch = r.metrics.get("sim.response_us").expect("exported");
+    let responses = &r.responses;
+    assert_eq!(responses.count(), sketch.count, "{name}: count");
+    let (reads, writes) = (r.read_responses.count(), r.write_responses.count());
+    assert_eq!(responses.count(), reads + writes, "{name}: reads + writes");
+    let us = |q: Option<f64>| q.map(|us| Duration::from_micros(us.round() as u64));
+    for (p, q) in [(50.0, sketch.p50), (95.0, sketch.p95), (99.0, sketch.p99)] {
+        assert_eq!(responses.percentile(p), us(q), "{name}: p{p}");
+    }
+}
+
 /// Fails unless the run exercised what its digests are meant to pin.
 fn check_coverage(e: &Observed, p: &Observed) {
     for (name, o) in [("rolo-e", e), ("rolo-p", p)] {
+        check_response_summaries(name, &o.report);
         assert!(o.ring.borrow().dropped() > 0, "{name}: the ring must wrap");
         assert!(
             !o.obs.spans.as_ref().expect("spans on").requests.is_empty(),
