@@ -1,8 +1,8 @@
 //! Shared simulation context handed to controller policies.
 //!
 //! [`SimCtx`] owns the array core: the disks, the wake/timer hand-off,
-//! the power-state cache, the user-request slab, the report collectors
-//! and the metrics registry. Policies call
+//! the power-state cache, the user-request slab and the report
+//! collectors. Policies call
 //! [`SimCtx::submit`]/[`SimCtx::spin_down`]/… and the driver drains the
 //! accumulated disk wakes and timers into its event queue after every
 //! callback, so policies never touch the queue directly.
@@ -32,7 +32,7 @@ use observe::Observer;
 use rolo_disk::{
     Disk, DiskEnergyReport, DiskId, DiskRequest, DiskWake, IoKind, PowerState, Priority,
 };
-use rolo_obs::{MetricId, MetricsRegistry, NullSink, SimEvent, Timeline, TraceSink};
+use rolo_obs::{NullSink, SimEvent, Timeline, TraceSink};
 use rolo_raid::ArrayGeometry;
 use rolo_sim::{Duration, IoSlab, IoSlot, SimRng, SimTime};
 use rolo_trace::ReqKind;
@@ -57,7 +57,7 @@ struct Outstanding {
     subs_left: u32,
 }
 
-/// Shared context: disks, request tracking, metric sinks.
+/// Shared context: disks, request tracking, report collectors.
 #[derive(Debug)]
 pub struct SimCtx {
     /// Current simulated time (set by the driver before each callback).
@@ -95,28 +95,11 @@ pub struct SimCtx {
     pub degraded_responses: ResponseStats,
     /// Fault-injection counters (see [`FaultMetrics`]).
     pub faults: FaultMetrics,
-    /// Always-on, deterministic metrics published by the driver and
-    /// controllers; exported into the simulation report.
-    pub metrics: MetricsRegistry,
-    mids: CtxMetricIds,
     /// The fault engine's state (`fault.rs`).
     fault: FaultEngine,
     /// The observer's state (`observe.rs`). The simulation never reads
     /// it, so observing cannot perturb outcomes.
     obs: Observer,
-}
-
-/// Pre-registered hot-path metric ids, so emit points index the registry
-/// without name lookups.
-#[derive(Debug, Clone, Copy)]
-struct CtxMetricIds {
-    dispatches: MetricId,
-    dispatched_bytes: MetricId,
-    user_completions: MetricId,
-    response_us: MetricId,
-    disk_transitions: MetricId,
-    power_w: MetricId,
-    outstanding: MetricId,
 }
 
 impl SimCtx {
@@ -155,16 +138,6 @@ impl SimCtx {
             })
             .collect();
         let disk_count = cfg.disk_count();
-        let mut metrics = MetricsRegistry::new(Duration::from_secs(60));
-        let mids = CtxMetricIds {
-            dispatches: metrics.counter("io.dispatched"),
-            dispatched_bytes: metrics.counter("io.dispatched_bytes"),
-            user_completions: metrics.counter("sim.user_completions"),
-            response_us: metrics.histogram("sim.response_us"),
-            disk_transitions: metrics.counter("disk.state_transitions"),
-            power_w: metrics.gauge("sim.power_w"),
-            outstanding: metrics.gauge("sim.outstanding_users"),
-        };
         SimCtx {
             now: SimTime::ZERO,
             geometry,
@@ -182,38 +155,31 @@ impl SimCtx {
             power_timeline: Timeline::new(Duration::from_secs(30)),
             degraded_responses: ResponseStats::new(),
             faults: FaultMetrics::default(),
-            metrics,
-            mids,
             fault: FaultEngine::new(cfg, disk_count),
             obs: Observer::new(cfg, disk_count, sink),
         }
     }
 
-    /// Driver hook: refreshes the sampled gauges (array power draw,
-    /// outstanding user requests), snapshots every registry metric
-    /// into its timeline, and advances the telemetry windows. Called at
-    /// the driver's power-sampling cadence — telemetry piggybacks on
-    /// this existing hook instead of scheduling events of its own, so
-    /// it cannot perturb the event order.
+    /// Driver hook: samples the array power draw into the telemetry hub
+    /// and closes every elapsed telemetry window, feeding each to the SLO
+    /// monitor. A no-op without telemetry. Called at the driver's
+    /// power-sampling cadence and once more at the drained time —
+    /// telemetry piggybacks on this existing hook instead of scheduling
+    /// events of its own, so it cannot perturb the event order.
     pub fn sample_metrics(&mut self) {
-        let power = self.total_power_w();
-        let outstanding = self.outstanding.len() as f64;
-        self.metrics.set(self.mids.power_w, power);
-        self.metrics.set(self.mids.outstanding, outstanding);
-        self.metrics.snapshot(self.now);
-        self.telemetry_tick(power);
+        self.telemetry_tick(self.total_power_w());
     }
 
-    /// Bumps the transition counter and emits [`SimEvent::DiskState`]
-    /// when `disk` has left the power state captured in `before`. Also
-    /// the maintenance point of the SoA power cache: every context
-    /// method that can change a disk's state funnels through here.
+    /// Counts the transition in telemetry and emits
+    /// [`SimEvent::DiskState`] when `disk` has left the power state
+    /// captured in `before`. Also the maintenance point of the SoA power
+    /// cache: every context method that can change a disk's state
+    /// funnels through here.
     fn note_disk_state(&mut self, disk: DiskId, before: PowerState) {
         let after = self.disks[disk].power_state();
         if after != before {
             self.power_soa[disk] = after;
             self.watts_soa[disk] = self.disks[disk].current_power_w();
-            self.metrics.inc(self.mids.disk_transitions, 1);
             self.obs.on_transition(disk);
             self.emit(|| SimEvent::DiskState {
                 disk,
@@ -279,8 +245,6 @@ impl SimCtx {
         if let Some(w) = self.disks[disk].submit(req, now) {
             self.pending_wakes.push((disk, w));
         }
-        self.metrics.inc(self.mids.dispatches, 1);
-        self.metrics.inc(self.mids.dispatched_bytes, req.bytes);
         self.obs.on_dispatch(req.bytes);
         self.note_disk_state(disk, before);
         self.emit(|| SimEvent::RequestDispatch {
@@ -437,9 +401,6 @@ impl SimCtx {
         if !self.fault.degraded.is_empty() {
             self.degraded_responses.record(response);
         }
-        self.metrics.inc(self.mids.user_completions, 1);
-        self.metrics
-            .observe(self.mids.response_us, response.as_micros() as f64);
         self.emit(|| SimEvent::RequestComplete {
             id: o.user_id,
             kind: o.kind,

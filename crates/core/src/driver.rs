@@ -343,12 +343,8 @@ pub fn run_trace_observed<P: Policy>(
     }
     ctx.finalize_faults();
 
-    // Export fault and controller counters into the registry and take a
-    // final snapshot at the drained time, so exported timelines cover
-    // the whole run.
-    let fault_totals = ctx.faults.clone();
-    fault_totals.publish(&mut ctx.metrics);
-    policy.stats().publish(&mut ctx.metrics);
+    // Close the telemetry windows up to the drained time, so the
+    // observed series cover the whole run.
     ctx.sample_metrics();
 
     let wall_total = wall_start.elapsed();
@@ -408,7 +404,6 @@ pub fn run_trace_observed<P: Policy>(
         faults: ctx.faults.clone(),
         degraded_responses: ctx.degraded_responses.clone(),
         consistency,
-        metrics: ctx.metrics.export(),
         profile,
     };
     (report, policy, obs)

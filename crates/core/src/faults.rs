@@ -364,42 +364,6 @@ impl FaultMetrics {
     pub fn lse_conserved(&self) -> bool {
         self.lse_injected == self.lse_classified()
     }
-
-    /// Publishes the fault counters into `registry` under `faults.*`
-    /// names, so they appear in the report's metrics export alongside
-    /// the driver's own counters. Called by the driver at end of run.
-    pub fn publish(&self, registry: &mut rolo_obs::MetricsRegistry) {
-        let pairs: [(&str, u64); 19] = [
-            ("faults.disk_failures", self.disk_failures),
-            (
-                "faults.double_faults_suppressed",
-                self.double_faults_suppressed,
-            ),
-            ("faults.media_errors", self.media_errors),
-            ("faults.timeouts", self.timeouts),
-            ("faults.retries", self.retries),
-            ("faults.io_lost", self.io_lost),
-            ("faults.reads_redirected", self.reads_redirected),
-            ("faults.rebuilds_completed", self.rebuilds_completed),
-            ("faults.rebuild_bytes", self.rebuild_bytes),
-            ("faults.lse_injected", self.lse_injected),
-            ("faults.lse_repaired_on_read", self.lse_repaired_on_read),
-            ("faults.lse_repaired_by_scrub", self.lse_repaired_by_scrub),
-            ("faults.lse_overwritten", self.lse_overwritten),
-            ("faults.lse_lost", self.lse_lost),
-            ("faults.lse_latent_at_end", self.lse_latent_at_end),
-            ("faults.scrub_passes", self.scrub_passes),
-            ("faults.scrub_chunks", self.scrub_chunks),
-            ("faults.scrub_bytes", self.scrub_bytes),
-            ("faults.shocks_injected", self.shocks_injected),
-        ];
-        for (name, value) in pairs {
-            let id = registry.counter(name);
-            registry.inc(id, value);
-        }
-        let id = registry.gauge("faults.degraded_time_s");
-        registry.set(id, self.degraded_time.as_secs_f64());
-    }
 }
 
 /// The mirror partner that can serve a degraded slot's data, if any.

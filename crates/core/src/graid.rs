@@ -121,11 +121,6 @@ impl GraidPolicy {
         }
     }
 
-    /// Current log occupancy in `[0, 1]`.
-    pub fn log_occupancy(&self) -> f64 {
-        self.log.occupancy()
-    }
-
     /// Total stale bytes across all mirrors.
     pub fn dirty_bytes(&self) -> u64 {
         self.journal.dirty_bytes()

@@ -139,11 +139,6 @@ impl ParaidPolicy {
         }
     }
 
-    /// Current gear (true = high).
-    pub fn in_high_gear(&self) -> bool {
-        self.gear == Gear::High
-    }
-
     /// Total live shadow bytes.
     pub fn shadow_used_bytes(&self) -> u64 {
         self.shadows.iter().map(|s| s.used_bytes()).sum()

@@ -55,34 +55,6 @@ impl PolicyStats {
         }
         self.cache_hits as f64 / total as f64
     }
-
-    /// Publishes the controller counters into `registry` under
-    /// `policy.*` names. Called by the driver at end of run so every
-    /// scheme's counters land in the report's metrics export.
-    pub fn publish(&self, registry: &mut rolo_obs::MetricsRegistry) {
-        let pairs: [(&str, u64); 16] = [
-            ("policy.rotations", self.rotations),
-            ("policy.destage_cycles", self.destage_cycles),
-            ("policy.destaged_bytes", self.destaged_bytes),
-            ("policy.log_appended_bytes", self.log_appended_bytes),
-            ("policy.cache_hits", self.cache_hits),
-            ("policy.cache_misses", self.cache_misses),
-            ("policy.read_miss_spinups", self.read_miss_spinups),
-            ("policy.deactivations", self.deactivations),
-            ("policy.direct_writes", self.direct_writes),
-            ("policy.segments_sealed", self.segments_sealed),
-            ("policy.segments_archived", self.segments_archived),
-            ("policy.frames_retired", self.frames_retired),
-            ("policy.compacted_bytes", self.compacted_bytes),
-            ("policy.log_replays", self.log_replays),
-            ("policy.torn_records", self.torn_records),
-            ("policy.replay_divergence", self.replay_divergence),
-        ];
-        for (name, value) in pairs {
-            let id = registry.counter(name);
-            registry.inc(id, value);
-        }
-    }
 }
 
 /// A storage-array controller driving the simulated disks.

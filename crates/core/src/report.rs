@@ -4,7 +4,7 @@ use crate::faults::FaultMetrics;
 use crate::intervals::PhaseSummary;
 use crate::policy::PolicyStats;
 use rolo_disk::DiskEnergyReport;
-use rolo_obs::{MetricsReport, QuantileSketch, RunProfile};
+use rolo_obs::{QuantileSketch, RunProfile};
 use rolo_sim::Duration;
 use serde::{Deserialize, Map, Serialize, Value};
 
@@ -134,9 +134,6 @@ pub struct SimReport {
     pub degraded_responses: ResponseStats,
     /// `Ok` when the end-of-run consistency audit passed.
     pub consistency: Result<(), String>,
-    /// Deterministic export of the run's metrics registry (counters,
-    /// gauges, histograms and their snapshot timelines).
-    pub metrics: MetricsReport,
     /// Wall-clock profiling of the run. Non-deterministic: excluded
     /// from [`SimReport::deterministic_json`].
     pub profile: RunProfile,
@@ -389,7 +386,6 @@ mod tests {
             faults: FaultMetrics::default(),
             degraded_responses: ResponseStats::new(),
             consistency: Ok(()),
-            metrics: MetricsReport::default(),
             profile: RunProfile::default(),
         }
     }
@@ -411,9 +407,40 @@ mod tests {
         r.profile.sink = "ring".into();
         let json = r.deterministic_json();
         let v = serde_json::from_str(&json).expect("valid JSON");
-        assert!(v.get("profile").is_none(), "profile stripped");
-        assert!(v.get("scheme").is_some());
-        assert!(v.get("metrics").is_some());
+        let keys: Vec<&str> = v
+            .as_object()
+            .expect("an object")
+            .keys()
+            .map(String::as_str)
+            .collect();
+        // Every report field but the profile, in declaration order: a
+        // field added to or dropped from the report shows up here.
+        assert_eq!(
+            keys,
+            [
+                "scheme",
+                "trace_duration",
+                "drained_at",
+                "user_requests",
+                "total_energy_j",
+                "energy_by_disk",
+                "aggregate_energy",
+                "spin_cycles",
+                "responses",
+                "read_responses",
+                "write_responses",
+                "logging_phase",
+                "destaging_phase",
+                "destaging_interval_ratio",
+                "destaging_energy_ratio",
+                "log_capacity_timeline",
+                "power_timeline",
+                "policy",
+                "faults",
+                "degraded_responses",
+                "consistency",
+            ]
+        );
 
         // Differing wall-clock profiles must not differ the output.
         let mut other = report(1.0, 100);

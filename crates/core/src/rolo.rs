@@ -416,11 +416,6 @@ impl RoloPolicy {
         self.loggers[0]
     }
 
-    /// All on-duty logger pairs.
-    pub fn on_duty_loggers(&self) -> &[usize] {
-        &self.loggers
-    }
-
     /// Sets the number of simultaneously on-duty loggers (before the run
     /// starts). The initial window is pairs `0..k`.
     ///
@@ -431,11 +426,6 @@ impl RoloPolicy {
         assert!(k >= 1 && k < self.pairs, "on-duty window out of range");
         self.loggers = (0..k).collect();
         self.rotation_cursor = k % self.pairs;
-    }
-
-    /// True while logging is deactivated for lack of space (§III-E).
-    pub fn is_deactivated(&self) -> bool {
-        self.deactivated
     }
 
     /// Total live logged bytes across the logical logging space pool.

@@ -173,11 +173,6 @@ impl RoloEPolicy {
         self.logger_pairs[0]
     }
 
-    /// All on-duty logger pairs.
-    pub fn on_duty_pairs(&self) -> &[usize] {
-        &self.logger_pairs
-    }
-
     /// Sets the number of simultaneously on-duty logger pairs (before the
     /// run starts); the initial window is pairs `0..k`.
     ///
@@ -187,11 +182,6 @@ impl RoloEPolicy {
     pub fn set_on_duty_pairs(&mut self, k: usize) {
         assert!(k >= 1 && k < self.pairs, "on-duty window out of range");
         self.logger_pairs = (0..k).collect();
-    }
-
-    /// Occupancy of the logical log in `[0, 1]`.
-    pub fn log_occupancy(&self) -> f64 {
-        self.log.occupancy()
     }
 
     /// Tunes the journal geometry (before the run starts); resets all

@@ -1,6 +1,7 @@
 #![warn(missing_docs)]
 //! Observability layer for the RoLo simulator: typed trace events, trace
-//! sinks, a metrics registry and wall-clock run profiling.
+//! sinks, request spans, windowed telemetry with SLO alerting and RCA,
+//! the quantile sketch and wall-clock run profiling.
 //!
 //! The simulator core stays agnostic of *how* events are consumed: every
 //! instrumented layer (driver, controllers, fault injection, rebuild)
@@ -11,20 +12,18 @@
 //! bounded ring buffer for post-mortem analysis (see `inspect dump` in
 //! `rolo-bench`).
 //!
-//! Alongside the event stream, a [`MetricsRegistry`] holds named
-//! counters, gauges and histograms that controllers and the driver
-//! publish into. The registry is *always on* and fully deterministic —
-//! its export is embedded in the simulation report, so a run traced with
-//! a `RingSink` produces byte-identical results to an untraced run.
-//! Wall-clock profiling ([`RunProfile`]) is the one deliberately
-//! non-deterministic part and is excluded from deterministic
-//! serializations.
+//! Alongside the event stream, the [`Telemetry`] hub holds the run's
+//! named series (counters, gauges and quantile sketches) in fixed
+//! simulated-time windows. Nothing recorded here reaches the simulation
+//! report, so a run traced with a `RingSink` produces byte-identical
+//! results to an untraced run. Wall-clock profiling ([`RunProfile`]) is
+//! the one deliberately non-deterministic part and is excluded from
+//! deterministic serializations.
 
 pub mod event;
 pub mod exemplar;
 pub mod profile;
 pub mod rca;
-pub mod registry;
 pub mod sink;
 pub mod sketch;
 pub mod slo;
@@ -38,7 +37,6 @@ pub use exemplar::{
 };
 pub use profile::RunProfile;
 pub use rca::{Culprit, PhaseBlame, RcaReport, WindowRca};
-pub use registry::{MetricId, MetricKind, MetricSummary, MetricsRegistry, MetricsReport};
 pub use sink::{NullSink, RingSink, TraceSink};
 pub use sketch::{QuantileSketch, SketchDigest};
 pub use slo::{

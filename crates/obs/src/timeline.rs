@@ -68,14 +68,6 @@ impl Timeline {
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
     }
-
-    /// Largest recorded value, or `None` if empty.
-    pub fn max_value(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|(_, v)| *v)
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
-    }
 }
 
 #[cfg(test)]
@@ -92,15 +84,6 @@ mod tests {
         assert_eq!(tl.len(), 2);
         assert_eq!(tl.samples()[0], (SimTime::from_secs(0), 3.0));
         assert_eq!(tl.samples()[1], (SimTime::from_secs(10), 4.0));
-    }
-
-    #[test]
-    fn max_value() {
-        let mut tl = Timeline::new(Duration::from_secs(1));
-        assert!(tl.max_value().is_none());
-        tl.push(SimTime::from_secs(0), 1.5);
-        tl.push(SimTime::from_secs(5), -2.0);
-        assert_eq!(tl.max_value(), Some(1.5));
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!   the run report with its response-time and phase statistics;
 //! * [`parity`] — RoLo on RAID5 (the paper's §VII future work);
 //! * [`reliability`] — MTTDL models (CTMC solver + closed forms);
-//! * [`obs`] — structured trace events, sinks, metrics registry, the
-//!   quantile sketch, timelines and run profiling (see `DESIGN.md` §9).
+//! * [`obs`] — structured trace events, sinks, spans, windowed
+//!   telemetry, the quantile sketch, timelines and run profiling (see
+//!   `DESIGN.md` §9).
 //!
 //! # Example
 //!

@@ -127,19 +127,15 @@ fn rolop_proj0() -> Observed {
     observe(&cfg, "proj_0", Duration::from_secs(3600))
 }
 
-/// The report's response summary (reads merged with writes) and the
-/// registry's `sim.response_us` sketch hold one distribution: the same
-/// count, and the same quantiles to the microsecond.
+/// The report's response summary is the merge of its read and write
+/// summaries: it counts every read and every write once.
 fn check_response_summaries(name: &str, r: &SimReport) {
-    let sketch = r.metrics.get("sim.response_us").expect("exported");
-    let responses = &r.responses;
-    assert_eq!(responses.count(), sketch.count, "{name}: count");
     let (reads, writes) = (r.read_responses.count(), r.write_responses.count());
-    assert_eq!(responses.count(), reads + writes, "{name}: reads + writes");
-    let us = |q: Option<f64>| q.map(|us| Duration::from_micros(us.round() as u64));
-    for (p, q) in [(50.0, sketch.p50), (95.0, sketch.p95), (99.0, sketch.p99)] {
-        assert_eq!(responses.percentile(p), us(q), "{name}: p{p}");
-    }
+    assert_eq!(
+        r.responses.count(),
+        reads + writes,
+        "{name}: reads + writes"
+    );
 }
 
 /// Fails unless the run exercised what its digests are meant to pin.
@@ -169,7 +165,9 @@ const HEADER: &str = "\
 # FNV-1a digests of the observation exports (tests/obs_golden.rs):
 # RoLo-E x hm_1 (2 h, 10 pairs) and RoLo-P x proj_0 (1 h, 4 pairs,
 # 64 MB logger region), each with a 4096-event ring sink, spans
-# and RCA. Regenerate with
+# and RCA. The two deterministic_json digests were last re-blessed
+# when the report dropped its `metrics` export (a declared output
+# change that moved no other key). Regenerate with
 # ROLO_BLESS_GOLDEN=1 cargo test --test obs_golden
 ";
 
