@@ -129,7 +129,7 @@ fn bench_logspace(c: &mut Criterion) {
                     assert!(allocated);
                 }
                 for p in 0..8 {
-                    ls.reclaim(|s| s.pair == p);
+                    ls.reclaim(|s| s.pair() == p);
                 }
             },
             BatchSize::SmallInput,

@@ -160,16 +160,6 @@ impl SimCtx {
         }
     }
 
-    /// Driver hook: samples the array power draw into the telemetry hub
-    /// and closes every elapsed telemetry window, feeding each to the SLO
-    /// monitor. A no-op without telemetry. Called at the driver's
-    /// power-sampling cadence and once more at the drained time —
-    /// telemetry piggybacks on this existing hook instead of scheduling
-    /// events of its own, so it cannot perturb the event order.
-    pub fn sample_metrics(&mut self) {
-        self.telemetry_tick(self.total_power_w());
-    }
-
     /// Counts the transition in telemetry and emits
     /// [`SimEvent::DiskState`] when `disk` has left the power state
     /// captured in `before`. Also the maintenance point of the SoA power

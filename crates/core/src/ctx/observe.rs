@@ -289,10 +289,15 @@ impl SimCtx {
         }
     }
 
-    /// Samples the power gauge into the telemetry hub, closes every
-    /// elapsed window, and feeds each closed window to the SLO monitor,
-    /// emitting the resulting alerts as trace events.
-    pub(super) fn telemetry_tick(&mut self, power: f64) {
+    /// Driver hook: samples the array power draw `power` (watts) into
+    /// the telemetry hub, closes every elapsed window, and feeds each
+    /// closed window to the SLO monitor, emitting the resulting alerts
+    /// as trace events. A no-op without telemetry. Called at the
+    /// driver's power-sampling cadence and once more at the drained
+    /// time — telemetry piggybacks on this existing hook instead of
+    /// scheduling events of its own, so it cannot perturb the event
+    /// order.
+    pub fn sample_telemetry(&mut self, power: f64) {
         let now = self.now;
         let mut alerts = Vec::new();
         if let Some(tel) = &mut self.obs.telemetry {

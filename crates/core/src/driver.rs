@@ -313,7 +313,7 @@ pub fn run_trace_observed<P: Policy>(
                 let w = ctx.total_power_w();
                 let now = ctx.now;
                 ctx.power_timeline.push(now, w);
-                ctx.sample_metrics();
+                ctx.sample_telemetry(w);
                 if now + sample_every < trace_end {
                     queue.schedule(now + sample_every, Event::PowerSample);
                 }
@@ -345,7 +345,8 @@ pub fn run_trace_observed<P: Policy>(
 
     // Close the telemetry windows up to the drained time, so the
     // observed series cover the whole run.
-    ctx.sample_metrics();
+    let w = ctx.total_power_w();
+    ctx.sample_telemetry(w);
 
     let wall_total = wall_start.elapsed();
     let wall_replay = wall_replay.unwrap_or(wall_total);

@@ -17,19 +17,32 @@
 //!   list is an [`ExtentMap`], which never holds two touching extents.
 
 use rolo_sim::ExtentMap;
-use serde::{Deserialize, Serialize};
 
-/// A live segment of logged data within a logger region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// A live segment of logged data within a logger region. A region keeps
+/// one per allocated piece until its pair reclaims it, so the tags are
+/// narrowed to 32 bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LogSegment {
-    /// Mirrored pair whose second copies this segment holds.
-    pub pair: usize,
-    /// Logging period during which the segment was written.
-    pub period: u64,
+    pair: u32,
+    period: u32,
     /// Absolute byte offset on the disk.
     pub offset: u64,
     /// Segment length in bytes.
     pub bytes: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<LogSegment>() <= 24);
+
+impl LogSegment {
+    /// Mirrored pair whose second copies this segment holds.
+    pub fn pair(&self) -> usize {
+        self.pair as usize
+    }
+
+    /// Logging period during which the segment was written.
+    pub fn period(&self) -> u64 {
+        u64::from(self.period)
+    }
 }
 
 /// Manager of one disk's logger region.
@@ -44,7 +57,7 @@ pub struct LogSegment {
 /// assert!(ls.alloc(64 * 1024, 0, 1, |piece| allocated += piece.bytes));
 /// assert_eq!(allocated, 64 * 1024);
 /// assert_eq!(ls.used_bytes(), 64 * 1024);
-/// let freed = ls.reclaim(|seg| seg.pair == 0);
+/// let freed = ls.reclaim(|seg| seg.pair() == 0);
 /// assert_eq!(freed, 64 * 1024);
 /// assert_eq!(ls.used_bytes(), 0);
 /// ```
@@ -113,7 +126,8 @@ impl LoggerSpace {
     ///
     /// # Panics
     ///
-    /// Panics if `bytes` is zero.
+    /// Panics if `bytes` is zero, or if `pair` or `period` does not fit
+    /// in 32 bits.
     #[must_use]
     pub fn alloc(
         &mut self,
@@ -126,6 +140,8 @@ impl LoggerSpace {
         if bytes > self.free_bytes() {
             return false;
         }
+        let pair = u32::try_from(pair).expect("pair index fits in 32 bits");
+        let period = u32::try_from(period).expect("logging period fits in 32 bits");
         let mut remaining = bytes;
         while remaining > 0 {
             let (offset, take, ()) = self
@@ -270,7 +286,7 @@ mod tests {
         pieces(&mut ls, 200, 1, 0).unwrap(); // [400,600) pair1
         pieces(&mut ls, 400, 0, 0).unwrap(); // [600,1000) pair0
                                              // Free pair 0 → fragments [0,400) and [600,1000).
-        assert_eq!(ls.reclaim(|s| s.pair == 0), 800);
+        assert_eq!(ls.reclaim(|s| s.pair() == 0), 800);
         assert_eq!(ls.free_fragments(), 2);
         // 600-byte allocation must span both fragments.
         let segs = pieces(&mut ls, 600, 2, 1).unwrap();
@@ -288,7 +304,7 @@ mod tests {
         pieces(&mut ls, 100, 0, 0).unwrap();
         pieces(&mut ls, 100, 1, 0).unwrap();
         pieces(&mut ls, 100, 0, 1).unwrap();
-        let freed = ls.reclaim(|s| s.pair == 0 && s.period == 0);
+        let freed = ls.reclaim(|s| s.pair() == 0 && s.period() == 0);
         assert_eq!(freed, 100);
         assert_eq!(ls.used_bytes(), 200);
         ls.check_invariants().unwrap();
@@ -302,7 +318,7 @@ mod tests {
         }
         assert_eq!(ls.free_bytes(), 0);
         // Free odd pairs, then even: after both sweeps one region remains.
-        ls.reclaim(|s| s.pair % 2 == 1);
+        ls.reclaim(|s| s.pair() % 2 == 1);
         ls.check_invariants().unwrap();
         ls.reclaim(|_| true);
         assert_eq!(ls.free_fragments(), 1);
@@ -314,6 +330,15 @@ mod tests {
     #[should_panic(expected = "zero-byte log allocation")]
     fn zero_alloc_panics() {
         pieces(&mut LoggerSpace::new(0, 100), 0, 0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "logging period fits in 32 bits")]
+    fn oversized_period_panics_instead_of_wrapping() {
+        let mut ls = LoggerSpace::new(0, 100);
+        let last = u64::from(u32::MAX);
+        assert_eq!(pieces(&mut ls, 1, 0, last).unwrap()[0].period(), last);
+        pieces(&mut ls, 1, 0, last + 1);
     }
 
     /// Minimal fragment count for the current layout: one fragment per
@@ -344,7 +369,7 @@ mod tests {
         }
         // Freeing pair 0 releases every third 100-byte slot: four
         // disjoint gaps, none mergeable.
-        ls.reclaim(|s| s.pair == 0);
+        ls.reclaim(|s| s.pair() == 0);
         assert_eq!(ls.free_fragments(), minimal_fragments(&ls));
         // Freeing the rest must fold everything back to one run even
         // though the stale segments are visited in swap_remove order.
@@ -364,7 +389,7 @@ mod tests {
                         let _ = pieces(&mut ls, bytes, pair, period);
                     }
                     _ => {
-                        ls.reclaim(|s| s.pair == pair && s.period <= period);
+                        ls.reclaim(|s| s.pair() == pair && s.period() <= period);
                     }
                 }
                 prop_assert_eq!(ls.free_fragments(), minimal_fragments(&ls));
@@ -380,7 +405,7 @@ mod tests {
                         let _ = pieces(&mut ls, bytes, pair, period);
                     }
                     _ => {
-                        ls.reclaim(|s| s.pair == pair && s.period <= period);
+                        ls.reclaim(|s| s.pair() == pair && s.period() <= period);
                     }
                 }
                 prop_assert!(ls.check_invariants().is_ok(), "{:?}", ls.check_invariants());

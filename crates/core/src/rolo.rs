@@ -298,7 +298,7 @@ impl RoloPolicy {
         let src_off = self.spaces[&disk]
             .segments()
             .iter()
-            .find(|g| g.pair == pair)
+            .find(|g| g.pair() == pair)
             .map(|g| g.offset)
             .unwrap_or(self.logger_base);
         let tag = self.tags.insert(Tag::CompactRead { gen });
@@ -446,7 +446,7 @@ impl RoloPolicy {
         let mut out: Vec<usize> = self
             .spaces
             .iter()
-            .filter(|(_, space)| space.segments().iter().any(|seg| seg.pair == pair))
+            .filter(|(_, space)| space.segments().iter().any(|seg| seg.pair() == pair))
             .map(|(&disk, _)| {
                 if disk >= self.pairs {
                     disk - self.pairs
@@ -653,7 +653,7 @@ impl RoloPolicy {
         // Proactive reclamation: every log copy of this pair, anywhere in
         // the pool, is now stale.
         for space in self.spaces.values_mut() {
-            space.reclaim(|seg| seg.pair == pair);
+            space.reclaim(|seg| seg.pair() == pair);
         }
         // The pair's dirty map is empty, so its log is fully destaged:
         // advance the stable LSN (pruning the manifest's clears) and drop
@@ -1025,13 +1025,13 @@ impl Policy for RoloPolicy {
             } else if self
                 .spaces
                 .values()
-                .any(|s| s.segments().iter().any(|g| g.pair == pair))
+                .any(|s| s.segments().iter().any(|g| g.pair() == pair))
             {
                 // Segments without dirtiness: every covered block is
                 // already consistent; reclaim directly — journals and
                 // manifest advance exactly as a completed destage would.
                 for space in self.spaces.values_mut() {
-                    space.reclaim(|seg| seg.pair == pair);
+                    space.reclaim(|seg| seg.pair() == pair);
                 }
                 self.journal.reclaim_pair(pair);
                 self.journal.sweep(ctx);

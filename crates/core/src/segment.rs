@@ -41,6 +41,7 @@ use crate::dirty::DirtyMap;
 use rolo_sim::ExtentMap;
 use serde::Serialize;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::num::NonZeroU64;
 
 /// Modeled on-media footprint of a record header (checksum, LSN, tags).
 pub const RECORD_HEADER_BYTES: u64 = 32;
@@ -60,9 +61,9 @@ fn compressed_size(payload: u64) -> u64 {
 /// alone leaves weak) keeps the stamp off the commit path's critical
 /// nanoseconds; torn-record detection only needs any-field sensitivity,
 /// not cryptographic strength.
-fn record_checksum(rid: u64, pair: usize, period: u64, lba: u64, len: u64, lsn: u64) -> u64 {
+fn record_checksum(rid: u64, pair: u32, period: u64, lba: u64, len: u64, lsn: u64) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for word in [rid, pair as u64, period, lba, len, lsn] {
+    for word in [rid, u64::from(pair), period, lba, len, lsn] {
         h ^= word;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
         h ^= h >> 32;
@@ -71,7 +72,7 @@ fn record_checksum(rid: u64, pair: usize, period: u64, lba: u64, len: u64, lsn: 
 }
 
 /// Lifecycle state of one segment in a chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SegmentState {
     /// The append target: new records go here.
     Active,
@@ -82,12 +83,16 @@ pub enum SegmentState {
 }
 
 /// One checksummed log record: a `(pair, period, LBA-range)` append.
-#[derive(Debug, Clone, Serialize)]
+///
+/// A record stores no id of its own: a segment's records carry
+/// consecutive ids, so record `i` has id [`Segment::first_rid`]` + i`
+/// ([`Segment::records_with_ids`]). A segment keeps its records until
+/// it archives, so this struct is the journal's heap cost per logged
+/// write (DESIGN.md §10).
+#[derive(Debug, Clone)]
 pub struct AppendRecord {
-    /// Store-local record id, assigned at append time.
-    pub rid: u64,
     /// Mirrored pair whose write this record logs.
-    pub pair: usize,
+    pub pair: u32,
     /// Logging period the write belonged to.
     pub period: u64,
     /// Logical byte offset of the logged write.
@@ -95,26 +100,29 @@ pub struct AppendRecord {
     /// Length of the logged write in bytes.
     pub len: u64,
     /// Commit LSN; `None` while the user request is in flight (a crash
-    /// now leaves this record torn).
-    pub lsn: Option<u64>,
-    /// Checksum over the header fields; valid only once committed.
+    /// now leaves this record torn). LSNs start at 1.
+    pub lsn: Option<NonZeroU64>,
+    /// Checksum over the header fields and the record's id; valid only
+    /// once committed.
     pub checksum: u64,
     /// True if the request was aborted (e.g. lost to a disk failure)
     /// and the record will never commit.
     pub abandoned: bool,
 }
 
+const _: () = assert!(std::mem::size_of::<AppendRecord>() <= 48);
+
 impl AppendRecord {
-    /// True if the record committed and its checksum validates — the
-    /// test a recovery scan applies; anything else is torn.
-    pub fn verify(&self) -> bool {
-        match self.lsn {
-            Some(lsn) => {
-                self.checksum
-                    == record_checksum(self.rid, self.pair, self.period, self.lba, self.len, lsn)
-            }
-            None => false,
-        }
+    /// True if the record, whose id is `rid`, committed and its
+    /// checksum validates — the test a recovery scan applies; anything
+    /// else is torn.
+    pub fn verify(&self, rid: u64) -> bool {
+        self.lsn
+            .is_some_and(|lsn| self.checksum == self.checksum_at(rid, lsn.get()))
+    }
+
+    fn checksum_at(&self, rid: u64, lsn: u64) -> u64 {
+        record_checksum(rid, self.pair, self.period, self.lba, self.len, lsn)
     }
 
     /// Modeled on-media footprint: header plus payload.
@@ -124,7 +132,7 @@ impl AppendRecord {
 }
 
 /// One fixed-size segment of a logger disk's chain.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Segment {
     /// Chain-local id, assigned in allocation order.
     pub id: u64,
@@ -134,10 +142,20 @@ pub struct Segment {
     pub used: u64,
     /// Bytes still referenced by the live-extent index.
     pub live: u64,
-    /// Records appended while not yet archived (drained on archive).
+    /// Id of the segment's first record; the rest follow consecutively.
+    pub first_rid: u64,
+    /// Records appended while not yet archived (trimmed to length on
+    /// seal, drained on archive).
     pub records: Vec<AppendRecord>,
     /// Records appended but not yet committed or abandoned.
     pub pending: u64,
+}
+
+impl Segment {
+    /// The segment's records, each with its id.
+    pub fn records_with_ids(&self) -> impl Iterator<Item = (u64, &AppendRecord)> {
+        (self.first_rid..).zip(&self.records)
+    }
 }
 
 /// One append-only compressed archive frame (a fully-dead segment's
@@ -278,7 +296,12 @@ impl SegmentStore {
     /// sealing the active segment and opening a new one as needed. The
     /// record is uncommitted (torn if the logger dies now) until
     /// [`commit`](Self::commit) stamps it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pair` does not fit in 32 bits.
     pub fn append(&mut self, pair: usize, period: u64, lba: u64, len: u64) -> AppendOutcome {
+        let pair = u32::try_from(pair).expect("pair index fits in 32 bits");
         let footprint = RECORD_HEADER_BYTES + len;
         let mut sealed = None;
         let mut opened = None;
@@ -301,6 +324,7 @@ impl SegmentStore {
                 state: SegmentState::Active,
                 used: 0,
                 live: 0,
+                first_rid: self.next_rid,
                 records: Vec::new(),
                 pending: 0,
             });
@@ -312,7 +336,6 @@ impl SegmentStore {
         self.next_rid += 1;
         let seg = &mut self.segments[slot];
         seg.records.push(AppendRecord {
-            rid,
             pair,
             period,
             lba,
@@ -349,10 +372,15 @@ impl SegmentStore {
         taken
     }
 
+    /// Seals the active segment and trims its record buffer to length:
+    /// a sealed segment never grows again, and it keeps its records
+    /// until it archives — under RoLo-P, mostly not before the
+    /// end-of-run drain (DESIGN.md §10).
     fn seal(&mut self, slot: usize) -> (u64, u64) {
         let seg = &mut self.segments[slot];
         debug_assert_eq!(seg.state, SegmentState::Active);
         seg.state = SegmentState::Sealed;
+        seg.records.shrink_to_fit();
         self.stats.sealed_segments += 1;
         (seg.id, seg.live)
     }
@@ -362,6 +390,10 @@ impl SegmentStore {
     /// older owners of those bytes). Call exactly when the owning user
     /// request is acknowledged — the same instant the dirty-map mark is
     /// applied — so replay order equals dirty-map mutation order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lsn` is 0 (LSNs start at 1).
     pub fn commit(&mut self, rid: u64, lsn: u64) {
         let Some((slot, idx)) = self.take_pending(rid) else {
             return;
@@ -369,10 +401,10 @@ impl SegmentStore {
         let (pair, lba, len) = {
             let seg = &mut self.segments[slot];
             let rec = &mut seg.records[idx];
-            rec.lsn = Some(lsn);
-            rec.checksum = record_checksum(rec.rid, rec.pair, rec.period, rec.lba, rec.len, lsn);
+            rec.lsn = Some(NonZeroU64::new(lsn).expect("LSNs start at 1"));
+            rec.checksum = rec.checksum_at(rid, lsn);
             seg.pending -= 1;
-            (rec.pair, rec.lba, rec.len)
+            (rec.pair as usize, rec.lba, rec.len)
         };
         self.stats.committed_records += 1;
         self.claim_live(pair, lba, len, slot);
@@ -572,9 +604,9 @@ impl SegmentStore {
             if seg.state == SegmentState::Archived {
                 continue;
             }
-            for rec in &seg.records {
-                if let Some(lsn) = rec.lsn.filter(|_| rec.verify()) {
-                    out.push((lsn, rec.pair));
+            for (rid, rec) in seg.records_with_ids() {
+                if let Some(lsn) = rec.lsn.filter(|_| rec.verify(rid)) {
+                    out.push((lsn.get(), rec.pair as usize));
                 }
             }
         }
@@ -587,18 +619,27 @@ impl SegmentStore {
     /// Returns `false` if no committed copy of `rid` exists in a
     /// non-archived segment (nothing to corrupt).
     pub fn corrupt_record(&mut self, rid: u64) -> bool {
-        for seg in &mut self.segments {
-            if seg.state == SegmentState::Archived {
-                continue;
-            }
-            for rec in &mut seg.records {
-                if rec.rid == rid && rec.lsn.is_some() && !rec.abandoned {
-                    rec.checksum ^= 0xdead_beef_dead_beef;
-                    return true;
-                }
-            }
+        // Segments hold ascending, consecutive id ranges; an archived
+        // segment's range is empty.
+        let Some(slot) = self
+            .segments
+            .partition_point(|s| s.first_rid <= rid)
+            .checked_sub(1)
+        else {
+            return false;
+        };
+        let seg = &mut self.segments[slot];
+        let Some(rec) = usize::try_from(rid - seg.first_rid)
+            .ok()
+            .and_then(|idx| seg.records.get_mut(idx))
+        else {
+            return false;
+        };
+        if rec.lsn.is_none() || rec.abandoned {
+            return false;
         }
-        false
+        rec.checksum ^= 0xdead_beef_dead_beef;
+        true
     }
 
     /// Scans the chain the way a recovery pass does: committed records
@@ -620,20 +661,21 @@ impl SegmentStore {
                 continue;
             }
             outcome.segments_scanned += 1;
-            for rec in &seg.records {
+            for (rid, rec) in seg.records_with_ids() {
                 outcome.records_scanned += 1;
-                if !rec.verify() {
+                let pair = rec.pair as usize;
+                if !rec.verify(rid) {
                     match rec.lsn {
                         Some(lsn) if !rec.abandoned => {
                             outcome.corrupt_records += 1;
-                            corrupt.push((lsn, rec.pair));
+                            corrupt.push((lsn.get(), pair));
                         }
                         _ => outcome.torn_records += 1,
                     }
                     continue;
                 }
-                let lsn = rec.lsn.expect("verified record has an LSN");
-                merged.entry(lsn).or_insert((rec.pair, rec.lba, rec.len));
+                let lsn = rec.lsn.expect("verified record has an LSN").get();
+                merged.entry(lsn).or_insert((pair, rec.lba, rec.len));
             }
         }
     }
@@ -649,10 +691,17 @@ impl SegmentStore {
             }
         }
         let mut actives = 0;
+        let mut min_rid = 0;
         for (slot, seg) in self.segments.iter().enumerate() {
             if seg.id != slot as u64 {
                 return Err(format!("segment id {} at slot {slot}", seg.id));
             }
+            // Id ranges ascend without overlap (an archived segment's
+            // range is empty, but its first id was handed out).
+            if seg.first_rid < min_rid || seg.first_rid >= self.next_rid {
+                return Err(format!("segment {}: first rid out of order", seg.id));
+            }
+            min_rid = seg.first_rid + seg.records.len().max(1) as u64;
             let indexed = live_by_slot.get(&slot).copied().unwrap_or(0);
             if indexed != seg.live {
                 return Err(format!(
@@ -716,12 +765,12 @@ impl SegmentStore {
                 continue;
             };
             let rid = self.pending_base + at as u64;
-            let rec = self
+            let (first_rid, rec) = self
                 .segments
                 .get(slot)
-                .and_then(|s| s.records.get(idx))
+                .and_then(|s| Some((s.first_rid, s.records.get(idx)?)))
                 .ok_or_else(|| format!("pending rid {rid} points at nothing"))?;
-            if rec.rid != rid || rec.lsn.is_some() || rec.abandoned {
+            if first_rid + idx as u64 != rid || rec.lsn.is_some() || rec.abandoned {
                 return Err(format!("pending rid {rid} out of sync"));
             }
         }
@@ -1179,6 +1228,55 @@ mod tests {
         assert_eq!(s.stats().committed_records, before + 1);
         assert_eq!(s.live_bytes(), 100);
         s.check_invariants().unwrap();
+    }
+
+    /// Record ids are implicit (a segment's first id plus the record's
+    /// index), so every id-addressed operation must hit exactly the
+    /// named record: across segment boundaries and after a restart,
+    /// where the new chain's first id is not 0.
+    #[test]
+    fn ids_address_exactly_their_record_across_seals_and_restart() {
+        // Three records per segment.
+        let mut s = SegmentStore::new(3 * (RECORD_HEADER_BYTES + 100));
+        let old: Vec<u64> = (0..7).map(|i| s.append(i, 1, 0, 100).rid).collect();
+        assert!(s.stats().sealed_segments >= 2);
+        s.commit(old[1], 1);
+        s.restart();
+        // Record i logs pair i and commits at LSN 100 + i, so a
+        // committed (lsn, pair) names exactly one record.
+        let ids: Vec<u64> = (0..8).map(|i| s.append(i, 2, 0, 100).rid).collect();
+        assert_eq!(ids[0], old[6] + 1, "ids continue past the old chain");
+        assert!(s.stats().sealed_segments >= 4);
+        assert_eq!(s.segments()[2].first_rid, ids[6]);
+        // Commit out of order; record 4 is lost, record 7 stays torn.
+        for i in [6, 0, 3, 2, 5, 1] {
+            s.commit(ids[i], 100 + i as u64);
+        }
+        s.abandon(ids[4]);
+        // The old chain's ids name nothing in the new one.
+        for &rid in &old {
+            s.commit(rid, 99);
+            s.abandon(rid);
+            assert!(!s.corrupt_record(rid));
+        }
+        // Only a committed record can be corrupted; record 3 opens the
+        // second segment.
+        assert!(!s.corrupt_record(ids[4]), "abandoned");
+        assert!(!s.corrupt_record(ids[7]), "uncommitted");
+        assert!(!s.corrupt_record(ids[7] + 1), "not yet appended");
+        assert!(s.corrupt_record(ids[3]));
+        s.check_invariants().unwrap();
+
+        let committed: Vec<(u64, usize)> = [0, 1, 2, 5, 6].map(|i| (100 + i as u64, i)).to_vec();
+        assert_eq!(s.committed_records(), committed);
+        let out = replay_journals([&s], &LogManifest::new(), 8);
+        assert_eq!(out.records_scanned, 8);
+        assert_eq!(out.torn_records, 2, "records 4 and 7");
+        assert_eq!(out.corrupt_records, 1);
+        assert_eq!(out.corrupt_lost, 1);
+        assert_eq!(out.applied_appends, 5);
+        let dirty: Vec<u64> = out.maps.iter().map(DirtyMap::bytes).collect();
+        assert_eq!(dirty, [100, 100, 100, 0, 0, 100, 100, 0]);
     }
 
     #[test]

@@ -237,11 +237,6 @@ impl Rolo5Policy {
         &self.geometry
     }
 
-    /// The disks currently serving as on-duty loggers.
-    pub fn on_duty_loggers(&self) -> Vec<usize> {
-        self.loggers.clone()
-    }
-
     /// Picks the next on-duty logger with room for `needed`, round-robin
     /// across the slots; `None` forces a rotation.
     fn pick_logger(&mut self, needed: u64) -> Option<usize> {
@@ -267,11 +262,6 @@ impl Rolo5Policy {
     pub fn dirty_bytes(&self) -> u64 {
         self.dirty.iter().map(|d| d.bytes()).sum::<u64>()
             + self.draining.iter().map(|d| d.bytes()).sum::<u64>()
-    }
-
-    /// True while delta logging is suspended for lack of pool space.
-    pub fn is_deactivated(&self) -> bool {
-        self.deactivated
     }
 
     /// Replaces the fullest on-duty logger with an off-duty disk whose
@@ -328,7 +318,7 @@ impl Rolo5Policy {
                 if loggers.contains(&d) {
                     continue;
                 }
-                space.reclaim(|seg| seg.pair == pd);
+                space.reclaim(|seg| seg.pair() == pd);
             }
         }
     }
@@ -407,7 +397,7 @@ impl Rolo5Policy {
             if loggers.contains(&d) && !drain_all {
                 continue;
             }
-            space.reclaim(|seg| seg.pair == pd && seg.period <= watermark);
+            space.reclaim(|seg| seg.pair() == pd && seg.period() <= watermark);
         }
         ctx.log_timeline.push(ctx.now, self.log_used_bytes() as f64);
     }
@@ -424,7 +414,7 @@ impl Rolo5Policy {
             if self.loggers.contains(&d) && !drain_all {
                 continue;
             }
-            space.reclaim(|seg| seg.pair == disk);
+            space.reclaim(|seg| seg.pair() == disk);
         }
         ctx.log_timeline.push(ctx.now, self.log_used_bytes() as f64);
     }
