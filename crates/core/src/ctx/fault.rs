@@ -19,8 +19,9 @@ use rolo_obs::{BgSpanKind, LegFlavor, SimEvent};
 use rolo_sim::{Duration, IoMap, SimRng, SimTime};
 use std::collections::HashMap;
 
-/// Bytes per rebuild chunk (matches the offline engine in
-/// [`crate::rebuild`]).
+/// Bytes per rebuild chunk: large sequential transfers, so a copy on an
+/// idle array runs at the media rate (the §III-C drill in
+/// [`crate::recovery`] measures it).
 const REBUILD_CHUNK: u64 = 1 << 20;
 
 /// Rebuild read/write chains kept in flight per degraded slot. Depth

@@ -421,9 +421,6 @@ impl Policy for GraidPolicy {
         }
     }
 
-    fn on_spin_down(&mut self, _ctx: &mut SimCtx, _disk: DiskId) {}
-    fn on_timer(&mut self, _ctx: &mut SimCtx, _token: u64) {}
-
     fn begin_drain(&mut self, ctx: &mut SimCtx) {
         self.draining = true;
         if self.log.used_bytes() > 0 || self.dirty_bytes() > 0 {

@@ -101,11 +101,6 @@ impl IntervalTracker {
         summary.energy_j += energy_j;
     }
 
-    /// Number of spans currently open.
-    pub fn open_spans(&self) -> usize {
-        self.open.len()
-    }
-
     fn merged_residency(spans: &[(SimTime, SimTime)]) -> Duration {
         if spans.is_empty() {
             return Duration::ZERO;
@@ -169,19 +164,6 @@ impl IntervalTracker {
             Phase::Destaging => d / total,
         }
     }
-
-    /// Mean completed span length of `phase`.
-    pub fn mean_span(&self, phase: Phase) -> Option<Duration> {
-        let spans = match phase {
-            Phase::Logging => &self.done_logging,
-            Phase::Destaging => &self.done_destaging,
-        };
-        if spans.is_empty() {
-            return None;
-        }
-        let total: Duration = spans.iter().map(|(s, e)| e.since(*s)).sum();
-        Some(total / spans.len() as u64)
-    }
 }
 
 #[cfg(test)]
@@ -202,10 +184,6 @@ mod tests {
         assert!((t.interval_ratio(Phase::Destaging) - 0.2).abs() < 1e-9);
         assert!((t.energy_ratio(Phase::Destaging) - 400.0 * 2.0 / 2400.0).abs() < 1e-9);
         assert_eq!(t.summary(Phase::Logging).spans, 2);
-        assert_eq!(
-            t.mean_span(Phase::Destaging).unwrap(),
-            Duration::from_secs(20)
-        );
     }
 
     #[test]
@@ -240,16 +218,6 @@ mod tests {
         let t = IntervalTracker::new();
         assert_eq!(t.interval_ratio(Phase::Destaging), 0.0);
         assert_eq!(t.energy_ratio(Phase::Logging), 0.0);
-        assert!(t.mean_span(Phase::Logging).is_none());
-    }
-
-    #[test]
-    fn open_spans_visible() {
-        let mut t = IntervalTracker::new();
-        let tok = t.begin(Phase::Logging, SimTime::ZERO);
-        assert_eq!(t.open_spans(), 1);
-        t.end(tok, SimTime::from_secs(1), 0.0);
-        assert_eq!(t.open_spans(), 0);
     }
 
     #[test]

@@ -38,7 +38,6 @@ pub mod logspace;
 pub mod paraid;
 pub mod policy;
 pub mod raid10;
-pub mod rebuild;
 pub mod recovery;
 pub mod report;
 pub mod rolo;
@@ -53,10 +52,7 @@ pub use graid::GraidPolicy;
 pub use paraid::ParaidPolicy;
 pub use policy::{Policy, PolicyStats};
 pub use raid10::Raid10Policy;
-pub use rebuild::{
-    rebuild_primary_failure, simulate_rebuild, simulate_rebuild_traced, RebuildReport,
-};
-pub use recovery::{recovery_plan, RecoveryPlan};
+pub use recovery::{rebuild_primary_failure, recovery_plan, RebuildReport, RecoveryPlan};
 pub use report::{ResponseStats, SimReport};
 pub use rolo::{RoloFlavor, RoloPolicy};
 pub use rolo_sim::{IoSlab, IoSlot};

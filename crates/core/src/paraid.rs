@@ -409,8 +409,6 @@ impl Policy for ParaidPolicy {
         }
     }
 
-    fn on_spin_down(&mut self, _ctx: &mut SimCtx, _disk: DiskId) {}
-
     fn on_timer(&mut self, ctx: &mut SimCtx, token: u64) {
         if token != GEAR_TIMER || self.draining {
             return;

@@ -68,8 +68,10 @@ pub trait Policy {
     /// Which disks begin the run spun down.
     fn initial_standby(&self, disk: DiskId) -> bool;
 
-    /// Called once before the first event.
-    fn attach(&mut self, ctx: &mut SimCtx);
+    /// Called once before the first event. Default: nothing.
+    fn attach(&mut self, ctx: &mut SimCtx) {
+        let _ = ctx;
+    }
 
     /// A user request arrives. `user_id` is pre-registered by the policy
     /// via [`SimCtx::register_user`] inside this call.
@@ -127,14 +129,21 @@ pub trait Policy {
         let _ = (ctx, disk);
     }
 
-    /// `disk` finished spinning up.
-    fn on_spin_up(&mut self, ctx: &mut SimCtx, disk: DiskId);
+    /// `disk` finished spinning up. Default: nothing.
+    fn on_spin_up(&mut self, ctx: &mut SimCtx, disk: DiskId) {
+        let _ = (ctx, disk);
+    }
 
-    /// `disk` finished spinning down.
-    fn on_spin_down(&mut self, ctx: &mut SimCtx, disk: DiskId);
+    /// `disk` finished spinning down. Default: nothing.
+    fn on_spin_down(&mut self, ctx: &mut SimCtx, disk: DiskId) {
+        let _ = (ctx, disk);
+    }
 
-    /// A policy timer set via [`SimCtx::set_timer`] fired.
-    fn on_timer(&mut self, ctx: &mut SimCtx, token: u64);
+    /// A policy timer set via [`SimCtx::set_timer`] fired. Default:
+    /// nothing.
+    fn on_timer(&mut self, ctx: &mut SimCtx, token: u64) {
+        let _ = (ctx, token);
+    }
 
     /// The trace is exhausted: push all remaining state to stable storage
     /// (spin up what is needed, destage everything). Idempotent — the

@@ -58,8 +58,6 @@ impl Policy for Raid10Policy {
         false
     }
 
-    fn attach(&mut self, _ctx: &mut SimCtx) {}
-
     fn on_user_request(&mut self, ctx: &mut SimCtx, user_id: u64, rec: &TraceRecord) {
         let exts = ctx
             .geometry()
@@ -125,10 +123,6 @@ impl Policy for Raid10Policy {
         let bytes = ctx.geometry().data_region();
         ctx.begin_rebuild(&plan, bytes);
     }
-
-    fn on_spin_up(&mut self, _ctx: &mut SimCtx, _disk: DiskId) {}
-    fn on_spin_down(&mut self, _ctx: &mut SimCtx, _disk: DiskId) {}
-    fn on_timer(&mut self, _ctx: &mut SimCtx, _token: u64) {}
 
     fn begin_drain(&mut self, _ctx: &mut SimCtx) {}
 

@@ -1011,9 +1011,6 @@ impl Policy for RoloPolicy {
         }
     }
 
-    fn on_spin_down(&mut self, _ctx: &mut SimCtx, _disk: DiskId) {}
-    fn on_timer(&mut self, _ctx: &mut SimCtx, _token: u64) {}
-
     fn begin_drain(&mut self, ctx: &mut SimCtx) {
         self.draining = true;
         for pair in 0..self.pairs {

@@ -688,8 +688,6 @@ impl Policy for RoloEPolicy {
         }
     }
 
-    fn on_spin_down(&mut self, _ctx: &mut SimCtx, _disk: DiskId) {}
-
     fn on_timer(&mut self, ctx: &mut SimCtx, token: u64) {
         let disk = token as usize;
         if self.mode != Mode::Logging || disk >= ctx.disk_count() {

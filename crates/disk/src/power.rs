@@ -220,16 +220,6 @@ impl DiskEnergyReport {
         self.active + self.idle + self.standby + self.spinning_up + self.spinning_down
     }
 
-    /// Fraction of non-standby wall time spent idle — the quantity plotted
-    /// in Fig. 3.
-    pub fn idle_fraction(&self) -> f64 {
-        let total = self.total_time().as_secs_f64();
-        if total == 0.0 {
-            return 0.0;
-        }
-        self.idle.as_secs_f64() / total
-    }
-
     /// Combines two reports (e.g. across disks of an array).
     pub fn merged(&self, other: &DiskEnergyReport) -> DiskEnergyReport {
         DiskEnergyReport {
@@ -320,14 +310,5 @@ mod tests {
         let d = r.merged(&r);
         assert!((d.total_joules - 2.0 * r.total_joules).abs() < 1e-9);
         assert_eq!(d.active, r.active * 2);
-    }
-
-    #[test]
-    fn idle_fraction_bounds() {
-        let p = params();
-        let mut m = EnergyMeter::new(&p, PowerState::Idle, SimTime::ZERO);
-        m.transition(PowerState::Active, SimTime::from_secs(3));
-        let r = m.report(SimTime::from_secs(4), &p);
-        assert!((r.idle_fraction() - 0.75).abs() < 1e-9);
     }
 }

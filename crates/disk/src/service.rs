@@ -135,11 +135,6 @@ impl ServiceModel {
         Duration::from_micros(us.round() as u64)
     }
 
-    /// True if a request at `offset` continues exactly where the head is.
-    pub fn is_sequential(&self, offset: u64) -> bool {
-        self.head == Some(offset)
-    }
-
     /// Computes the service time for a request at byte `offset` of length
     /// `bytes`, and advances the head.
     ///
@@ -322,8 +317,6 @@ mod tests {
         assert_eq!(m.head_position(), None);
         m.service_time(100 * 1024, 64 * 1024);
         assert_eq!(m.head_position(), Some(164 * 1024));
-        assert!(m.is_sequential(164 * 1024));
-        assert!(!m.is_sequential(0));
     }
 
     #[test]

@@ -454,8 +454,6 @@ impl Policy for Rolo5Policy {
         false
     }
 
-    fn attach(&mut self, _ctx: &mut SimCtx) {}
-
     fn on_user_request(&mut self, ctx: &mut SimCtx, user_id: u64, rec: &TraceRecord) {
         let capacity = self.geometry.logical_capacity();
         let bytes = rec.bytes.min(capacity);
@@ -620,10 +618,6 @@ impl Policy for Rolo5Policy {
             }
         }
     }
-
-    fn on_spin_up(&mut self, _ctx: &mut SimCtx, _disk: DiskId) {}
-    fn on_spin_down(&mut self, _ctx: &mut SimCtx, _disk: DiskId) {}
-    fn on_timer(&mut self, _ctx: &mut SimCtx, _token: u64) {}
 
     fn begin_drain(&mut self, ctx: &mut SimCtx) {
         self.drain_mode = true;

@@ -142,11 +142,6 @@ impl ArrayGeometry {
         self.data_region
     }
 
-    /// Required per-disk capacity.
-    pub fn disk_capacity(&self) -> u64 {
-        self.data_region + self.logger_region
-    }
-
     /// Usable logical capacity of the array.
     pub fn logical_capacity(&self) -> u64 {
         self.data_region * self.pairs as u64
@@ -245,14 +240,6 @@ impl ArrayGeometry {
             cur: offset,
             end: offset + bytes,
         })
-    }
-
-    /// The set of distinct pairs touched by a logical extent.
-    pub fn pairs_touched(&self, offset: u64, bytes: u64) -> Result<Vec<usize>, GeometryError> {
-        let mut pairs: Vec<usize> = self.split(offset, bytes)?.map(|e| e.pair).collect();
-        pairs.sort_unstable();
-        pairs.dedup();
-        Ok(pairs)
     }
 }
 
@@ -375,7 +362,6 @@ mod tests {
     fn capacities() {
         let g = geo();
         assert_eq!(g.logical_capacity(), 10 * (10u64 << 30));
-        assert_eq!(g.disk_capacity(), 18u64 << 30);
         assert_eq!(g.logger_base(), 10u64 << 30);
     }
 
@@ -399,14 +385,6 @@ mod tests {
         assert!(ArrayGeometry::new(4, SU, SU + 1, 0).is_err());
         // Zero logger region is fine (plain RAID10).
         assert!(ArrayGeometry::new(4, SU, 1 << 30, 0).is_ok());
-    }
-
-    #[test]
-    fn pairs_touched_dedups() {
-        let g = geo();
-        // 20 stripe units wrap the 10 pairs twice.
-        let touched = g.pairs_touched(0, 20 * SU).unwrap();
-        assert_eq!(touched, (0..10).collect::<Vec<_>>());
     }
 
     #[test]

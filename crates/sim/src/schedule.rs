@@ -41,16 +41,6 @@ pub fn exponential_arrivals(
     }
 }
 
-/// Samples the instant of the *first* arrival of a Poisson process with
-/// `rate_per_sec` events per second, if it lands inside `[0, horizon)`.
-pub fn first_arrival(rng: &mut SimRng, rate_per_sec: f64, horizon: Duration) -> Option<SimTime> {
-    if rate_per_sec <= 0.0 || !rate_per_sec.is_finite() {
-        return None;
-    }
-    let t = SimTime::ZERO + Duration::from_secs_f64(rng.exp(1.0 / rate_per_sec));
-    (t < SimTime::ZERO + horizon).then_some(t)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -59,7 +49,6 @@ mod tests {
     fn zero_rate_yields_nothing() {
         let mut rng = SimRng::seed_from(1);
         assert!(exponential_arrivals(&mut rng, 0.0, Duration::from_secs(1000)).is_empty());
-        assert!(first_arrival(&mut rng, 0.0, Duration::from_secs(1000)).is_none());
     }
 
     #[test]

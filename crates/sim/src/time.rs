@@ -146,18 +146,6 @@ impl Duration {
         Duration((s * 1e6).round() as u64)
     }
 
-    /// Creates a duration from fractional milliseconds, rounding to the
-    /// nearest microsecond.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ms` is negative or not finite.
-    #[inline]
-    pub fn from_millis_f64(ms: f64) -> Self {
-        assert!(ms.is_finite() && ms >= 0.0, "invalid duration millis: {ms}");
-        Duration((ms * 1e3).round() as u64)
-    }
-
     /// Returns the raw microsecond count.
     #[inline]
     pub const fn as_micros(self) -> u64 {
@@ -313,7 +301,6 @@ mod tests {
         assert_eq!(SimTime::from_millis(3).as_micros(), 3_000);
         assert_eq!(Duration::from_secs(1).as_micros(), 1_000_000);
         assert_eq!(Duration::from_secs_f64(0.25).as_micros(), 250_000);
-        assert_eq!(Duration::from_millis_f64(1.5).as_micros(), 1_500);
     }
 
     #[test]

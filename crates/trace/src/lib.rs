@@ -30,15 +30,12 @@
 //! ```
 
 pub mod burstiness;
-pub mod export;
 pub mod msr;
 pub mod profiles;
 pub mod record;
 pub mod stats;
 pub mod synth;
-pub mod tools;
 
-pub use export::export_msr_csv;
 pub use msr::{parse_msr_csv, MsrParseError};
 pub use profiles::TraceProfile;
 pub use record::{ReqKind, TraceRecord};

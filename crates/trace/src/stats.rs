@@ -71,15 +71,6 @@ impl TraceStats {
             write_footprint: blocks.len() as u64 * GRAIN,
         }
     }
-
-    /// Overwrite factor: total written ÷ unique written (≥ 1 when any
-    /// write exists).
-    pub fn overwrite_factor(&self) -> f64 {
-        if self.write_footprint == 0 {
-            return 0.0;
-        }
-        self.bytes_written as f64 / self.write_footprint as f64
-    }
 }
 
 #[cfg(test)]
@@ -97,7 +88,6 @@ mod tests {
         let s = TraceStats::from_records(&[], Duration::from_secs(10));
         assert_eq!(s.requests, 0);
         assert_eq!(s.write_ratio, 0.0);
-        assert_eq!(s.overwrite_factor(), 0.0);
     }
 
     #[test]
@@ -115,7 +105,6 @@ mod tests {
         assert_eq!(s.bytes_read, 4096);
         // Unique blocks: {0,1} from the first two writes + {4}.
         assert_eq!(s.write_footprint, 3 * 4096);
-        assert!((s.overwrite_factor() - 20480.0 / 12288.0).abs() < 1e-12);
         assert!((s.iops - 1.0).abs() < 1e-12);
     }
 
