@@ -100,8 +100,9 @@ usage: paper <subcommand> [args]
                [--msr FILE] [--stripe-kib K] [--free-gib G] [--json PATH]
 
 A study writes its rows to $ROLO_RESULTS_DIR/<study>.json (default
-results/). --week-secs: the trace-driven studies' replay window,
-default 604800 (a week).
+results/). --week-secs: the replay window, default 604800 (a week).
+The trace-driven studies replay it; the two motivation figures (§II)
+cap their shorter fixed windows at it.
 scheme: raid10 | graid | rolo-p | rolo-r | rolo-e
 trace:  a Table III profile (src2_2, proj_0, mds_0, wdev_0, web_1, rsrch_2, hm_1)
 hours:  simulated window, finite and > 0
@@ -290,7 +291,7 @@ impl Subcommand for Paper {
         }
     }
 
-    /// `--week-secs` sets the trace-driven studies' replay window.
+    /// `--week-secs` sets the studies' replay window.
     fn flags(self) -> &'static [&'static str] {
         match self {
             Paper::Study(_) | Paper::All => &["--week-secs"],
@@ -430,7 +431,7 @@ pub struct Invocation<C = Command> {
     pub slo: bool,
     /// `rca --expect-clean`.
     pub expect_clean: bool,
-    /// `--week-secs` of the studies: the trace replay window.
+    /// `--week-secs` of the studies: the replay window.
     pub window: Duration,
     /// `scrub_study --seeds`: seeds per (flavor × scrub) cell.
     pub seeds: u64,

@@ -48,13 +48,13 @@ pub struct Output {
 /// (time, value) series as exported in the results JSON.
 type Series = Vec<(f64, f64)>;
 
-fn run_cell(iops: f64, logger_gib: u64) -> (Cell, Series, Series) {
+fn run_cell(iops: f64, logger_gib: u64, window: Duration) -> (Cell, Series, Series) {
     let mut cfg = SimConfig::paper_default(Scheme::Graid, 10);
     cfg.graid_log_capacity = logger_gib * GIB;
     let wl = SyntheticConfig::motivation_write_only(iops);
     // Long enough for ~4 logging cycles at this fill rate.
     let cycle_secs = (0.8 * (logger_gib * GIB) as f64) / (iops * 64.0 * 1024.0);
-    let duration = Duration::from_secs_f64((cycle_secs * 4.0).max(2.0 * 3600.0));
+    let duration = Duration::from_secs_f64((cycle_secs * 4.0).max(2.0 * 3600.0)).min(window);
     let report = rolo_core::run_scheme(&cfg, wl.generator(duration, 2024), duration);
     expect_consistent(&report, "fig2");
     let cell = Cell {
@@ -80,9 +80,10 @@ fn run_cell(iops: f64, logger_gib: u64) -> (Cell, Series, Series) {
     (cell, timeline, report.power_timeline.clone())
 }
 
-/// Runs the motivation sweep, prints Fig. 2(a)–(d) and returns every
-/// cell plus the sample configuration's timelines.
-pub fn run() -> Output {
+/// Runs the motivation sweep, each replay capped at `window`, prints
+/// Fig. 2(a)–(d) and returns every cell plus the sample configuration's
+/// timelines.
+pub fn run(window: Duration) -> Output {
     const IOPS_LEVELS: [f64; 4] = [10.0, 50.0, 100.0, 200.0];
     const CAPACITIES: [u64; 3] = [8, 12, 16];
     let iops_levels = IOPS_LEVELS;
@@ -90,7 +91,7 @@ pub fn run() -> Output {
         .iter()
         .flat_map(|&i| CAPACITIES.iter().map(move |&c| (i, c)))
         .collect();
-    let results: Vec<(Cell, Series, Series)> = parallel_map(jobs, |(i, c)| run_cell(i, c));
+    let results: Vec<(Cell, Series, Series)> = parallel_map(jobs, |(i, c)| run_cell(i, c, window));
 
     println!("Figure 2(c): destaging interval ratio");
     println!("{:>6} {:>8} {:>8} {:>8}", "iops", "8GB", "12GB", "16GB");
@@ -140,7 +141,8 @@ pub fn run() -> Output {
             .collect();
         let small = cells[0].destaging_interval_ratio;
         let large = cells[2].destaging_interval_ratio;
-        if small > 0.0 {
+        // A zero ratio means no destage cycle completed in the window.
+        if small > 0.0 && large > 0.0 {
             println!(
                 "iops {i}: interval ratio 8GB→16GB changes by {:+.1} % (paper: ~flat)",
                 (large / small - 1.0) * 100.0

@@ -22,14 +22,14 @@ pub struct Row {
     log_active_standby_fraction: f64,
 }
 
-/// Runs the four intensities for four hours each, prints Fig. 3 and
-/// returns its rows.
-pub fn run() -> Vec<Row> {
+/// Runs the four intensities for four hours each (capped at `window`),
+/// prints Fig. 3 and returns its rows.
+pub fn run(window: Duration) -> Vec<Row> {
     let iops_levels = vec![10.0, 50.0, 100.0, 200.0];
     let rows = parallel_map(iops_levels, |iops| {
         let cfg = SimConfig::paper_default(Scheme::Graid, 10);
         let wl = SyntheticConfig::motivation_write_only(iops);
-        let duration = Duration::from_secs(4 * 3600);
+        let duration = Duration::from_secs(4 * 3600).min(window);
         let report = rolo_core::run_scheme(&cfg, wl.generator(duration, 33), duration);
         expect_consistent(&report, "fig3");
         let frac = |r: &rolo_disk::DiskEnergyReport| {

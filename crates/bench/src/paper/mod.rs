@@ -4,8 +4,9 @@
 //! Every experiment prints the rows/series the paper reports. The 20
 //! studies of [`STUDIES`] also return those rows, which `paper <name>`
 //! writes to `results/<name>.json`. Trace-driven studies take the
-//! replay window as an argument (the full [`crate::WEEK`] by default);
-//! the rest replay fixed windows of their own. The other experiments
+//! replay window as an argument (the full [`crate::WEEK`] by default),
+//! and `fig2` and `fig3` cap their own fixed windows at it; the rest
+//! replay fixed windows of their own. The other experiments
 //! are CI gates and tools: [`fault_study`], [`scrub_study`],
 //! [`log_recovery`], [`export_csv`] and [`run`].
 
@@ -46,8 +47,8 @@ pub type Study = (&'static str, fn(Duration) -> Value);
 /// The 20 studies behind the paper's tables and figures, in the order
 /// of DESIGN.md §4's index (`paper all` runs them in this order).
 pub const STUDIES: [Study; 20] = [
-    ("fig2", |_| rows(fig2::run())),
-    ("fig3", |_| rows(fig3::run())),
+    ("fig2", |w| rows(fig2::run(w))),
+    ("fig3", |w| rows(fig3::run(w))),
     ("table1", |w| rows(table1::run(w))),
     ("fig9", |_| rows(fig9::run())),
     ("fig10", |w| rows(fig10::run(w))),

@@ -3,7 +3,6 @@
 use crate::faults::{FaultPlan, FaultPlanError};
 use crate::journal;
 use rolo_disk::{DiskParams, SchedulerKind};
-use rolo_obs::{BurnRatePolicy, Quantile, SloSpec};
 use rolo_raid::{ArrayGeometry, GeometryError};
 use rolo_sim::Duration;
 use serde::{Deserialize, Serialize};
@@ -115,28 +114,15 @@ pub struct SimConfig {
     /// event identical to a build without the scrub engine.
     pub scrub_enabled: bool,
     /// Bytes verified per scrub chunk read (the scrub bandwidth knob:
-    /// chunk size over tick interval bounds the per-disk scrub rate).
+    /// chunk size over the 500 ms tick interval bounds the per-disk
+    /// scrub rate).
     pub scrub_chunk: u64,
-    /// Interval between scrub scheduling ticks. Each tick issues at
-    /// most one chunk per eligible disk, and only on disks that are
-    /// already spun up — the power-aware rule.
-    pub scrub_interval: Duration,
-    /// Run the online telemetry hub (DESIGN.md §12): windowed rollups
-    /// of response quantiles, power and per-disk activity, plus SLO
-    /// burn-rate monitoring. On by default — the hub is observational
-    /// only, so the simulation outcome is identical either way.
+    /// Run the online telemetry hub (DESIGN.md §12): 60 s windowed
+    /// rollups of response quantiles, power and per-disk activity, plus
+    /// burn-rate monitoring of the default SLOs. On by default — the hub
+    /// is observational only, so the simulation outcome is identical
+    /// either way.
     pub telemetry_enabled: bool,
-    /// Telemetry rollup window length (window `k` covers
-    /// `[k·w, (k+1)·w)` of simulated time).
-    pub telemetry_window: Duration,
-    /// Closed telemetry windows retained per series before the oldest
-    /// is evicted.
-    pub telemetry_retain: usize,
-    /// Declarative SLOs evaluated online against every closed
-    /// telemetry window.
-    pub slos: Vec<SloSpec>,
-    /// Multi-window burn-rate alerting thresholds shared by all SLOs.
-    pub slo_burn: BurnRatePolicy,
     /// Tail exemplars retained per telemetry window: the k of the
     /// bounded top-k slowest-request recorder (DESIGN.md §14). Zero
     /// disables capture. The recorder only observes anything when
@@ -149,30 +135,6 @@ pub struct SimConfig {
     /// observational only, so the report stays byte-identical with it
     /// on or off.
     pub rca_enabled: bool,
-}
-
-/// Default SLO set: a p95 response-time bound loose enough that a
-/// healthy scheme (RoLo-P on every paper trace) never trips it, yet
-/// far below RoLo-E's multi-second spin-up tail; and a mean-power
-/// budget above any paper configuration's steady draw.
-fn default_slos() -> Vec<SloSpec> {
-    vec![
-        SloSpec::latency("latency_p95", Quantile::P95, Duration::from_millis(500)),
-        SloSpec::energy("power_budget", 600.0),
-    ]
-}
-
-/// Default burn-rate thresholds (SRE-style 5/15-window pairing over a
-/// 10 % error budget): a warning needs a sustained short-lookback
-/// burn, a breach needs both lookbacks saturated.
-fn default_burn_policy() -> BurnRatePolicy {
-    BurnRatePolicy {
-        short_windows: 5,
-        long_windows: 15,
-        error_budget: 0.1,
-        warn_burn: 2.0,
-        breach_burn: 5.0,
-    }
 }
 
 impl SimConfig {
@@ -204,12 +166,7 @@ impl SimConfig {
             archive_ttl: journal::DEFAULT_ARCHIVE_TTL,
             scrub_enabled: false,
             scrub_chunk: 1 << 20,
-            scrub_interval: Duration::from_millis(500),
             telemetry_enabled: true,
-            telemetry_window: Duration::from_secs(60),
-            telemetry_retain: 256,
-            slos: default_slos(),
-            slo_burn: default_burn_policy(),
             exemplars_per_window: 8,
             rca_enabled: false,
         }
@@ -297,30 +254,13 @@ impl SimConfig {
                 "compaction live fraction out of range",
             ));
         }
-        if self.scrub_enabled {
-            if self.scrub_chunk == 0 {
-                return Err(ConfigError::Tunable("zero scrub chunk"));
-            }
-            if self.scrub_interval.is_zero() {
-                return Err(ConfigError::Tunable("zero scrub interval"));
-            }
+        if self.scrub_enabled && self.scrub_chunk == 0 {
+            return Err(ConfigError::Tunable("zero scrub chunk"));
         }
-        if self.telemetry_enabled {
-            if self.telemetry_window.is_zero() {
-                return Err(ConfigError::Tunable("zero telemetry window"));
-            }
-            if self.telemetry_retain == 0 {
-                return Err(ConfigError::Tunable("zero telemetry retention"));
-            }
-            self.slo_burn.check().map_err(ConfigError::Tunable)?;
-            for slo in &self.slos {
-                slo.check().map_err(ConfigError::Tunable)?;
-            }
-            // The exemplar recorder's memory bound is retain · k spans;
-            // cap k so a typo cannot turn "bounded" into "everything".
-            if self.exemplars_per_window > 4096 {
-                return Err(ConfigError::Tunable("exemplars_per_window out of range"));
-            }
+        // The exemplar recorder's memory bound is retain · k spans; cap
+        // k so a typo cannot turn "bounded" into "everything".
+        if self.telemetry_enabled && self.exemplars_per_window > 4096 {
+            return Err(ConfigError::Tunable("exemplars_per_window out of range"));
         }
         if self.rca_enabled {
             if !self.telemetry_enabled {
@@ -430,44 +370,9 @@ mod tests {
         assert!(c.check().is_ok());
         c.scrub_chunk = 0;
         assert_eq!(c.check(), Err(ConfigError::Tunable("zero scrub chunk")));
-        c.scrub_chunk = 1 << 20;
-        c.scrub_interval = Duration::ZERO;
-        assert_eq!(c.check(), Err(ConfigError::Tunable("zero scrub interval")));
         // With scrubbing disabled the knobs are inert and unchecked.
         c.scrub_enabled = false;
         c.scrub_chunk = 0;
-        assert!(c.check().is_ok());
-    }
-
-    #[test]
-    fn check_flags_bad_telemetry_knobs() {
-        let mut c = SimConfig::paper_default(Scheme::RoloP, 4);
-        assert!(c.check().is_ok(), "defaults validate");
-        c.telemetry_window = Duration::ZERO;
-        assert_eq!(
-            c.check(),
-            Err(ConfigError::Tunable("zero telemetry window"))
-        );
-        c.telemetry_window = Duration::from_secs(60);
-        c.telemetry_retain = 0;
-        assert_eq!(
-            c.check(),
-            Err(ConfigError::Tunable("zero telemetry retention"))
-        );
-        c.telemetry_retain = 16;
-        c.slo_burn.breach_burn = 0.1;
-        assert_eq!(
-            c.check(),
-            Err(ConfigError::Tunable(
-                "breach burn threshold must be at least the warn threshold"
-            ))
-        );
-        c.slo_burn = default_burn_policy();
-        c.slos.push(SloSpec::energy("bad", -1.0));
-        assert!(matches!(c.check(), Err(ConfigError::Tunable(_))));
-        // With telemetry disabled the knobs are inert and unchecked.
-        c.telemetry_enabled = false;
-        c.telemetry_retain = 0;
         assert!(c.check().is_ok());
     }
 

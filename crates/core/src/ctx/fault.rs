@@ -16,7 +16,7 @@ use crate::recovery::RecoveryPlan;
 use rolo_disk::{Disk, DiskId, DiskParams, DiskRequest, IoKind, IoOutcome, Priority};
 use rolo_disk::{DiskEnergyReport, IntegrityMap, PowerState, SchedulerKind};
 use rolo_obs::{BgSpanKind, LegFlavor, SimEvent};
-use rolo_sim::{Duration, IoMap, SimRng, SimTime};
+use rolo_sim::{Duration, IoMap, IoSlot, SimRng, SimTime};
 use std::collections::HashMap;
 
 /// Bytes per rebuild chunk: large sequential transfers, so a copy on an
@@ -533,20 +533,27 @@ impl SimCtx {
         (to, LegFlavor::DegradedRedirect)
     }
 
-    /// Re-serves user `user`'s failed read `req` from the surviving
-    /// partner of `disk`, when the read hit a media error or a degraded
-    /// slot and the partner is healthy: notes the redirect, emits
-    /// [`SimEvent::ReadRedirected`], submits the foreground read under a
-    /// fresh id and `req`'s tag, and tags the new span leg
-    /// [`LegFlavor::DegradedRedirect`]. Returns true when it did, so the
-    /// caller keeps its per-I/O state for the redirected read; false
-    /// leaves the failure to the caller's ordinary completion path.
+    /// Re-serves the failed read `req` of the user request at slot
+    /// `user` from the surviving partner of `disk`, when the read hit a
+    /// media error or a degraded slot and the partner is healthy: notes
+    /// the redirect, emits [`SimEvent::ReadRedirected`], submits the
+    /// foreground read under a fresh id and `req`'s tag, and tags the new
+    /// span leg [`LegFlavor::DegradedRedirect`] under the request's user
+    /// id. The redirected read replaces the failed sub-request, so the
+    /// request's count of pending sub-requests stays. Returns true when
+    /// it did, so the caller keeps its per-I/O state for the redirected
+    /// read; false leaves the failure to the caller's ordinary
+    /// completion path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a redirect is due and the user slot is stale.
     pub fn redirect_read(
         &mut self,
         disk: DiskId,
         req: &DiskRequest,
         outcome: IoOutcome,
-        user: u64,
+        user: IoSlot,
     ) -> bool {
         if req.kind != IoKind::Read || (outcome != IoOutcome::MediaError && !self.is_degraded(disk))
         {
@@ -559,7 +566,8 @@ impl SimCtx {
         self.note_redirect(disk, p);
         let (off, len) = (req.offset, req.bytes);
         let id = self.submit(p, IoKind::Read, off, len, Priority::Foreground, req.tag);
-        self.tag_io(id, user, LegFlavor::DegradedRedirect);
+        let user_id = self.user(user).user_id;
+        self.tag_io(id, user_id, LegFlavor::DegradedRedirect);
         true
     }
 

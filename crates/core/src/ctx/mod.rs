@@ -7,6 +7,12 @@
 //! accumulated disk wakes and timers into its event queue after every
 //! callback, so policies never touch the queue directly.
 //!
+//! The context owns each user request's lifecycle: a controller admits
+//! it ([`SimCtx::register_user`]), submits its foreground sub-requests
+//! ([`SimCtx::submit_user`], which counts each and tags its span leg)
+//! and retires them ([`SimCtx::user_sub_done`]); the driver audits the
+//! stragglers once ([`SimCtx::check_users`]).
+//!
 //! Two concerns live in files of their own, each a field group plus an
 //! `impl SimCtx` block that reaches the disks through `self`:
 //! - `fault.rs`, the fault engine: failures and hot spares, transient
@@ -25,26 +31,17 @@ pub use observe::RunObservations;
 
 use crate::config::SimConfig;
 use crate::faults::FaultMetrics;
-use crate::intervals::IntervalTracker;
+use crate::intervals::{IntervalTracker, Phase};
 use crate::report::ResponseStats;
 use fault::FaultEngine;
 use observe::Observer;
 use rolo_disk::{
     Disk, DiskEnergyReport, DiskId, DiskRequest, DiskWake, IoKind, PowerState, Priority,
 };
-use rolo_obs::{NullSink, SimEvent, Timeline, TraceSink};
+use rolo_obs::{LegFlavor, NullSink, SimEvent, Timeline, TraceSink};
 use rolo_raid::ArrayGeometry;
 use rolo_sim::{Duration, IoSlab, IoSlot, SimRng, SimTime};
 use rolo_trace::ReqKind;
-
-/// Outcome of the final sub-request of a user request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompletedUser {
-    /// Read or write.
-    pub kind: ReqKind,
-    /// Measured response time.
-    pub response: Duration,
-}
 
 #[derive(Debug)]
 struct Outstanding {
@@ -325,60 +322,85 @@ impl SimCtx {
         completed
     }
 
-    /// Registers a user request with `subs` outstanding sub-requests,
-    /// returning the slab slot the controller hands back to
-    /// [`SimCtx::user_sub_done`] on every sub-completion. The `user_id`
-    /// stays the externally-visible identity (traces, spans); the slot
-    /// is a recycled internal handle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `subs` is zero.
-    pub fn register_user(
-        &mut self,
-        user_id: u64,
-        kind: ReqKind,
-        arrival: SimTime,
-        subs: u32,
-    ) -> IoSlot {
-        assert!(subs > 0, "user request with zero sub-requests");
+    /// Admits user request `user_id` at `now` with no sub-requests yet,
+    /// returning the slab slot that names it to [`SimCtx::submit_user`],
+    /// [`SimCtx::redirect_read`] and [`SimCtx::user_sub_done`]. The
+    /// `user_id` stays the externally-visible identity (traces, spans);
+    /// the slot is a recycled internal handle, which a controller may
+    /// also use to index its own per-request state (a
+    /// [`rolo_sim::SlotTable`]) until the request retires.
+    pub fn register_user(&mut self, user_id: u64, kind: ReqKind) -> IoSlot {
+        let arrival = self.now;
         let slot = self.outstanding.insert(Outstanding {
             user_id,
             kind,
             arrival,
-            subs_left: subs,
+            subs_left: 0,
         });
         self.obs.on_admit(user_id, kind, arrival);
         slot
     }
 
-    /// Adds more pending sub-requests to an in-flight user request.
+    /// The in-flight user request at `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot is stale (request already completed).
+    fn user(&mut self, slot: IoSlot) -> &mut Outstanding {
+        self.outstanding
+            .get_mut(slot)
+            .unwrap_or_else(|| panic!("unknown user request slot {slot:?}"))
+    }
+
+    /// Adds `subs` pending sub-requests to the user request at `slot`:
+    /// sub-requests the controller submits itself and retires through
+    /// [`SimCtx::user_sub_done`] (the parity controllers' read-modify-
+    /// write chains).
     ///
     /// # Panics
     ///
     /// Panics if the slot is stale (request already completed).
     pub fn add_user_subs(&mut self, slot: IoSlot, subs: u32) {
-        self.outstanding
-            .get_mut(slot)
-            .unwrap_or_else(|| panic!("unknown user request slot {slot:?}"))
-            .subs_left += subs;
+        self.user(slot).subs_left += subs;
+    }
+
+    /// Submits one foreground sub-request of the user request at `user`
+    /// to `disk`, covering `extent` (offset, bytes): the disk request
+    /// carries the controller's `tag`, the user request gains one
+    /// pending sub-request, and the span leg is tagged `flavor` under
+    /// the request's user id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the user slot is stale (request already completed).
+    pub fn submit_user(
+        &mut self,
+        user: IoSlot,
+        tag: IoSlot,
+        disk: DiskId,
+        kind: IoKind,
+        (offset, bytes): (u64, u64),
+        flavor: LegFlavor,
+    ) {
+        let id = self.submit(disk, kind, offset, bytes, Priority::Foreground, tag);
+        let o = self.user(user);
+        o.subs_left += 1;
+        let user_id = o.user_id;
+        self.tag_io(id, user_id, flavor);
     }
 
     /// Marks one sub-request of the user request at `slot` complete.
-    /// When the last one lands, records the response time and returns
-    /// the completion.
+    /// When the last one lands, records the response time, retires the
+    /// slot and returns true.
     ///
     /// # Panics
     ///
     /// Panics if the slot is stale (request already completed).
-    pub fn user_sub_done(&mut self, slot: IoSlot) -> Option<CompletedUser> {
-        let o = self
-            .outstanding
-            .get_mut(slot)
-            .unwrap_or_else(|| panic!("unknown user request slot {slot:?}"));
+    pub fn user_sub_done(&mut self, slot: IoSlot) -> bool {
+        let o = self.user(slot);
         o.subs_left -= 1;
         if o.subs_left > 0 {
-            return None;
+            return false;
         }
         let o = self.outstanding.remove(slot).expect("present");
         let response = self.now.since(o.arrival);
@@ -396,15 +418,28 @@ impl SimCtx {
             kind: o.kind,
             response_us: response.as_micros(),
         });
-        Some(CompletedUser {
-            kind: o.kind,
-            response,
-        })
+        true
     }
 
     /// Number of user requests still in flight.
     pub fn outstanding_users(&self) -> usize {
         self.outstanding.len()
+    }
+
+    /// End-of-run audit: every admitted user request completed.
+    pub fn check_users(&self) -> Result<(), String> {
+        match self.outstanding.len() {
+            0 => Ok(()),
+            n => Err(format!("{n} user requests unfinished")),
+        }
+    }
+
+    /// Closes the array-wide Fig. 2 phase the previous call opened,
+    /// charging it the energy spent since, and opens `phase` (see
+    /// [`IntervalTracker::enter`]).
+    pub fn enter_phase(&mut self, phase: Phase) {
+        let energy = self.total_energy();
+        self.intervals.enter(phase, self.now, energy);
     }
 
     /// Energy reports for every slot as of `now`: the live disk's report
@@ -517,13 +552,13 @@ mod tests {
     #[test]
     fn user_tracking_counts_subs() {
         let mut c = ctx();
-        let slot = c.register_user(7, ReqKind::Write, SimTime::ZERO, 2);
+        let slot = c.register_user(7, ReqKind::Write);
+        c.add_user_subs(slot, 2);
         c.now = SimTime::from_millis(5);
-        assert!(c.user_sub_done(slot).is_none());
-        let done = c.user_sub_done(slot).unwrap();
-        assert_eq!(done.kind, ReqKind::Write);
-        assert_eq!(done.response, Duration::from_millis(5));
+        assert!(!c.user_sub_done(slot));
+        assert!(c.user_sub_done(slot));
         assert_eq!(c.write_responses.count(), 1);
+        assert_eq!(c.write_responses.max(), Some(Duration::from_millis(5)));
         assert_eq!(c.read_responses.count(), 0);
         assert_eq!(c.outstanding_users(), 0);
     }
@@ -531,22 +566,65 @@ mod tests {
     #[test]
     fn add_user_subs_extends() {
         let mut c = ctx();
-        let slot = c.register_user(1, ReqKind::Read, SimTime::ZERO, 1);
+        let slot = c.register_user(1, ReqKind::Read);
         c.add_user_subs(slot, 1);
-        assert!(c.user_sub_done(slot).is_none());
-        assert!(c.user_sub_done(slot).is_some());
+        c.add_user_subs(slot, 1);
+        assert!(!c.user_sub_done(slot));
+        assert!(c.user_sub_done(slot));
     }
 
     #[test]
     #[should_panic(expected = "unknown user request slot")]
     fn stale_slot_rejected() {
         let mut c = ctx();
-        let slot = c.register_user(1, ReqKind::Read, SimTime::ZERO, 1);
-        assert!(c.user_sub_done(slot).is_some());
+        let slot = c.register_user(1, ReqKind::Read);
+        c.add_user_subs(slot, 1);
+        assert!(c.user_sub_done(slot));
         // A second registration may recycle the slab index; the stale
         // handle's generation keeps it from aliasing the new request.
-        let _other = c.register_user(2, ReqKind::Read, SimTime::ZERO, 1);
+        let _other = c.register_user(2, ReqKind::Read);
         c.user_sub_done(slot);
+    }
+
+    #[test]
+    fn submit_user_counts_and_tags_each_leg() {
+        let mut c = ctx();
+        c.enable_spans();
+        let user = c.register_user(9, ReqKind::Write);
+        let legs = [(0, LegFlavor::Transfer), (2, LegFlavor::MirrorCopy)];
+        for (disk, flavor) in legs {
+            c.submit_user(user, tag(), disk, IoKind::Write, (0, 4096), flavor);
+        }
+        assert_eq!(c.check_users(), Err("1 user requests unfinished".into()));
+        let mut wakes = Vec::new();
+        c.drain_wakes_into(&mut wakes);
+        wakes.sort_by_key(|(_, w)| w.due());
+        let mut done = Vec::new();
+        for (d, w) in wakes {
+            c.now = w.due();
+            let IoFate::Policy(req, IoOutcome::Ok) = c.complete_io(d) else {
+                panic!("a clean policy transfer");
+            };
+            assert_eq!(req.tag, tag());
+            done.push(c.user_sub_done(user));
+        }
+        assert_eq!(done, [false, true]);
+        assert_eq!(c.outstanding_users(), 0);
+        assert!(c.check_users().is_ok());
+        let spans = c.take_observations(false).spans.expect("spans on");
+        let [span] = &spans.requests[..] else {
+            panic!("one finished span: {:?}", spans.requests);
+        };
+        assert_eq!(span.id, 9);
+        // A leg's flavor names the phase of its final (transfer) slice.
+        let mut got: Vec<_> = span
+            .legs
+            .iter()
+            .map(|l| (l.disk, l.slices.iter().last().map(|s| s.phase)))
+            .collect();
+        got.sort_by_key(|&(d, _)| d);
+        let want: Vec<_> = legs.iter().map(|&(d, f)| (d, Some(f.phase()))).collect();
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -581,7 +659,9 @@ mod tests {
         assert_eq!(c.faults.lse_repaired_on_read, 1);
         assert_eq!(c.fault.corrupt[0].len(), 0);
         // The partner re-serves the read under a new id and the same tag.
-        assert!(c.redirect_read(0, &req, outcome, 1));
+        let user = c.register_user(1, ReqKind::Read);
+        c.add_user_subs(user, 1);
+        assert!(c.redirect_read(0, &req, outcome, user));
         let (redirected, outcome) = finish(&mut c);
         assert_eq!(outcome, IoOutcome::Ok);
         assert_ne!(redirected.id, req.id);

@@ -4,22 +4,54 @@
 //! of it, so switching a part on or off leaves the report unchanged.
 //!
 //! [`Observer`] is the field group; the `impl SimCtx` block below holds
-//! the hooks controllers call ([`SimCtx::emit`], [`SimCtx::tag_io`],
-//! [`SimCtx::bg_span_begin`], …) and the driver's one hand-off,
-//! [`SimCtx::take_observations`].
+//! the hooks controllers call ([`SimCtx::emit`],
+//! [`SimCtx::bg_span_begin`], …), the span tagging that
+//! [`SimCtx::submit_user`] does for them, and the driver's one
+//! hand-off, [`SimCtx::take_observations`].
 
 use super::SimCtx;
 use crate::config::SimConfig;
 use rolo_disk::{Disk, DiskId, PowerState};
 use rolo_obs::{critical_path, BgSpanKind, LegFlavor, SpanCollector, SpanSet, NUM_PHASES};
-use rolo_obs::{ExemplarRecorder, ExemplarSet, NullSink, RcaReport, SimEvent, TraceSink};
 use rolo_obs::{
-    Phase, RollupValue, SeriesId, SloAlert, SloMonitor, SloSignal, Telemetry, TelemetrySnapshot,
-    WindowObservation,
+    BurnRatePolicy, Phase, Quantile, RollupValue, SeriesId, SloAlert, SloMonitor, SloSignal,
+    SloSpec, Telemetry, TelemetrySnapshot, WindowObservation,
 };
+use rolo_obs::{ExemplarRecorder, ExemplarSet, NullSink, RcaReport, SimEvent, TraceSink};
 use rolo_sim::{Duration, SimTime};
 use rolo_trace::ReqKind;
 use std::collections::HashMap;
+
+/// Telemetry rollup window length: window `k` covers `[k·w, (k+1)·w)`
+/// of simulated time. The tail-exemplar recorder rides the same clock.
+const TELEMETRY_WINDOW: Duration = Duration::from_secs(60);
+
+/// Closed telemetry windows retained per series before the oldest is
+/// evicted.
+const TELEMETRY_RETAIN: usize = 256;
+
+/// Burn-rate thresholds shared by every SLO (SRE-style 5/15-window
+/// pairing over a 10 % error budget): a warning needs a sustained
+/// short-lookback burn, a breach needs both lookbacks saturated.
+const SLO_BURN: BurnRatePolicy = BurnRatePolicy {
+    short_windows: 5,
+    long_windows: 15,
+    error_budget: 0.1,
+    warn_burn: 2.0,
+    breach_burn: 5.0,
+};
+
+/// The SLOs evaluated online against every closed telemetry window: a
+/// p95 response-time bound loose enough that a healthy scheme (RoLo-P
+/// on every paper trace) never trips it, yet far below RoLo-E's
+/// multi-second spin-up tail; and a mean-power budget above any paper
+/// configuration's steady draw.
+fn slos() -> Vec<SloSpec> {
+    vec![
+        SloSpec::latency("latency_p95", Quantile::P95, Duration::from_millis(500)),
+        SloSpec::energy("power_budget", 600.0),
+    ]
+}
 
 /// Everything a run observed out-of-band of its report: the trace sink,
 /// per-request spans (when enabled), the telemetry snapshot (when
@@ -100,7 +132,7 @@ struct CtxTelemetry {
 impl Observer {
     pub(super) fn new(cfg: &SimConfig, disk_count: usize, sink: Box<dyn TraceSink>) -> Self {
         let telemetry = cfg.telemetry_enabled.then(|| {
-            let mut hub = Telemetry::new(cfg.telemetry_window, cfg.telemetry_retain);
+            let mut hub = Telemetry::new(TELEMETRY_WINDOW, TELEMETRY_RETAIN);
             let response_us = hub.quantile("sim.response_us");
             let power_w = hub.gauge("sim.power_w");
             let completions = hub.counter("sim.user_completions");
@@ -111,15 +143,11 @@ impl Observer {
             let phase_us =
                 Phase::ALL.map(|p| hub.counter(&format!("phase.{}.critical_path_us", p.name())));
             let exemplars = (cfg.exemplars_per_window > 0).then(|| {
-                ExemplarRecorder::new(
-                    cfg.exemplars_per_window,
-                    cfg.telemetry_window,
-                    cfg.telemetry_retain,
-                )
+                ExemplarRecorder::new(cfg.exemplars_per_window, TELEMETRY_WINDOW, TELEMETRY_RETAIN)
             });
             CtxTelemetry {
                 hub,
-                monitor: SloMonitor::new(cfg.slo_burn, cfg.slos.clone()),
+                monitor: SloMonitor::new(SLO_BURN, slos()),
                 response_us,
                 power_w,
                 completions,
@@ -233,11 +261,12 @@ impl SimCtx {
     }
 
     /// Declares that sub-request `io` serves user request `user` and
-    /// what its transfer is for. Controllers call this right after each
-    /// foreground [`SimCtx::submit`]; background I/O stays untagged.
-    /// No-op unless span recording is on.
+    /// what its transfer is for. [`SimCtx::submit_user`] and
+    /// [`SimCtx::redirect_read`] call this for every foreground leg they
+    /// submit; background I/O stays untagged. No-op unless span
+    /// recording is on.
     #[inline]
-    pub fn tag_io(&mut self, io: u64, user: u64, flavor: LegFlavor) {
+    pub(super) fn tag_io(&mut self, io: u64, user: u64, flavor: LegFlavor) {
         if let Some(s) = &mut self.obs.spans {
             s.tag_io(io, user, flavor);
         }

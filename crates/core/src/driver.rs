@@ -55,6 +55,12 @@ enum Event {
 const _: () = assert!(size_of::<Event>() <= 24);
 const _: () = assert!(size_of::<rolo_sim::ScheduledEvent<Event>>() <= 40);
 
+/// Interval between scrub scheduling ticks. Each tick issues at most
+/// one chunk per eligible disk, and only on disks that are already spun
+/// up — the power-aware rule; `SimConfig::scrub_chunk` over this
+/// interval bounds the per-disk scrub rate.
+const SCRUB_INTERVAL: Duration = Duration::from_millis(500);
+
 /// Snapshot captured at the `TraceEnd` marker.
 #[derive(Debug, Default)]
 struct TraceEndSnapshot {
@@ -158,7 +164,7 @@ pub fn run_trace_observed<P: Policy>(
     let sample_every = Duration::from_micros((duration.as_micros() / 1000).max(1_000_000));
     queue.schedule(SimTime::ZERO + sample_every, Event::PowerSample);
     if cfg.scrub_enabled {
-        queue.schedule(SimTime::ZERO + cfg.scrub_interval, Event::ScrubTick);
+        queue.schedule(SimTime::ZERO + SCRUB_INTERVAL, Event::ScrubTick);
     }
     if let Some(first) = records.peek() {
         if first.arrival < trace_end {
@@ -177,7 +183,7 @@ pub fn run_trace_observed<P: Policy>(
             if !trace_done {
                 panic!("event queue empty before trace end");
             }
-            if policy.is_drained(&ctx) {
+            if drained(&policy, &ctx) {
                 break;
             }
             // Kick the drain; a correct policy makes progress or is done.
@@ -193,7 +199,7 @@ pub fn run_trace_observed<P: Policy>(
             drain_ctx(&mut ctx, &mut queue, &mut scratch);
             if queue.is_empty() {
                 assert!(
-                    policy.is_drained(&ctx),
+                    drained(&policy, &ctx),
                     "{}: drain cannot make progress (policy bug); consistency: {:?}",
                     policy.name(),
                     policy.check_consistency(&ctx)
@@ -305,8 +311,8 @@ pub fn run_trace_observed<P: Policy>(
             Event::ScrubTick => {
                 ctx.on_scrub_tick();
                 let now = ctx.now;
-                if now + cfg.scrub_interval < trace_end {
-                    queue.schedule(now + cfg.scrub_interval, Event::ScrubTick);
+                if now + SCRUB_INTERVAL < trace_end {
+                    queue.schedule(now + SCRUB_INTERVAL, Event::ScrubTick);
                 }
             }
             Event::PowerSample => {
@@ -337,7 +343,7 @@ pub fn run_trace_observed<P: Policy>(
             policy.on_rebuild_complete(&mut ctx, slot);
         }
         drain_ctx(&mut ctx, &mut queue, &mut scratch);
-        if trace_done && snapshot.is_some() && queue.is_empty() && policy.is_drained(&ctx) {
+        if trace_done && snapshot.is_some() && queue.is_empty() && drained(&policy, &ctx) {
             break;
         }
     }
@@ -370,6 +376,7 @@ pub fn run_trace_observed<P: Policy>(
         .fold(DiskEnergyReport::default(), |acc, r| acc.merged(r));
     let consistency = policy
         .check_consistency(&ctx)
+        .and_then(|()| ctx.check_users())
         .and_then(|()| ctx.check_parked_retries());
     let mut responses = ctx.read_responses.clone();
     responses.merge(&ctx.write_responses);
@@ -408,6 +415,12 @@ pub fn run_trace_observed<P: Policy>(
         profile,
     };
     (report, policy, obs)
+}
+
+/// True once the policy reports itself drained and every user request
+/// has completed.
+fn drained<P: Policy>(policy: &P, ctx: &SimCtx) -> bool {
+    policy.is_drained(ctx) && ctx.outstanding_users() == 0
 }
 
 /// Wraps a record into the logical address space, aligned and clipped.

@@ -20,7 +20,7 @@ use crate::policy::{Policy, PolicyStats};
 use crate::recovery::recovery_plan;
 use rolo_disk::{DiskId, DiskRequest, IoKind, IoOutcome, Priority};
 use rolo_obs::{BgSpanKind, LegFlavor, SimEvent};
-use rolo_sim::{Duration, IoMap, IoSlab, IoSlot};
+use rolo_sim::{Duration, IoSlab, IoSlot, SlotTable};
 use rolo_trace::{ReqKind, TraceRecord};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,7 +31,7 @@ enum Mode {
 
 #[derive(Debug, Clone, Copy)]
 enum Tag {
-    User(u64, IoSlot),
+    User(IoSlot),
     DestageRead { pair: usize, off: u64, len: u64 },
     DestageWrite { pair: usize, len: u64 },
 }
@@ -74,12 +74,8 @@ pub struct GraidPolicy {
     period: u64,
     /// Per sub-request, under the slot its `DiskRequest` carries.
     tags: IoSlab<Tag>,
-    user_meta: IoMap<UserMeta>,
-    /// Finished requests' metas, reused by the next requests.
-    spare_meta: Vec<UserMeta>,
-    logging_token: Option<u64>,
-    destaging_token: Option<u64>,
-    phase_energy_mark: f64,
+    /// Per user request, under the context's user slot.
+    meta: SlotTable<UserMeta>,
     stats: PolicyStats,
     draining: bool,
 }
@@ -111,11 +107,7 @@ impl GraidPolicy {
             mode: Mode::Logging,
             period: 0,
             tags: IoSlab::new(),
-            user_meta: IoMap::default(),
-            spare_meta: Vec::new(),
-            logging_token: None,
-            destaging_token: None,
-            phase_energy_mark: 0.0,
+            meta: SlotTable::default(),
             stats: PolicyStats::default(),
             draining: false,
         }
@@ -152,13 +144,7 @@ impl GraidPolicy {
         // (reads from primaries, writes to every mirror).
         let all: Vec<DiskId> = (0..ctx.disk_count()).collect();
         ctx.bg_span_begin(BgSpanKind::Destage, None, &all);
-        let energy = ctx.total_energy();
-        if let Some(tok) = self.logging_token.take() {
-            ctx.intervals
-                .end(tok, ctx.now, energy - self.phase_energy_mark);
-        }
-        self.phase_energy_mark = energy;
-        self.destaging_token = Some(ctx.intervals.begin(Phase::Destaging, ctx.now));
+        ctx.enter_phase(Phase::Destaging);
         for pair in 0..self.pairs {
             let m = self.mirror(ctx, pair);
             if ctx.disk(m).is_spun_up() {
@@ -202,18 +188,12 @@ impl GraidPolicy {
         }
         self.journal.sweep(ctx);
         ctx.log_timeline.push(ctx.now, 0.0);
-        let energy = ctx.total_energy();
-        if let Some(tok) = self.destaging_token.take() {
-            ctx.intervals
-                .end(tok, ctx.now, energy - self.phase_energy_mark);
-        }
-        self.phase_energy_mark = energy;
+        ctx.enter_phase(Phase::Logging);
         self.mode = Mode::Logging;
         self.period += 1;
         self.stats.destage_cycles += 1;
         ctx.emit(|| SimEvent::DestageEnd { pair: None });
         ctx.bg_span_end(BgSpanKind::Destage, None);
-        self.logging_token = Some(ctx.intervals.begin(Phase::Logging, ctx.now));
         if !self.draining {
             for pair in 0..self.pairs {
                 let m = self.mirror(ctx, pair);
@@ -234,8 +214,7 @@ impl Policy for GraidPolicy {
     }
 
     fn attach(&mut self, ctx: &mut SimCtx) {
-        self.logging_token = Some(ctx.intervals.begin(Phase::Logging, ctx.now));
-        self.phase_energy_mark = ctx.total_energy();
+        ctx.enter_phase(Phase::Logging);
     }
 
     fn on_user_request(&mut self, ctx: &mut SimCtx, user_id: u64, rec: &TraceRecord) {
@@ -243,46 +222,35 @@ impl Policy for GraidPolicy {
             .geometry()
             .split(rec.offset, rec.bytes)
             .expect("driver keeps requests in range");
-        let mut meta = self.spare_meta.pop().unwrap_or_default();
-        let mut subs: u32 = 0;
-        // Admission hold: one sub reserved up front so the slab slot
-        // exists before the first sub-request can possibly complete;
-        // the balance is topped up below once `subs` is known.
-        let uslot = ctx.register_user(user_id, rec.kind, ctx.now, 1);
+        let user = ctx.register_user(user_id, rec.kind);
+        let mut meta = self.meta.take(user);
         match rec.kind {
             ReqKind::Read => {
                 for ext in exts {
                     // Degraded mode: the mirror absorbs the primary's
                     // reads until its rebuild completes (§III-C).
                     let (d, flavor) = ctx.route_read(ctx.geometry().primary_disk(ext.pair));
-                    let tag = self.tags.insert(Tag::User(user_id, uslot));
-                    let (off, len) = (ext.offset, ext.bytes);
-                    let id = ctx.submit(d, IoKind::Read, off, len, Priority::Foreground, tag);
-                    ctx.tag_io(id, user_id, flavor);
-                    subs += 1;
+                    let tag = self.tags.insert(Tag::User(user));
+                    let extent = (ext.offset, ext.bytes);
+                    ctx.submit_user(user, tag, d, IoKind::Read, extent, flavor);
                 }
             }
             ReqKind::Write => {
                 // Primary copies in place.
                 for ext in exts.clone() {
                     let p = ctx.geometry().primary_disk(ext.pair);
-                    let tag = self.tags.insert(Tag::User(user_id, uslot));
-                    let (off, len) = (ext.offset, ext.bytes);
-                    let id = ctx.submit(p, IoKind::Write, off, len, Priority::Foreground, tag);
-                    ctx.tag_io(id, user_id, LegFlavor::Transfer);
-                    subs += 1;
+                    let tag = self.tags.insert(Tag::User(user));
+                    let extent = (ext.offset, ext.bytes);
+                    ctx.submit_user(user, tag, p, IoKind::Write, extent, LegFlavor::Transfer);
                 }
                 // Second copies appended to the log disk.
                 let mut logged_all = true;
                 let log_disk = self.log_disk;
                 for ext in exts {
                     let logged = self.log.alloc(ext.bytes, ext.pair, self.period, |seg| {
-                        let tag = self.tags.insert(Tag::User(user_id, uslot));
-                        let (off, len) = (seg.offset, seg.bytes);
-                        let prio = Priority::Foreground;
-                        let id = ctx.submit(log_disk, IoKind::Write, off, len, prio, tag);
-                        ctx.tag_io(id, user_id, LegFlavor::LogAppend);
-                        subs += 1;
+                        let tag = self.tags.insert(Tag::User(user));
+                        let (extent, flavor) = ((seg.offset, seg.bytes), LegFlavor::LogAppend);
+                        ctx.submit_user(user, tag, log_disk, IoKind::Write, extent, flavor);
                         self.stats.log_appended_bytes += seg.bytes;
                     });
                     if logged {
@@ -300,11 +268,9 @@ impl Policy for GraidPolicy {
                         logged_all = false;
                         // Log full: fall back to a direct mirror copy.
                         let m = ctx.geometry().mirror_disk(ext.pair);
-                        let tag = self.tags.insert(Tag::User(user_id, uslot));
-                        let (off, len) = (ext.offset, ext.bytes);
-                        let id = ctx.submit(m, IoKind::Write, off, len, Priority::Foreground, tag);
-                        ctx.tag_io(id, user_id, LegFlavor::MirrorCopy);
-                        subs += 1;
+                        let tag = self.tags.insert(Tag::User(user));
+                        let extent = (ext.offset, ext.bytes);
+                        ctx.submit_user(user, tag, m, IoKind::Write, extent, LegFlavor::MirrorCopy);
                         meta.clears.push((ext.pair, ext.offset, ext.bytes));
                         self.stats.direct_writes += 1;
                     }
@@ -318,18 +284,14 @@ impl Policy for GraidPolicy {
                 }
             }
         }
-        debug_assert!(subs >= 1, "every admitted request issues at least one sub");
-        if subs > 1 {
-            ctx.add_user_subs(uslot, subs - 1);
-        }
-        self.user_meta.insert(user_id, meta);
+        self.meta.put(user, meta);
     }
 
     fn on_io_complete(&mut self, ctx: &mut SimCtx, _disk: DiskId, req: DiskRequest) {
         match self.tags.remove(req.tag).expect("unknown sub-request") {
-            Tag::User(user, uslot) => {
-                if ctx.user_sub_done(uslot).is_some() {
-                    let mut meta = self.user_meta.remove(&user).unwrap_or_default();
+            Tag::User(user) => {
+                if ctx.user_sub_done(user) {
+                    let mut meta = self.meta.take(user);
                     for (i, &(pair, off, len)) in meta.marks.iter().enumerate() {
                         // The ack instant is the commit point.
                         self.journal.mark(pair, off, len, &meta.appends, i as u32);
@@ -343,7 +305,7 @@ impl Policy for GraidPolicy {
                         self.journal.clear(pair, off, len);
                     }
                     meta.clear();
-                    self.spare_meta.push(meta);
+                    self.meta.put(user, meta);
                 }
             }
             Tag::DestageRead { pair, off, len } => {
@@ -370,7 +332,7 @@ impl Policy for GraidPolicy {
         // slot can be re-served elsewhere; everything else closes through
         // the normal completion path (the rebuild restores the
         // replacement's copy).
-        if let Some(&Tag::User(user, _)) = self.tags.get(req.tag) {
+        if let Some(&Tag::User(user)) = self.tags.get(req.tag) {
             if ctx.redirect_read(disk, &req, outcome, user) {
                 return;
             }
@@ -428,11 +390,10 @@ impl Policy for GraidPolicy {
         }
     }
 
-    fn is_drained(&self, ctx: &SimCtx) -> bool {
+    fn is_drained(&self, _ctx: &SimCtx) -> bool {
         self.mode == Mode::Logging
             && self.log.used_bytes() == 0
             && self.journal.all_clean()
-            && ctx.outstanding_users() == 0
             && self.tags.is_empty()
     }
 
@@ -440,17 +401,11 @@ impl Policy for GraidPolicy {
         self.journal.fold_stats(self.stats)
     }
 
-    fn check_consistency(&self, ctx: &SimCtx) -> Result<(), String> {
+    fn check_consistency(&self, _ctx: &SimCtx) -> Result<(), String> {
         self.log.check_invariants()?;
         self.journal.check_drained()?;
         if self.log.used_bytes() != 0 {
             return Err(format!("{} log bytes unreclaimed", self.log.used_bytes()));
-        }
-        if ctx.outstanding_users() != 0 {
-            return Err(format!(
-                "{} user requests unfinished",
-                ctx.outstanding_users()
-            ));
         }
         if !self.tags.is_empty() {
             return Err(format!("{} orphaned sub-requests", self.tags.len()));

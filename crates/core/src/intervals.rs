@@ -57,6 +57,10 @@ pub struct IntervalTracker {
     done_logging: Vec<(SimTime, SimTime)>,
     done_destaging: Vec<(SimTime, SimTime)>,
     next_token: u64,
+    /// The array-wide phase [`IntervalTracker::enter`] opened last, and
+    /// the energy reading it was opened at.
+    current: Option<u64>,
+    mark_j: f64,
 }
 
 impl IntervalTracker {
@@ -99,6 +103,20 @@ impl IntervalTracker {
         };
         summary.spans += 1;
         summary.energy_j += energy_j;
+    }
+
+    /// The array-wide phase clock: closes the phase the previous call
+    /// opened, charging it the energy spent since (`energy_j` is the
+    /// array's cumulative energy at `now`), and opens `phase` at `now`.
+    /// The first call only opens. Centralized destaging (GRAID, RoLo-E)
+    /// alternates logging and destaging phases through it; RoLo-P/R open
+    /// a fresh logging phase at each rotation.
+    pub fn enter(&mut self, phase: Phase, now: SimTime, energy_j: f64) {
+        if let Some(token) = self.current.take() {
+            self.end(token, now, energy_j - self.mark_j);
+        }
+        self.mark_j = energy_j;
+        self.current = Some(self.begin(phase, now));
     }
 
     fn merged_residency(spans: &[(SimTime, SimTime)]) -> Duration {
@@ -184,6 +202,27 @@ mod tests {
         assert!((t.interval_ratio(Phase::Destaging) - 0.2).abs() < 1e-9);
         assert!((t.energy_ratio(Phase::Destaging) - 400.0 * 2.0 / 2400.0).abs() < 1e-9);
         assert_eq!(t.summary(Phase::Logging).spans, 2);
+    }
+
+    #[test]
+    fn enter_alternation_matches_explicit_spans() {
+        let mut t = IntervalTracker::new();
+        // `simple_alternation`'s two cycles on one clock: each phase
+        // closes when the next opens, charged the energy since.
+        let mut energy = 0.0;
+        for c in 0..2u64 {
+            let base = c * 100;
+            t.enter(Phase::Logging, SimTime::from_secs(base), energy);
+            energy += 800.0;
+            t.enter(Phase::Destaging, SimTime::from_secs(base + 80), energy);
+            energy += 400.0;
+        }
+        t.enter(Phase::Logging, SimTime::from_secs(200), energy);
+        assert!((t.interval_ratio(Phase::Destaging) - 0.2).abs() < 1e-9);
+        assert!((t.energy_ratio(Phase::Destaging) - 400.0 * 2.0 / 2400.0).abs() < 1e-9);
+        assert_eq!(t.summary(Phase::Logging).spans, 2, "the last phase is open");
+        assert_eq!(t.summary(Phase::Destaging).spans, 2);
+        assert_eq!(t.summary(Phase::Logging).energy_j, 1600.0);
     }
 
     #[test]

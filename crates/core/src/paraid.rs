@@ -28,7 +28,7 @@ use crate::logspace::LoggerSpace;
 use crate::policy::{Policy, PolicyStats};
 use rolo_disk::{DiskId, DiskRequest, IoKind, Priority};
 use rolo_obs::{BgSpanKind, LegFlavor};
-use rolo_sim::{Duration, IoMap, IoSlab, IoSlot, SimTime};
+use rolo_sim::{Duration, IoSlab, IoSlot, SimTime, SlotTable};
 use rolo_trace::{ReqKind, TraceRecord};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,7 +39,7 @@ enum Gear {
 
 #[derive(Debug, Clone, Copy)]
 enum Tag {
-    User(u64, IoSlot),
+    User(IoSlot),
     SyncRead { pair: usize, off: u64, len: u64 },
     SyncWrite { pair: usize, len: u64 },
 }
@@ -75,9 +75,8 @@ pub struct ParaidPolicy {
     syncing: bool,
     /// Per sub-request, under the slot its `DiskRequest` carries.
     tags: IoSlab<Tag>,
-    user_meta: IoMap<UserMeta>,
-    /// Finished requests' metas, reused by the next requests.
-    spare_meta: Vec<UserMeta>,
+    /// Per user request, under the context's user slot.
+    meta: SlotTable<UserMeta>,
     /// EWMA arrival rate (requests/s) and its last update instant.
     rate: f64,
     rate_at: SimTime,
@@ -126,8 +125,7 @@ impl ParaidPolicy {
             gear: Gear::Low,
             syncing: false,
             tags: IoSlab::new(),
-            user_meta: IoMap::default(),
-            spare_meta: Vec::new(),
+            meta: SlotTable::default(),
             rate: 0.0,
             rate_at: SimTime::ZERO,
             up_iops,
@@ -240,17 +238,14 @@ impl ParaidPolicy {
     fn write_shadowed(
         &mut self,
         ctx: &mut SimCtx,
-        user_id: u64,
-        uslot: IoSlot,
+        user: IoSlot,
         meta: &mut UserMeta,
         ext: rolo_raid::PhysExtent,
-    ) -> u32 {
+    ) {
         let p = ctx.geometry().primary_disk(ext.pair);
         let (off, len) = (ext.offset, ext.bytes);
-        let tag = self.tags.insert(Tag::User(user_id, uslot));
-        let id = ctx.submit(p, IoKind::Write, off, len, Priority::Foreground, tag);
-        ctx.tag_io(id, user_id, LegFlavor::Transfer);
-        let mut subs = 1;
+        let tag = self.tags.insert(Tag::User(user));
+        ctx.submit_user(user, tag, p, IoKind::Write, (off, len), LegFlavor::Transfer);
         // Shadow copy on the next primary over (never the same disk,
         // or one failure would take both copies).
         let mut target = self.shadow_cursor % self.pairs;
@@ -259,11 +254,9 @@ impl ParaidPolicy {
         }
         self.shadow_cursor = (target + 1) % self.pairs;
         let shadowed = self.shadows[target].alloc(ext.bytes, ext.pair, 0, |seg| {
-            let tag = self.tags.insert(Tag::User(user_id, uslot));
-            let (soff, slen) = (seg.offset, seg.bytes);
-            let id = ctx.submit(target, IoKind::Write, soff, slen, Priority::Foreground, tag);
-            ctx.tag_io(id, user_id, LegFlavor::LogAppend);
-            subs += 1;
+            let tag = self.tags.insert(Tag::User(user));
+            let (extent, flavor) = ((seg.offset, seg.bytes), LegFlavor::LogAppend);
+            ctx.submit_user(user, tag, target, IoKind::Write, extent, flavor);
             self.stats.log_appended_bytes += seg.bytes;
         });
         if shadowed {
@@ -273,14 +266,12 @@ impl ParaidPolicy {
             // rotation to fall back on).
             self.stats.direct_writes += 1;
             let m = ctx.geometry().mirror_disk(ext.pair);
-            let tag = self.tags.insert(Tag::User(user_id, uslot));
-            let id = ctx.submit(m, IoKind::Write, off, len, Priority::Foreground, tag);
-            ctx.tag_io(id, user_id, LegFlavor::MirrorCopy);
-            subs += 1;
+            let tag = self.tags.insert(Tag::User(user));
+            let flavor = LegFlavor::MirrorCopy;
+            ctx.submit_user(user, tag, m, IoKind::Write, (off, len), flavor);
             meta.clears.push((ext.pair, off, len));
             self.gear_up(ctx);
         }
-        subs
     }
 }
 
@@ -307,21 +298,15 @@ impl Policy for ParaidPolicy {
             .geometry()
             .split(rec.offset, rec.bytes)
             .expect("driver keeps requests in range");
-        let mut meta = self.spare_meta.pop().unwrap_or_default();
-        let mut subs: u32 = 0;
-        // Admission hold: one sub reserved up front so the slab slot
-        // exists before the first sub-request can possibly complete;
-        // the balance is topped up below once `subs` is known.
-        let uslot = ctx.register_user(user_id, rec.kind, ctx.now, 1);
+        let user = ctx.register_user(user_id, rec.kind);
+        let mut meta = self.meta.take(user);
         match rec.kind {
             ReqKind::Read => {
                 for ext in exts {
                     let p = ctx.geometry().primary_disk(ext.pair);
-                    let tag = self.tags.insert(Tag::User(user_id, uslot));
-                    let (off, len) = (ext.offset, ext.bytes);
-                    let id = ctx.submit(p, IoKind::Read, off, len, Priority::Foreground, tag);
-                    ctx.tag_io(id, user_id, LegFlavor::Transfer);
-                    subs += 1;
+                    let tag = self.tags.insert(Tag::User(user));
+                    let extent = (ext.offset, ext.bytes);
+                    ctx.submit_user(user, tag, p, IoKind::Read, extent, LegFlavor::Transfer);
                 }
             }
             ReqKind::Write => {
@@ -338,38 +323,26 @@ impl Policy for ParaidPolicy {
                     );
                     if self.gear == Gear::High && ready && !ctx.disk(m).is_park_pending() {
                         let p = ctx.geometry().primary_disk(ext.pair);
-                        for d in [p, m] {
-                            let tag = self.tags.insert(Tag::User(user_id, uslot));
-                            let (off, len) = (ext.offset, ext.bytes);
-                            let prio = Priority::Foreground;
-                            let id = ctx.submit(d, IoKind::Write, off, len, prio, tag);
-                            let flavor = if d == p {
-                                LegFlavor::Transfer
-                            } else {
-                                LegFlavor::MirrorCopy
-                            };
-                            ctx.tag_io(id, user_id, flavor);
-                            subs += 1;
+                        let extent = (ext.offset, ext.bytes);
+                        for (d, flavor) in [(p, LegFlavor::Transfer), (m, LegFlavor::MirrorCopy)] {
+                            let tag = self.tags.insert(Tag::User(user));
+                            ctx.submit_user(user, tag, d, IoKind::Write, extent, flavor);
                         }
                         meta.clears.push((ext.pair, ext.offset, ext.bytes));
                     } else {
-                        subs += self.write_shadowed(ctx, user_id, uslot, &mut meta, ext);
+                        self.write_shadowed(ctx, user, &mut meta, ext);
                     }
                 }
             }
         }
-        debug_assert!(subs >= 1, "every admitted request issues at least one sub");
-        if subs > 1 {
-            ctx.add_user_subs(uslot, subs - 1);
-        }
-        self.user_meta.insert(user_id, meta);
+        self.meta.put(user, meta);
     }
 
     fn on_io_complete(&mut self, ctx: &mut SimCtx, _disk: DiskId, req: DiskRequest) {
         match self.tags.remove(req.tag).expect("unknown sub-request") {
-            Tag::User(user, uslot) => {
-                if ctx.user_sub_done(uslot).is_some() {
-                    let mut meta = self.user_meta.remove(&user).unwrap_or_default();
+            Tag::User(user) => {
+                if ctx.user_sub_done(user) {
+                    let mut meta = self.meta.take(user);
                     for &(pair, off, len) in &meta.marks {
                         self.dirty[pair].mark(off, len);
                         if self.syncing {
@@ -383,7 +356,7 @@ impl Policy for ParaidPolicy {
                         }
                     }
                     meta.clear();
-                    self.spare_meta.push(meta);
+                    self.meta.put(user, meta);
                 }
             }
             Tag::SyncRead { pair, off, len } => {
@@ -448,9 +421,8 @@ impl Policy for ParaidPolicy {
         }
     }
 
-    fn is_drained(&self, ctx: &SimCtx) -> bool {
-        ctx.outstanding_users() == 0
-            && self.tags.is_empty()
+    fn is_drained(&self, _ctx: &SimCtx) -> bool {
+        self.tags.is_empty()
             && self.dirty.iter().all(|d| d.is_clean())
             && self.shadow_used_bytes() == 0
             && !self.chain_active.iter().any(|&c| c)
@@ -460,7 +432,7 @@ impl Policy for ParaidPolicy {
         self.stats
     }
 
-    fn check_consistency(&self, ctx: &SimCtx) -> Result<(), String> {
+    fn check_consistency(&self, _ctx: &SimCtx) -> Result<(), String> {
         for shadow in &self.shadows {
             shadow.check_invariants()?;
         }
@@ -474,12 +446,6 @@ impl Policy for ParaidPolicy {
             return Err(format!(
                 "{} shadow bytes unreclaimed",
                 self.shadow_used_bytes()
-            ));
-        }
-        if ctx.outstanding_users() != 0 {
-            return Err(format!(
-                "{} user requests unfinished",
-                ctx.outstanding_users()
             ));
         }
         if !self.tags.is_empty() {

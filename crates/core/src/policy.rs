@@ -73,18 +73,17 @@ pub trait Policy {
         let _ = ctx;
     }
 
-    /// A user request arrives. `user_id` is pre-registered by the policy
-    /// via [`SimCtx::register_user`] inside this call.
-    ///
-    /// When span tracing is enabled ([`SimCtx::enable_spans`]), policies
-    /// additionally tag every *foreground* sub-I/O they submit on behalf
-    /// of the request with [`SimCtx::tag_io`], naming the phase the leg
-    /// contributes to (`Transfer` for the primary in-place copy,
-    /// `MirrorCopy` for the second copy, `LogAppend` for log-region
-    /// appends, `DegradedRedirect` for reads re-served by a surviving
-    /// partner). `tag_io` is a no-op when spans are disabled, so the
-    /// calls cost nothing on the fast path; background I/O (destage,
-    /// rebuild, cache fill) stays untagged and is attributed to requests
+    /// A user request arrives. The policy admits it inside this call
+    /// with [`SimCtx::register_user`], which returns the request's slot,
+    /// and submits each foreground sub-request with
+    /// [`SimCtx::submit_user`]: the context counts the sub-request and,
+    /// when span tracing is on ([`SimCtx::enable_spans`]), tags its leg
+    /// with the phase it contributes to (`Transfer` for the primary
+    /// in-place copy, `MirrorCopy` for the second copy, `LogAppend` for
+    /// log-region appends). The request completes at the
+    /// [`SimCtx::user_sub_done`] call that retires its last sub-request.
+    /// Background I/O (destage, rebuild, cache fill) goes through
+    /// [`SimCtx::submit`], stays untagged and is attributed to requests
     /// indirectly, through the interference windows the disks record.
     fn on_user_request(&mut self, ctx: &mut SimCtx, user_id: u64, rec: &TraceRecord);
 
@@ -151,14 +150,16 @@ pub trait Policy {
     fn begin_drain(&mut self, ctx: &mut SimCtx);
 
     /// True once all mirrors are consistent and all logging space
-    /// reclaimed.
+    /// reclaimed. The driver also waits for every user request to
+    /// complete.
     fn is_drained(&self, ctx: &SimCtx) -> bool;
 
     /// Scheme-specific statistics.
     fn stats(&self) -> PolicyStats;
 
     /// End-of-run internal-consistency audit; returns a description of
-    /// the first violated invariant, if any.
+    /// the first violated invariant, if any. The driver audits the
+    /// context's user requests and parked retries after it.
     fn check_consistency(&self, ctx: &SimCtx) -> Result<(), String>;
 }
 

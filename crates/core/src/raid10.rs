@@ -12,7 +12,7 @@
 use crate::ctx::SimCtx;
 use crate::policy::{Policy, PolicyStats};
 use crate::recovery::recovery_plan;
-use rolo_disk::{DiskId, DiskRequest, IoKind, IoOutcome, Priority};
+use rolo_disk::{DiskId, DiskRequest, IoKind, IoOutcome};
 use rolo_obs::LegFlavor;
 use rolo_sim::{IoSlab, IoSlot};
 use rolo_trace::{ReqKind, TraceRecord};
@@ -20,9 +20,9 @@ use rolo_trace::{ReqKind, TraceRecord};
 /// The RAID10 baseline controller.
 #[derive(Debug, Default)]
 pub struct Raid10Policy {
-    /// Per sub-request, under the slot its `DiskRequest` carries: (user
-    /// id, user slab slot).
-    tags: IoSlab<(u64, IoSlot)>,
+    /// Per sub-request, under the slot its `DiskRequest` carries: the
+    /// context's user slot.
+    tags: IoSlab<IoSlot>,
 }
 
 impl Raid10Policy {
@@ -63,42 +63,30 @@ impl Policy for Raid10Policy {
             .geometry()
             .split(rec.offset, rec.bytes)
             .expect("driver keeps requests in range");
-        let subs = match rec.kind {
-            ReqKind::Write => exts.len() * 2,
-            ReqKind::Read => exts.len(),
-        };
-        let slot = ctx.register_user(user_id, rec.kind, ctx.now, subs as u32);
+        let user = ctx.register_user(user_id, rec.kind);
         for ext in exts {
+            let extent = (ext.offset, ext.bytes);
             match rec.kind {
                 ReqKind::Write => {
                     let p = ctx.geometry().primary_disk(ext.pair);
                     let m = ctx.geometry().mirror_disk(ext.pair);
-                    for d in [p, m] {
-                        let tag = self.tags.insert((user_id, slot));
-                        let (off, len) = (ext.offset, ext.bytes);
-                        let id = ctx.submit(d, IoKind::Write, off, len, Priority::Foreground, tag);
-                        let flavor = if d == p {
-                            LegFlavor::Transfer
-                        } else {
-                            LegFlavor::MirrorCopy
-                        };
-                        ctx.tag_io(id, user_id, flavor);
+                    for (d, flavor) in [(p, LegFlavor::Transfer), (m, LegFlavor::MirrorCopy)] {
+                        let tag = self.tags.insert(user);
+                        ctx.submit_user(user, tag, d, IoKind::Write, extent, flavor);
                     }
                 }
                 ReqKind::Read => {
                     let (d, flavor) = ctx.route_read(Self::read_choice(ctx, ext.pair));
-                    let tag = self.tags.insert((user_id, slot));
-                    let (off, len) = (ext.offset, ext.bytes);
-                    let id = ctx.submit(d, IoKind::Read, off, len, Priority::Foreground, tag);
-                    ctx.tag_io(id, user_id, flavor);
+                    let tag = self.tags.insert(user);
+                    ctx.submit_user(user, tag, d, IoKind::Read, extent, flavor);
                 }
             }
         }
     }
 
     fn on_io_complete(&mut self, ctx: &mut SimCtx, _disk: DiskId, req: DiskRequest) {
-        let (_, slot) = self.tags.remove(req.tag).expect("unknown sub-request");
-        ctx.user_sub_done(slot);
+        let user = self.tags.remove(req.tag).expect("unknown sub-request");
+        ctx.user_sub_done(user);
     }
 
     fn on_io_error(
@@ -112,7 +100,7 @@ impl Policy for Raid10Policy {
         // dying/degraded slot — is re-served by the mirror copy; every
         // other error (writes, exhausted retries) just closes accounting
         // — the rebuild restores the replacement's copy.
-        let &(user, _) = self.tags.get(req.tag).expect("unknown sub-request");
+        let &user = self.tags.get(req.tag).expect("unknown sub-request");
         if !ctx.redirect_read(disk, &req, outcome, user) {
             self.on_io_complete(ctx, disk, req);
         }
@@ -126,23 +114,17 @@ impl Policy for Raid10Policy {
 
     fn begin_drain(&mut self, _ctx: &mut SimCtx) {}
 
-    fn is_drained(&self, ctx: &SimCtx) -> bool {
-        ctx.outstanding_users() == 0
+    fn is_drained(&self, _ctx: &SimCtx) -> bool {
+        true
     }
 
     fn stats(&self) -> PolicyStats {
         PolicyStats::default()
     }
 
-    fn check_consistency(&self, ctx: &SimCtx) -> Result<(), String> {
+    fn check_consistency(&self, _ctx: &SimCtx) -> Result<(), String> {
         if !self.tags.is_empty() {
             return Err(format!("{} orphaned sub-requests", self.tags.len()));
-        }
-        if ctx.outstanding_users() != 0 {
-            return Err(format!(
-                "{} user requests unfinished",
-                ctx.outstanding_users()
-            ));
         }
         Ok(())
     }

@@ -38,7 +38,7 @@ use crate::recovery::recovery_plan;
 use rolo_disk::{DiskId, DiskRequest, IoKind, IoOutcome, Priority};
 use rolo_obs::{BgSpanKind, LegFlavor, SimEvent};
 use rolo_raid::Split;
-use rolo_sim::{Duration, IoMap, IoSlab, IoSlot};
+use rolo_sim::{Duration, IoSlab, IoSlot, SlotTable};
 use rolo_trace::{ReqKind, TraceRecord};
 use std::collections::BTreeMap;
 
@@ -63,7 +63,7 @@ pub enum RoloFlavor {
 
 #[derive(Debug, Clone, Copy)]
 enum Tag {
-    User(u64, IoSlot),
+    User(IoSlot),
     DestageRead { pair: usize, off: u64, len: u64 },
     DestageWrite { pair: usize, len: u64 },
     CompactRead { gen: u64 },
@@ -143,11 +143,8 @@ pub struct RoloPolicy {
     destage_tokens: Vec<Option<u64>>,
     /// Per sub-request, under the slot its `DiskRequest` carries.
     tags: IoSlab<Tag>,
-    user_meta: IoMap<UserMeta>,
-    /// Finished requests' metas, reused by the next requests.
-    spare_meta: Vec<UserMeta>,
-    logging_token: Option<u64>,
-    phase_energy_mark: f64,
+    /// Per user request, under the context's user slot.
+    meta: SlotTable<UserMeta>,
     deactivated: bool,
     draining: bool,
     stats: PolicyStats,
@@ -207,10 +204,7 @@ impl RoloPolicy {
             chain_active: vec![false; pairs],
             destage_tokens: vec![None; pairs],
             tags: IoSlab::new(),
-            user_meta: IoMap::default(),
-            spare_meta: Vec::new(),
-            logging_token: None,
-            phase_energy_mark: 0.0,
+            meta: SlotTable::default(),
             deactivated: false,
             draining: false,
             stats: PolicyStats::default(),
@@ -555,13 +549,7 @@ impl RoloPolicy {
             period: self.period,
         });
         // Close the old logging period, open the next.
-        let energy = ctx.total_energy();
-        if let Some(tok) = self.logging_token.take() {
-            ctx.intervals
-                .end(tok, ctx.now, energy - self.phase_energy_mark);
-        }
-        self.phase_energy_mark = energy;
-        self.logging_token = Some(ctx.intervals.begin(Phase::Logging, ctx.now));
+        ctx.enter_phase(Phase::Logging);
         // The new on-duty mirror spins up and starts destaging its pair.
         let new_mirror = self.mirror(ctx, incoming);
         ctx.spin_up(new_mirror);
@@ -691,34 +679,18 @@ impl RoloPolicy {
         }
     }
 
-    fn write_direct(
-        &mut self,
-        ctx: &mut SimCtx,
-        user_id: u64,
-        uslot: IoSlot,
-        meta: &mut UserMeta,
-        exts: Split,
-    ) -> u32 {
+    fn write_direct(&mut self, ctx: &mut SimCtx, user: IoSlot, meta: &mut UserMeta, exts: Split) {
         self.stats.direct_writes += 1;
-        let mut subs = 0;
         for ext in exts {
             let p = ctx.geometry().primary_disk(ext.pair);
             let m = ctx.geometry().mirror_disk(ext.pair);
-            for d in [p, m] {
-                let tag = self.tags.insert(Tag::User(user_id, uslot));
-                let (off, len) = (ext.offset, ext.bytes);
-                let id = ctx.submit(d, IoKind::Write, off, len, Priority::Foreground, tag);
-                let flavor = if d == p {
-                    LegFlavor::Transfer
-                } else {
-                    LegFlavor::MirrorCopy
-                };
-                ctx.tag_io(id, user_id, flavor);
-                subs += 1;
+            let extent = (ext.offset, ext.bytes);
+            for (d, flavor) in [(p, LegFlavor::Transfer), (m, LegFlavor::MirrorCopy)] {
+                let tag = self.tags.insert(Tag::User(user));
+                ctx.submit_user(user, tag, d, IoKind::Write, extent, flavor);
             }
             meta.clears.push((ext.pair, ext.offset, ext.bytes));
         }
-        subs
     }
 }
 
@@ -736,8 +708,7 @@ impl Policy for RoloPolicy {
     }
 
     fn attach(&mut self, ctx: &mut SimCtx) {
-        self.logging_token = Some(ctx.intervals.begin(Phase::Logging, ctx.now));
-        self.phase_energy_mark = ctx.total_energy();
+        ctx.enter_phase(Phase::Logging);
         self.spin_up_secs = ctx.disk(0).params().spin_up_time.as_secs_f64();
     }
 
@@ -746,13 +717,8 @@ impl Policy for RoloPolicy {
             .geometry()
             .split(rec.offset, rec.bytes)
             .expect("driver keeps requests in range");
-        let mut meta = self.spare_meta.pop().unwrap_or_default();
-        let mut subs: u32 = 0;
-        // Register up front (one admission hold) so the slab slot is in
-        // hand while sub-requests are tagged; topped up to the real
-        // count below. Nothing can complete inside this callback, so the
-        // hold is never released early.
-        let uslot = ctx.register_user(user_id, rec.kind, ctx.now, 1);
+        let user = ctx.register_user(user_id, rec.kind);
+        let mut meta = self.meta.take(user);
         match rec.kind {
             ReqKind::Read => {
                 // Primaries are always ACTIVE/IDLE in RoLo-P/R: no
@@ -760,15 +726,13 @@ impl Policy for RoloPolicy {
                 // slot hands its reads to the pair's mirror (§III-C).
                 for ext in exts {
                     let (d, flavor) = ctx.route_read(ctx.geometry().primary_disk(ext.pair));
-                    let tag = self.tags.insert(Tag::User(user_id, uslot));
-                    let (off, len) = (ext.offset, ext.bytes);
-                    let id = ctx.submit(d, IoKind::Read, off, len, Priority::Foreground, tag);
-                    ctx.tag_io(id, user_id, flavor);
-                    subs += 1;
+                    let tag = self.tags.insert(Tag::User(user));
+                    let extent = (ext.offset, ext.bytes);
+                    ctx.submit_user(user, tag, d, IoKind::Read, extent, flavor);
                 }
             }
             ReqKind::Write if self.deactivated => {
-                subs += self.write_direct(ctx, user_id, uslot, &mut meta, exts);
+                self.write_direct(ctx, user, &mut meta, exts);
                 // A deactivated-mode write may unblock reactivation later;
                 // nothing to do now.
             }
@@ -786,12 +750,9 @@ impl Policy for RoloPolicy {
                     // Primary copies in place.
                     for ext in exts.clone() {
                         let p = ctx.geometry().primary_disk(ext.pair);
-                        let tag = self.tags.insert(Tag::User(user_id, uslot));
-                        let (off, len) = (ext.offset, ext.bytes);
-                        let prio = Priority::Foreground;
-                        let id = ctx.submit(p, IoKind::Write, off, len, prio, tag);
-                        ctx.tag_io(id, user_id, LegFlavor::Transfer);
-                        subs += 1;
+                        let tag = self.tags.insert(Tag::User(user));
+                        let extent = (ext.offset, ext.bytes);
+                        ctx.submit_user(user, tag, p, IoKind::Write, extent, LegFlavor::Transfer);
                         meta.marks.push((ext.pair, ext.offset, ext.bytes));
                     }
                     // Log copies on the chosen on-duty logger disk(s).
@@ -803,12 +764,10 @@ impl Policy for RoloPolicy {
                         for (i, ext) in exts.clone().enumerate() {
                             let space = self.spaces.get_mut(&target).expect("logger space exists");
                             let logged = space.alloc(ext.bytes, ext.pair, self.period, |seg| {
-                                let tag = self.tags.insert(Tag::User(user_id, uslot));
-                                let (off, len) = (seg.offset, seg.bytes);
-                                let prio = Priority::Foreground;
-                                let id = ctx.submit(target, IoKind::Write, off, len, prio, tag);
-                                ctx.tag_io(id, user_id, LegFlavor::LogAppend);
-                                subs += 1;
+                                let tag = self.tags.insert(Tag::User(user));
+                                let (extent, flavor) =
+                                    ((seg.offset, seg.bytes), LegFlavor::LogAppend);
+                                ctx.submit_user(user, tag, target, IoKind::Write, extent, flavor);
                                 self.stats.log_appended_bytes += seg.bytes;
                             });
                             assert!(logged, "rotation guaranteed space");
@@ -839,22 +798,18 @@ impl Policy for RoloPolicy {
                         ctx.spin_up(m);
                     }
                 } else {
-                    subs += self.write_direct(ctx, user_id, uslot, &mut meta, exts);
+                    self.write_direct(ctx, user, &mut meta, exts);
                 }
             }
         }
-        debug_assert!(subs >= 1, "every admitted request issues at least one sub");
-        if subs > 1 {
-            ctx.add_user_subs(uslot, subs - 1);
-        }
-        self.user_meta.insert(user_id, meta);
+        self.meta.put(user, meta);
     }
 
     fn on_io_complete(&mut self, ctx: &mut SimCtx, _disk: DiskId, req: DiskRequest) {
         match self.tags.remove(req.tag).expect("unknown sub-request") {
-            Tag::User(user, uslot) => {
-                if ctx.user_sub_done(uslot).is_some() {
-                    let mut meta = self.user_meta.remove(&user).unwrap_or_default();
+            Tag::User(user) => {
+                if ctx.user_sub_done(user) {
+                    let mut meta = self.meta.take(user);
                     for (i, &(pair, off, len)) in meta.marks.iter().enumerate() {
                         // The mirrored copies commit under one shared LSN
                         // at the instant the dirty map mutates.
@@ -866,7 +821,7 @@ impl Policy for RoloPolicy {
                         self.after_dirty_change(ctx, pair);
                     }
                     meta.clear();
-                    self.spare_meta.push(meta);
+                    self.meta.put(user, meta);
                 }
             }
             Tag::DestageRead { pair, off, len } => {
@@ -899,7 +854,7 @@ impl Policy for RoloPolicy {
         // re-served by the surviving partner; every other failure closes
         // through the normal path (the rebuild restores the replacement's
         // copy).
-        if let Some(&Tag::User(user, _)) = self.tags.get(req.tag) {
+        if let Some(&Tag::User(user)) = self.tags.get(req.tag) {
             if ctx.redirect_read(disk, &req, outcome, user) {
                 return;
             }
@@ -1036,9 +991,8 @@ impl Policy for RoloPolicy {
         }
     }
 
-    fn is_drained(&self, ctx: &SimCtx) -> bool {
-        ctx.outstanding_users() == 0
-            && self.tags.is_empty()
+    fn is_drained(&self, _ctx: &SimCtx) -> bool {
+        self.tags.is_empty()
             && self.journal.all_clean()
             && self.log_used_bytes() == 0
             && !self.chain_active.iter().any(|&c| c)
@@ -1048,19 +1002,13 @@ impl Policy for RoloPolicy {
         self.journal.fold_stats(self.stats)
     }
 
-    fn check_consistency(&self, ctx: &SimCtx) -> Result<(), String> {
+    fn check_consistency(&self, _ctx: &SimCtx) -> Result<(), String> {
         for space in self.spaces.values() {
             space.check_invariants()?;
         }
         self.journal.check_drained()?;
         if self.log_used_bytes() != 0 {
             return Err(format!("{} log bytes unreclaimed", self.log_used_bytes()));
-        }
-        if ctx.outstanding_users() != 0 {
-            return Err(format!(
-                "{} user requests unfinished",
-                ctx.outstanding_users()
-            ));
         }
         if !self.tags.is_empty() {
             return Err(format!("{} orphaned sub-requests", self.tags.len()));

@@ -23,7 +23,7 @@ use crate::recovery::recovery_plan;
 use rolo_disk::{DiskId, DiskRequest, IoKind, IoOutcome, Priority};
 use rolo_obs::{BgSpanKind, LegFlavor, SimEvent};
 use rolo_raid::Split;
-use rolo_sim::{Duration, IoMap, IoSlab, IoSlot};
+use rolo_sim::{Duration, IoSlab, IoSlot, SlotTable};
 use rolo_trace::{ReqKind, TraceRecord};
 use std::ops::Range;
 
@@ -35,7 +35,7 @@ enum Mode {
 
 #[derive(Debug, Clone, Copy)]
 enum Tag {
-    User(u64, IoSlot),
+    User(IoSlot),
     CacheFill,
     DestageRead { pair: usize, off: u64, len: u64 },
     DestageWrite { pair: usize, len: u64 },
@@ -56,15 +56,6 @@ struct UserMeta {
 }
 
 impl UserMeta {
-    /// True if completion has nothing to commit, clear or fill.
-    fn is_empty(&self) -> bool {
-        self.marks.is_empty()
-            && self.clears.is_empty()
-            && self.appends.is_empty()
-            && self.cache_fill.is_empty()
-            && self.fill_bytes == 0
-    }
-
     /// Empties the meta, keeping its buffers' capacity for the next
     /// request.
     fn clear(&mut self) {
@@ -104,12 +95,8 @@ pub struct RoloEPolicy {
     chain_writes: Vec<u8>,
     /// Per sub-request, under the slot its `DiskRequest` carries.
     tags: IoSlab<Tag>,
-    user_meta: IoMap<UserMeta>,
-    /// Finished requests' metas, reused by the next requests.
-    spare_meta: Vec<UserMeta>,
-    logging_token: Option<u64>,
-    destaging_token: Option<u64>,
-    phase_energy_mark: f64,
+    /// Per user request, under the context's user slot.
+    meta: SlotTable<UserMeta>,
     round_robin: usize,
     draining: bool,
     stats: PolicyStats,
@@ -157,11 +144,7 @@ impl RoloEPolicy {
             cache: BlockCache::new((cache_bytes / stripe_unit) as usize),
             chain_writes: vec![0; pairs],
             tags: IoSlab::new(),
-            user_meta: IoMap::default(),
-            spare_meta: Vec::new(),
-            logging_token: None,
-            destaging_token: None,
-            phase_energy_mark: 0.0,
+            meta: SlotTable::default(),
             round_robin: 0,
             draining: false,
             stats: PolicyStats::default(),
@@ -251,13 +234,7 @@ impl RoloEPolicy {
         // pair in parallel: cover the whole array.
         let all: Vec<DiskId> = (0..ctx.disk_count()).collect();
         ctx.bg_span_begin(BgSpanKind::Destage, None, &all);
-        let energy = ctx.total_energy();
-        if let Some(tok) = self.logging_token.take() {
-            ctx.intervals
-                .end(tok, ctx.now, energy - self.phase_energy_mark);
-        }
-        self.phase_energy_mark = energy;
-        self.destaging_token = Some(ctx.intervals.begin(Phase::Destaging, ctx.now));
+        ctx.enter_phase(Phase::Destaging);
         for d in 0..ctx.disk_count() {
             ctx.spin_up(d);
         }
@@ -306,12 +283,7 @@ impl RoloEPolicy {
         self.journal.sweep(ctx);
         self.cache.clear();
         ctx.log_timeline.push(ctx.now, 0.0);
-        let energy = ctx.total_energy();
-        if let Some(tok) = self.destaging_token.take() {
-            ctx.intervals
-                .end(tok, ctx.now, energy - self.phase_energy_mark);
-        }
-        self.phase_energy_mark = energy;
+        ctx.enter_phase(Phase::Logging);
         self.mode = Mode::Logging;
         self.period += 1;
         ctx.emit(|| SimEvent::DestageEnd { pair: None });
@@ -331,7 +303,6 @@ impl RoloEPolicy {
             incoming: self.logger_pairs[0],
             period: self.period,
         });
-        self.logging_token = Some(ctx.intervals.begin(Phase::Logging, ctx.now));
         if !self.draining {
             let keep: Vec<DiskId> = self.logger_disks(ctx).collect();
             for d in 0..ctx.disk_count() {
@@ -342,34 +313,18 @@ impl RoloEPolicy {
         }
     }
 
-    fn write_direct(
-        &mut self,
-        ctx: &mut SimCtx,
-        user_id: u64,
-        uslot: IoSlot,
-        meta: &mut UserMeta,
-        exts: Split,
-    ) -> u32 {
+    fn write_direct(&mut self, ctx: &mut SimCtx, user: IoSlot, meta: &mut UserMeta, exts: Split) {
         self.stats.direct_writes += 1;
-        let mut subs = 0;
         for ext in exts {
             let p = ctx.geometry().primary_disk(ext.pair);
             let m = ctx.geometry().mirror_disk(ext.pair);
-            for d in [p, m] {
-                let tag = self.tags.insert(Tag::User(user_id, uslot));
-                let (off, len) = (ext.offset, ext.bytes);
-                let id = ctx.submit(d, IoKind::Write, off, len, Priority::Foreground, tag);
-                let flavor = if d == p {
-                    LegFlavor::Transfer
-                } else {
-                    LegFlavor::MirrorCopy
-                };
-                ctx.tag_io(id, user_id, flavor);
-                subs += 1;
+            let extent = (ext.offset, ext.bytes);
+            for (d, flavor) in [(p, LegFlavor::Transfer), (m, LegFlavor::MirrorCopy)] {
+                let tag = self.tags.insert(Tag::User(user));
+                ctx.submit_user(user, tag, d, IoKind::Write, extent, flavor);
             }
             meta.clears.push((ext.pair, ext.offset, ext.bytes));
         }
-        subs
     }
 }
 
@@ -395,8 +350,7 @@ impl Policy for RoloEPolicy {
     }
 
     fn attach(&mut self, ctx: &mut SimCtx) {
-        self.logging_token = Some(ctx.intervals.begin(Phase::Logging, ctx.now));
-        self.phase_energy_mark = ctx.total_energy();
+        ctx.enter_phase(Phase::Logging);
     }
 
     fn on_user_request(&mut self, ctx: &mut SimCtx, user_id: u64, rec: &TraceRecord) {
@@ -404,12 +358,8 @@ impl Policy for RoloEPolicy {
             rec.offset + rec.bytes <= ctx.geometry().logical_capacity(),
             "driver keeps requests in range"
         );
-        let mut meta = self.spare_meta.pop().unwrap_or_default();
-        let mut subs: u32 = 0;
-        // Admission hold: one sub reserved up front so the slab slot
-        // exists before the first sub-request can possibly complete;
-        // the balance is topped up below once `subs` is known.
-        let uslot = ctx.register_user(user_id, rec.kind, ctx.now, 1);
+        let user = ctx.register_user(user_id, rec.kind);
+        let mut meta = self.meta.take(user);
         match rec.kind {
             ReqKind::Read if self.mode == Mode::Logging => {
                 let hit = self
@@ -422,11 +372,9 @@ impl Policy for RoloEPolicy {
                     }
                     let d = self.next_logger_disk(ctx);
                     let off = self.log_read_offset(rec.offset / self.stripe_unit, rec.bytes);
-                    let tag = self.tags.insert(Tag::User(user_id, uslot));
-                    let prio = Priority::Foreground;
-                    let id = ctx.submit(d, IoKind::Read, off, rec.bytes, prio, tag);
-                    ctx.tag_io(id, user_id, LegFlavor::Transfer);
-                    subs += 1;
+                    let tag = self.tags.insert(Tag::User(user));
+                    let extent = (off, rec.bytes);
+                    ctx.submit_user(user, tag, d, IoKind::Read, extent, LegFlavor::Transfer);
                 } else {
                     self.stats.cache_misses += 1;
                     for ext in extents(ctx, rec) {
@@ -436,12 +384,9 @@ impl Policy for RoloEPolicy {
                             self.stats.read_miss_spinups += 1;
                             ctx.emit(|| SimEvent::ReadMissSpinUp { disk: target });
                         }
-                        let tag = self.tags.insert(Tag::User(user_id, uslot));
-                        let (off, len) = (ext.offset, ext.bytes);
-                        let prio = Priority::Foreground;
-                        let id = ctx.submit(target, IoKind::Read, off, len, prio, tag);
-                        ctx.tag_io(id, user_id, flavor);
-                        subs += 1;
+                        let tag = self.tags.insert(Tag::User(user));
+                        let extent = (ext.offset, ext.bytes);
+                        ctx.submit_user(user, tag, target, IoKind::Read, extent, flavor);
                         // Spin the awakened disk back down once idle.
                         ctx.set_timer(self.idle_spindown, target as u64);
                     }
@@ -453,12 +398,9 @@ impl Policy for RoloEPolicy {
                 // Centralized destage in progress: everything is up.
                 for ext in extents(ctx, rec) {
                     let (target, flavor) = ctx.route_read(ctx.geometry().primary_disk(ext.pair));
-                    let tag = self.tags.insert(Tag::User(user_id, uslot));
-                    let (off, len) = (ext.offset, ext.bytes);
-                    let prio = Priority::Foreground;
-                    let id = ctx.submit(target, IoKind::Read, off, len, prio, tag);
-                    ctx.tag_io(id, user_id, flavor);
-                    subs += 1;
+                    let tag = self.tags.insert(Tag::User(user));
+                    let extent = (ext.offset, ext.bytes);
+                    ctx.submit_user(user, tag, target, IoKind::Read, extent, flavor);
                 }
             }
             ReqKind::Write => {
@@ -467,7 +409,7 @@ impl Policy for RoloEPolicy {
                     // Log exhausted: destage must run; fall back to direct
                     // writes until space is reclaimed.
                     self.start_destage(ctx);
-                    subs += self.write_direct(ctx, user_id, uslot, &mut meta, exts);
+                    self.write_direct(ctx, user, &mut meta, exts);
                 } else {
                     for ext in exts {
                         // Two copies, on one on-duty pair (round-robin
@@ -477,22 +419,14 @@ impl Policy for RoloEPolicy {
                             ctx.geometry().primary_disk(pair),
                             ctx.geometry().mirror_disk(pair),
                         ];
+                        // First copy is the log append proper; the twin
+                        // on the pair's other disk is its mirror.
+                        let flavors = [LegFlavor::LogAppend, LegFlavor::MirrorCopy];
                         let logged = self.log.alloc(ext.bytes, ext.pair, self.period, |seg| {
-                            for d in targets {
-                                let tag = self.tags.insert(Tag::User(user_id, uslot));
-                                let (off, len) = (seg.offset, seg.bytes);
-                                let prio = Priority::Foreground;
-                                let id = ctx.submit(d, IoKind::Write, off, len, prio, tag);
-                                // First copy is the log append proper;
-                                // the twin on the pair's other disk is
-                                // its mirror.
-                                let flavor = if d == targets[0] {
-                                    LegFlavor::LogAppend
-                                } else {
-                                    LegFlavor::MirrorCopy
-                                };
-                                ctx.tag_io(id, user_id, flavor);
-                                subs += 1;
+                            for (d, flavor) in targets.into_iter().zip(flavors) {
+                                let tag = self.tags.insert(Tag::User(user));
+                                let extent = (seg.offset, seg.bytes);
+                                ctx.submit_user(user, tag, d, IoKind::Write, extent, flavor);
                             }
                             self.stats.log_appended_bytes += seg.bytes;
                         });
@@ -521,29 +455,16 @@ impl Policy for RoloEPolicy {
                 }
             }
         }
-        debug_assert!(subs >= 1, "every admitted request issues at least one sub");
-        if subs > 1 {
-            ctx.add_user_subs(uslot, subs - 1);
-        }
-        // Completion skips a request without an entry.
-        if meta.is_empty() {
-            self.spare_meta.push(meta);
-        } else {
-            self.user_meta.insert(user_id, meta);
-        }
+        self.meta.put(user, meta);
     }
 
     fn on_io_complete(&mut self, ctx: &mut SimCtx, _disk: DiskId, req: DiskRequest) {
         match self.tags.remove(req.tag).expect("unknown sub-request") {
-            Tag::User(user, uslot) => {
-                if ctx.user_sub_done(uslot).is_none() {
+            Tag::User(user) => {
+                if !ctx.user_sub_done(user) {
                     return;
                 }
-                // A request with nothing to commit, clear or fill has no
-                // entry.
-                let Some(mut meta) = self.user_meta.remove(&user) else {
-                    return;
-                };
+                let mut meta = self.meta.take(user);
                 for (i, &(pair, off, len)) in meta.marks.iter().enumerate() {
                     // The ack instant is the commit point: both
                     // mirrored copies get one shared LSN.
@@ -574,7 +495,7 @@ impl Policy for RoloEPolicy {
                     }
                 }
                 meta.clear();
-                self.spare_meta.push(meta);
+                self.meta.put(user, meta);
             }
             Tag::CacheFill => {}
             Tag::DestageRead { pair, off, len } => {
@@ -605,7 +526,7 @@ impl Policy for RoloEPolicy {
         outcome: IoOutcome,
     ) {
         match self.tags.get(req.tag).copied() {
-            Some(Tag::User(user, _)) => {
+            Some(Tag::User(user)) => {
                 // The mirrored copy serves the read the failed slot lost.
                 if !ctx.redirect_read(disk, &req, outcome, user) {
                     self.on_io_complete(ctx, disk, req);
@@ -708,11 +629,10 @@ impl Policy for RoloEPolicy {
         }
     }
 
-    fn is_drained(&self, ctx: &SimCtx) -> bool {
+    fn is_drained(&self, _ctx: &SimCtx) -> bool {
         self.mode == Mode::Logging
             && self.log.used_bytes() == 0
             && self.journal.all_clean()
-            && ctx.outstanding_users() == 0
             && self.tags.is_empty()
     }
 
@@ -720,17 +640,11 @@ impl Policy for RoloEPolicy {
         self.journal.fold_stats(self.stats)
     }
 
-    fn check_consistency(&self, ctx: &SimCtx) -> Result<(), String> {
+    fn check_consistency(&self, _ctx: &SimCtx) -> Result<(), String> {
         self.log.check_invariants()?;
         self.journal.check_drained()?;
         if self.log.used_bytes() != 0 {
             return Err(format!("{} log bytes unreclaimed", self.log.used_bytes()));
-        }
-        if ctx.outstanding_users() != 0 {
-            return Err(format!(
-                "{} user requests unfinished",
-                ctx.outstanding_users()
-            ));
         }
         if !self.tags.is_empty() {
             return Err(format!("{} orphaned sub-requests", self.tags.len()));

@@ -790,11 +790,6 @@ impl Disk {
         self.scheduler = scheduler;
     }
 
-    /// True after [`fail_now`](Self::fail_now): the disk accepts no work.
-    pub fn is_dead(&self) -> bool {
-        self.dead
-    }
-
     /// Kills the disk at `now`: the spindle stops, the energy meter
     /// freezes (a failed drive is powered off), and every queued and
     /// in-flight request is aborted and returned so the owner can fail
@@ -1092,7 +1087,6 @@ mod tests {
         d.submit(bg(3, 1 << 20, 4096), SimTime::ZERO);
         let aborted = d.fail_now(SimTime::from_millis(1));
         assert_eq!(aborted.len(), 3, "in-service + queued all aborted");
-        assert!(d.is_dead());
         assert!(!d.is_busy());
         assert_eq!(d.power_state(), PowerState::Standby);
     }

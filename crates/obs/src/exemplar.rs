@@ -159,7 +159,6 @@ pub struct ExemplarRecorder {
     /// Entries of evicted windows, overwritten by later captures.
     spare: Vec<ExemplarSpan>,
     sealed: VecDeque<WindowExemplars>,
-    considered: u64,
 }
 
 impl ExemplarRecorder {
@@ -168,8 +167,9 @@ impl ExemplarRecorder {
     ///
     /// # Panics
     ///
-    /// Panics if `k` is zero or the window is zero-length (the config
-    /// layer validates both).
+    /// Panics if `k` is zero or the window is zero-length (the
+    /// simulator's window is a non-zero constant, and it only builds a
+    /// recorder for a non-zero k).
     pub fn new(k: usize, window: Duration, retain: usize) -> Self {
         assert!(k > 0, "zero exemplars per window");
         assert!(!window.is_zero(), "zero exemplar window");
@@ -181,18 +181,7 @@ impl ExemplarRecorder {
             current: Vec::new(),
             spare: Vec::new(),
             sealed: VecDeque::new(),
-            considered: 0,
         }
-    }
-
-    /// The per-window retention bound k.
-    pub fn per_window(&self) -> usize {
-        self.k
-    }
-
-    /// Spans offered to the recorder so far.
-    pub fn considered(&self) -> u64 {
-        self.considered
     }
 
     /// Offers a finished span completing at `at` with its critical
@@ -208,7 +197,6 @@ impl ExemplarRecorder {
     ) {
         let window = at.as_micros() / self.window_us;
         self.roll_to(window);
-        self.considered += 1;
         let (resp, rid) = (path.total_us, span.id);
         let slot = if self.current.len() == self.k {
             // Threshold fast path: reject on one comparison unless the

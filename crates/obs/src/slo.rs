@@ -244,8 +244,7 @@ impl SloMonitor {
     ///
     /// # Panics
     ///
-    /// Panics if the policy or any spec fails validation — drivers
-    /// validate via `SimConfig::check` first.
+    /// Panics if the policy or any spec fails validation.
     pub fn new(policy: BurnRatePolicy, specs: Vec<SloSpec>) -> Self {
         policy.check().expect("valid burn-rate policy");
         let slos = specs

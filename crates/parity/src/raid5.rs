@@ -72,9 +72,10 @@ impl Policy for Raid5Policy {
         let bytes = rec.bytes.min(capacity);
         let offset = rec.offset.min(capacity - bytes);
         let exts = self.geometry.split(offset, bytes);
+        let uslot = ctx.register_user(user_id, rec.kind);
+        ctx.add_user_subs(uslot, exts.len() as u32);
         match rec.kind {
             ReqKind::Read => {
-                let uslot = ctx.register_user(user_id, rec.kind, ctx.now, exts.len() as u32);
                 for e in exts {
                     let tag = self.tags.insert(Tag::User(uslot));
                     let (d, off, len) = (e.data_disk, e.offset, e.bytes);
@@ -84,7 +85,6 @@ impl Policy for Raid5Policy {
             ReqKind::Write => {
                 // One RMW chain per extent; the user completes when every
                 // chain's phase-2 writes land.
-                let uslot = ctx.register_user(user_id, rec.kind, ctx.now, exts.len() as u32);
                 for e in exts {
                     let chain = self.chains.insert(Chain {
                         user: uslot,
@@ -141,26 +141,20 @@ impl Policy for Raid5Policy {
 
     fn begin_drain(&mut self, _ctx: &mut SimCtx) {}
 
-    fn is_drained(&self, ctx: &SimCtx) -> bool {
-        ctx.outstanding_users() == 0 && self.chains.is_empty()
+    fn is_drained(&self, _ctx: &SimCtx) -> bool {
+        self.chains.is_empty()
     }
 
     fn stats(&self) -> PolicyStats {
         PolicyStats::default()
     }
 
-    fn check_consistency(&self, ctx: &SimCtx) -> Result<(), String> {
+    fn check_consistency(&self, _ctx: &SimCtx) -> Result<(), String> {
         if !self.chains.is_empty() {
             return Err(format!("{} RMW chains still open", self.chains.len()));
         }
         if !self.tags.is_empty() {
             return Err(format!("{} orphaned sub-requests", self.tags.len()));
-        }
-        if ctx.outstanding_users() != 0 {
-            return Err(format!(
-                "{} user requests unfinished",
-                ctx.outstanding_users()
-            ));
         }
         Ok(())
     }

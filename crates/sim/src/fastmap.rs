@@ -13,7 +13,7 @@
 //! Not DoS-resistant by design: keys come from the simulator's own
 //! monotonic counters, never from untrusted input.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiplicative hasher for trusted integer keys.
@@ -67,9 +67,6 @@ impl Hasher for IdHasher {
 
 /// `HashMap` keyed by simulator-allocated `u64` ids, using [`IdHasher`].
 pub type IoMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
-
-/// `HashSet` of simulator-allocated `u64` ids, using [`IdHasher`].
-pub type IoSet = HashSet<u64, BuildHasherDefault<IdHasher>>;
 
 #[cfg(test)]
 mod tests {

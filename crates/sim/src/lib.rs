@@ -7,7 +7,8 @@
 //! queue ([`CalendarQueue`], with the binary-heap [`EventQueue`] kept as
 //! its differential reference), seeded random-number plumbing ([`rng`]),
 //! the generational slab ([`IoSlab`]) that in-flight request state lives
-//! in, and the disjoint byte-extent map ([`ExtentMap`]) the layers above
+//! in with the [`SlotTable`] that keeps values beside it, and the
+//! disjoint byte-extent map ([`ExtentMap`]) the layers above
 //! keep their stale, free, live and corrupt extents in.
 //!
 //! The engine is deliberately *not* generic over an event trait object
@@ -40,8 +41,8 @@ pub mod time;
 
 pub use calendar::CalendarQueue;
 pub use extent::ExtentMap;
-pub use fastmap::{IdHasher, IoMap, IoSet};
+pub use fastmap::{IdHasher, IoMap};
 pub use queue::{EventQueue, ScheduledEvent};
 pub use rng::SimRng;
-pub use slot::{IoSlab, IoSlot};
+pub use slot::{IoSlab, IoSlot, SlotTable};
 pub use time::{Duration, SimTime};

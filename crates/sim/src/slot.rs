@@ -18,6 +18,10 @@
 //! Slots are handles, not ids: the externally-visible `u64` user-request
 //! and I/O ids (which appear in traces, spans and checksummed baselines)
 //! are unaffected by slot reuse.
+//!
+//! A [`SlotTable`] keeps values beside a slab, by slot index: the
+//! controllers' per-request meta lives in one, indexed by the context's
+//! user slot, so a recycled slot reuses its buffers.
 
 /// Generational handle into an [`IoSlab`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -139,6 +143,49 @@ impl<T> IoSlab<T> {
     }
 }
 
+/// Dense per-slot values beside another [`IoSlab`], indexed by the slot
+/// index alone.
+///
+/// The table ignores generations: it cannot tell a slot from a stale
+/// copy that shares its index. A holder may therefore use a slot only
+/// while the owning slab keeps it live — for a controller's per-request
+/// meta, between the context's `register_user` and the `user_sub_done`
+/// that retires the request, each time inside one callback. Values
+/// outlive their slot: a recycled index returns what its last owner put
+/// back, so buffers cleared before `put` keep their capacity.
+#[derive(Debug)]
+pub struct SlotTable<T> {
+    values: Vec<T>,
+}
+
+impl<T> Default for SlotTable<T> {
+    fn default() -> Self {
+        SlotTable { values: Vec::new() }
+    }
+}
+
+impl<T: Default> SlotTable<T> {
+    /// Moves the value at `slot`'s index out, leaving the default; the
+    /// default for an index never put.
+    #[inline]
+    pub fn take(&mut self, slot: IoSlot) -> T {
+        self.values
+            .get_mut(slot.index as usize)
+            .map(std::mem::take)
+            .unwrap_or_default()
+    }
+
+    /// Stores `value` at `slot`'s index.
+    #[inline]
+    pub fn put(&mut self, slot: IoSlot, value: T) {
+        let i = slot.index as usize;
+        if i >= self.values.len() {
+            self.values.resize_with(i + 1, T::default);
+        }
+        self.values[i] = value;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,5 +237,48 @@ mod tests {
         // LIFO reuse: last freed comes back first.
         let r = s.insert(100);
         assert_eq!(r.index, slots[7].index);
+    }
+
+    #[test]
+    fn table_yields_the_default_for_an_index_never_put() {
+        let mut s = IoSlab::new();
+        let a = s.insert(());
+        let b = s.insert(());
+        let mut t: SlotTable<Vec<u32>> = SlotTable::default();
+        assert!(t.take(a).is_empty());
+        t.put(a, vec![1]);
+        assert!(t.take(b).is_empty(), "b's index lies past every put");
+    }
+
+    #[test]
+    fn table_put_then_take_round_trips() {
+        let mut s = IoSlab::new();
+        let a = s.insert(());
+        let b = s.insert(());
+        let mut t = SlotTable::default();
+        t.put(b, vec![2, 3]);
+        t.put(a, vec![1]);
+        assert_eq!(t.take(b), [2, 3]);
+        assert_eq!(t.take(a), [1]);
+        assert!(t.take(a).is_empty(), "take leaves the default behind");
+    }
+
+    #[test]
+    fn table_hands_a_recycled_index_its_last_owners_value() {
+        let mut s = IoSlab::new();
+        let mut t: SlotTable<Vec<u64>> = SlotTable::default();
+        let old = s.insert(());
+        let mut v = t.take(old);
+        v.extend(0..100);
+        v.clear();
+        let cap = v.capacity();
+        t.put(old, v);
+        s.remove(old);
+        let new = s.insert(());
+        assert_ne!(new, old);
+        assert_eq!(new.index, old.index);
+        let v = t.take(new);
+        assert!(v.is_empty());
+        assert_eq!(v.capacity(), cap, "the cleared buffer is reused");
     }
 }
