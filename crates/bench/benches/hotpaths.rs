@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rolo_core::logspace::LoggerSpace;
 use rolo_core::{dirty::DirtyMap, Scheme, SimConfig, SimCtx};
 use rolo_disk::{DiskParams, IoKind, PowerState, Priority, ServiceBreakdown, ServiceModel};
-use rolo_obs::{critical_path, ExemplarRecorder, LegFlavor, SpanCollector};
+use rolo_obs::{ExemplarRecorder, LegFlavor, SpanCollector};
 use rolo_sim::{CalendarQueue, Duration, EventQueue, ExtentMap, IoSlot, SimRng, SimTime};
 use rolo_trace::{ReqKind, SyntheticConfig};
 
@@ -190,11 +190,13 @@ fn bench_extent_map(c: &mut Criterion) {
     });
 }
 
-/// The observed completion path: each request opens a span, tags and
-/// records one or two legs, closes, has its critical path folded and is
-/// offered to an exemplar recorder that stays warm across iterations.
-/// Requests arrive 0.6 s apart, so a 60 s window sees 100 of them and,
-/// with four windows retained, evicted windows' slots are reused.
+/// The observed completion path: each request opens a span in a
+/// recycled legs buffer, tags and records one or two legs, and closes,
+/// which folds its critical path into the run's attribution; the same
+/// path then feeds an exemplar recorder that stays warm across
+/// iterations, as the context's completion hook does. Requests arrive
+/// 0.6 s apart, so a 60 s window sees 100 of them and, with four windows
+/// retained, evicted windows' slots are reused.
 fn bench_span_exemplar(c: &mut Criterion) {
     c.bench_function("span_exemplar_cycle_1k", |b| {
         let mut rng = SimRng::seed_from(17);
@@ -232,8 +234,8 @@ fn bench_span_exemplar(c: &mut Criterion) {
                     end = end.max(leg.end);
                     spans.record_leg(io, (io % 8) as usize, &leg);
                 }
-                let span = spans.close_request(id, end).expect("span is open");
-                rec.observe(end, span, &critical_path(span), &power);
+                let (span, path) = spans.close_request(id, end).expect("span is open");
+                rec.observe(end, span, &path, &power);
             }
             spans
         });

@@ -35,7 +35,7 @@ use rolo_bench::cli::Invocation;
 use rolo_bench::{fnv1a, FNV_OFFSET};
 use rolo_core::SimReport;
 use rolo_obs::{
-    AttributionSummary, ExemplarSet, RingSink, RollupValue, SeriesKind, SloAlert, SpanAnalysis,
+    AttributionSummary, ExemplarSet, RingSink, RollupValue, SeriesKind, SloAlert,
     TelemetrySnapshot, TracedEvent,
 };
 use serde::Serialize;
@@ -286,7 +286,7 @@ pub fn run(inv: &Invocation) {
     let snap = obs.telemetry.take().expect("telemetry enabled");
     let exemplars = obs.exemplars.take();
     let spans = obs.spans.take().expect("spans requested");
-    let phases = SpanAnalysis::analyze(&spans.requests).all.summary();
+    let phases = spans.requests.all.summary();
 
     let meta = ExportMeta {
         scheme: report.scheme.clone(),

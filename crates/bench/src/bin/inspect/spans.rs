@@ -1,7 +1,8 @@
 //! `inspect spans`: per-scheme critical-path attribution over the smoke
 //! workload (DESIGN.md §9): runs every scheme with span tracing on,
-//! folds the finished request spans through [`rolo_obs::critical_path`]
-//! and prints where each scheme's mean response time actually goes.
+//! reads the run's fold of its request spans' critical paths
+//! ([`rolo_obs::critical_path`]) and prints where each scheme's mean
+//! response time actually goes.
 //!
 //! Exits 1 if any scheme attributes less than 95 % of its summed
 //! response time to typed phases — the coverage bar the span taxonomy
@@ -9,16 +10,17 @@
 //! sorted by scheme name so the table and JSON are byte-stable for CI
 //! diffs regardless of worker scheduling.
 //!
-//! `--top N` appends a per-scheme drill-down of the N slowest requests
-//! (selected by the same deterministic total order the exemplar
-//! recorder uses — response time descending, request id ascending):
-//! request id, response time, dominant critical-path phase and the
-//! background activity that delayed it, if `delayed_by` names one.
+//! `--top N` appends a per-scheme drill-down of the N slowest requests,
+//! kept during the run by a [`SlowestSpans`] sink (the same
+//! deterministic total order the exemplar recorder uses — response time
+//! descending, request id ascending): request id, response time,
+//! dominant critical-path phase and the background activity that
+//! delayed it, if `delayed_by` names one.
 
 use rolo_bench::cli::{Invocation, RunSpec};
 use rolo_bench::{expect_consistent, parallel_map};
 use rolo_core::{run_trace_observed, ParaidPolicy, Scheme, SimConfig, SimReport};
-use rolo_obs::{AttributionSummary, NullSink, SpanAnalysis, SpanSet};
+use rolo_obs::{AttributionSummary, BgSpan, RequestSpan, SlowestSpans, SpanSet};
 use rolo_sim::Duration;
 use serde::Serialize;
 
@@ -57,14 +59,15 @@ fn paraid(cfg: &SimConfig, burst_iops: f64) -> ParaidPolicy {
     )
 }
 
-/// The N slowest requests of one scheme's run, for `--top`.
-fn top_table(scheme: &str, spans: &SpanSet, n: usize) {
+/// The N slowest requests of one scheme's run, for `--top`, slowest
+/// first; `background` is the run's background spans.
+fn top_table(scheme: &str, top: &[RequestSpan], background: &[BgSpan], n: usize) {
     println!("{scheme}: {n} slowest requests");
     println!(
         "  {:>8} {:>12} {:<20} {:<10}",
         "rid", "response", "dominant", "culprit"
     );
-    for span in rolo_obs::slowest_spans(&spans.requests, n) {
+    for span in top {
         let path = rolo_obs::critical_path(span);
         let dominant = rolo_obs::dominant_phase(&path.phase_us).map_or("-", |p| p.name());
         // Name the background activity that delayed the request, if
@@ -74,7 +77,7 @@ fn top_table(scheme: &str, spans: &SpanSet, n: usize) {
             .legs
             .iter()
             .filter_map(|l| l.delayed_by)
-            .find_map(|id| spans.background.iter().find(|b| b.id == id))
+            .find_map(|id| background.iter().find(|b| b.id == id))
             .map(|b| format!("{:?}", b.kind))
             .unwrap_or_else(|| "-".to_owned());
         println!(
@@ -95,13 +98,13 @@ pub fn run(inv: &Invocation) {
     // `run_trace_observed` directly, proving the span plumbing is
     // policy-agnostic.
     let jobs: Vec<Option<Scheme>> = Scheme::all().into_iter().map(Some).chain([None]).collect();
-    let mut runs: Vec<(SimReport, SpanSet)> = parallel_map(jobs, |job| {
+    let mut runs: Vec<(SimReport, SpanSet, Vec<RequestSpan>)> = parallel_map(jobs, |job| {
         let spec = RunSpec {
             scheme: job.unwrap_or(Scheme::Raid10),
             ..spec.clone()
         };
-        let (cfg, sink) = (spec.config(), Box::new(NullSink));
-        let (report, obs) = match job {
+        let (cfg, sink) = (spec.config(), Box::new(SlowestSpans::new(inv.top)));
+        let (report, mut obs) = match job {
             Some(_) => spec.observe(&cfg, sink, true),
             None => {
                 let policy = paraid(&cfg, spec.profile().burst_iops);
@@ -110,7 +113,8 @@ pub fn run(inv: &Invocation) {
                 (report, obs)
             }
         };
-        (report, obs.spans.expect("span recording was enabled"))
+        let top = obs.sink.take_spans();
+        (report, obs.spans.expect("span recording was enabled"), top)
     });
     // Rows sorted by scheme name keep the table, the drill-down and the
     // results JSON byte-stable for CI diffs regardless of scheduling.
@@ -118,10 +122,10 @@ pub fn run(inv: &Invocation) {
 
     let mut out = Vec::new();
     let mut failures = Vec::new();
-    for (report, spans) in &runs {
+    for (report, spans, _) in &runs {
         expect_consistent(report, &report.scheme);
         spans.validate().expect("span invariants hold");
-        let analysis = SpanAnalysis::analyze(&spans.requests);
+        let analysis = &spans.requests;
         let stats = &analysis.all;
         assert_eq!(
             stats.requests, report.user_requests,
@@ -135,18 +139,12 @@ pub fn run(inv: &Invocation) {
                 stats.attributed_fraction() * 100.0
             ));
         }
-        let delayed = spans
-            .requests
-            .iter()
-            .flat_map(|s| &s.legs)
-            .filter(|l| l.delayed_by.is_some())
-            .count() as u64;
         out.push(SchemeAttribution {
             scheme: report.scheme.clone(),
             trace: trace.to_owned(),
             hours,
             background_spans: spans.background.len(),
-            delayed_legs: delayed,
+            delayed_legs: analysis.delayed_legs,
             all: stats.summary(),
             reads: analysis.reads.summary(),
             writes: analysis.writes.summary(),
@@ -190,8 +188,8 @@ pub fn run(inv: &Invocation) {
 
     if inv.top > 0 {
         println!();
-        for (report, spans) in &runs {
-            top_table(&report.scheme, spans, inv.top);
+        for (report, spans, top) in &runs {
+            top_table(&report.scheme, top, &spans.background, inv.top);
         }
     }
 

@@ -25,7 +25,7 @@
 
 use crate::{expect_consistent, parallel_map};
 use rolo_core::{FaultPlan, Scheme, SimConfig};
-use rolo_obs::{NullSink, SpanAnalysis};
+use rolo_obs::NullSink;
 use rolo_sim::Duration;
 use rolo_trace::SyntheticConfig;
 
@@ -95,8 +95,7 @@ pub fn run(pairs: usize, secs: u64, iops: f64) -> Result<(), Vec<String>> {
         expect_consistent(report, &label);
         let stats = &report.policy;
         let (replays, divergence) = (stats.log_replays, stats.replay_divergence);
-        let analysis = SpanAnalysis::analyze(&spans.requests);
-        let attributed = analysis.all.attributed_fraction();
+        let attributed = spans.requests.all.attributed_fraction();
         println!(
             "{:<8} {:>5} {:>7}s {:>9} {:>6} {:>11} {:>8} {:>7.1}%",
             report.scheme,

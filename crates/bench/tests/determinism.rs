@@ -219,11 +219,7 @@ fn span_recording_does_not_perturb_the_simulation() {
         spans.validate().expect("span invariants");
         // The spans really measure the same runtime the report does:
         // summed span durations equal summed response times.
-        let span_us: u64 = spans
-            .requests
-            .iter()
-            .map(|s| s.duration().as_micros())
-            .sum();
+        let span_us = spans.requests.all.total_us;
         let mean_ms = span_us as f64 / 1e3 / spanned.user_requests as f64;
         assert!(
             (mean_ms - spanned.mean_response_ms()).abs() < 1e-6,

@@ -182,6 +182,35 @@ fn diff_self_compare_passes_and_a_same_inputs_divergence_fails() {
     assert!(mean_line.ends_with("(   +0.00%)"), "{mean_line}");
 }
 
+/// `inspect spans proj_0 2 --top 5` prints, and writes to
+/// `span_report.json`, exactly the bytes committed under
+/// `baselines/inspect/`: the attribution table, PARAID's delayed-leg
+/// line and each scheme's five slowest requests.
+#[test]
+fn spans_top_reproduces_its_committed_table_and_report() {
+    let dir = fresh_dir("spans");
+    // A relative results directory keeps the printed path fixed.
+    let out = Command::new(env!("CARGO_BIN_EXE_inspect"))
+        .args(["spans", "proj_0", "2", "--top", "5"])
+        .current_dir(&dir)
+        .env("ROLO_RESULTS_DIR", "results")
+        .output()
+        .expect("run inspect");
+    assert_eq!(code(&out), 0, "{}", stderr(&out));
+    let committed = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../baselines/inspect");
+    let read = |p: PathBuf| std::fs::read(&p).unwrap_or_else(|e| panic!("{}: {e}", p.display()));
+    assert!(
+        out.stdout == read(committed.join("spans_proj_0_2h_top5.txt")),
+        "stdout drifted:\n{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    assert!(
+        read(dir.join("results/span_report.json"))
+            == read(committed.join("span_report_proj_0_2h.json")),
+        "span_report.json drifted"
+    );
+}
+
 #[test]
 fn rca_expect_clean_passes_on_rolo_p() {
     let dir = fresh_dir("rca");

@@ -588,7 +588,10 @@ mod tests {
 
     #[test]
     fn submit_user_counts_and_tags_each_leg() {
-        let mut c = ctx();
+        let cfg = SimConfig::paper_default(Scheme::Raid10, 2);
+        let standby = vec![false; cfg.disk_count()];
+        let sink = Box::new(rolo_obs::SlowestSpans::new(2));
+        let mut c = SimCtx::with_sink(&cfg, cfg.geometry().unwrap(), &standby, sink);
         c.enable_spans();
         let user = c.register_user(9, ReqKind::Write);
         let legs = [(0, LegFlavor::Transfer), (2, LegFlavor::MirrorCopy)];
@@ -611,9 +614,9 @@ mod tests {
         assert_eq!(done, [false, true]);
         assert_eq!(c.outstanding_users(), 0);
         assert!(c.check_users().is_ok());
-        let spans = c.take_observations(false).spans.expect("spans on");
-        let [span] = &spans.requests[..] else {
-            panic!("one finished span: {:?}", spans.requests);
+        let spans = c.take_observations(false).sink.take_spans();
+        let [span] = &spans[..] else {
+            panic!("one finished span: {spans:?}");
         };
         assert_eq!(span.id, 9);
         // A leg's flavor names the phase of its final (transfer) slice.

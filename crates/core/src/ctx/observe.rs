@@ -12,12 +12,12 @@
 use super::SimCtx;
 use crate::config::SimConfig;
 use rolo_disk::{Disk, DiskId, PowerState};
-use rolo_obs::{critical_path, BgSpanKind, LegFlavor, SpanCollector, SpanSet, NUM_PHASES};
+use rolo_obs::{BgSpanKind, LegFlavor, SpanCollector, NUM_PHASES};
 use rolo_obs::{
     BurnRatePolicy, Phase, Quantile, RollupValue, SeriesId, SloAlert, SloMonitor, SloSignal,
     SloSpec, Telemetry, TelemetrySnapshot, WindowObservation,
 };
-use rolo_obs::{ExemplarRecorder, ExemplarSet, NullSink, RcaReport, SimEvent, TraceSink};
+use rolo_obs::{ExemplarRecorder, ExemplarSet, NullSink, RcaReport, SimEvent, SpanSet, TraceSink};
 use rolo_sim::{Duration, SimTime};
 use rolo_trace::ReqKind;
 use std::collections::HashMap;
@@ -62,7 +62,8 @@ fn slos() -> Vec<SloSpec> {
 pub struct RunObservations {
     /// The trace sink handed in by the caller, for draining.
     pub sink: Box<dyn TraceSink>,
-    /// Completed request/background spans, when span recording was on.
+    /// The fold of the completed request spans and the background
+    /// spans, when span recording was on.
     pub spans: Option<SpanSet>,
     /// Retained telemetry windows, when telemetry was on.
     pub telemetry: Option<TelemetrySnapshot>,
@@ -87,8 +88,10 @@ pub(super) struct Observer {
     /// untraced hot path is this one branch per emit point.
     trace_on: bool,
     /// Per-request span collector, present only when span recording was
-    /// enabled ([`SimCtx::enable_spans`]).
-    spans: Option<SpanCollector>,
+    /// enabled ([`SimCtx::enable_spans`]). Boxed, so an unspanned
+    /// context does not carry the collector's span fold (several hundred
+    /// bytes) inline.
+    spans: Option<Box<SpanCollector>>,
     /// Open background span ids, keyed by kind and the activity's unit
     /// (see [`SimCtx::bg_span_begin`]).
     bg_spans: HashMap<(BgSpanKind, Option<usize>), u64>,
@@ -207,10 +210,12 @@ impl Observer {
         }
     }
 
-    /// Closes `user_id`'s span at `now` and feeds the completion to
-    /// telemetry: its response time, its critical-path phase split and,
-    /// when capture is on, the tail-exemplar recorder, which stamps the
-    /// power states (`power`) of the disks the span touched.
+    /// Closes `user_id`'s span at `now`, offers it to the trace sink and
+    /// feeds the completion to telemetry: its response time, its
+    /// critical-path phase split and, when capture is on, the
+    /// tail-exemplar recorder, which stamps the power states (`power`)
+    /// of the disks the span touched. The collector's one path walk
+    /// serves all of them.
     pub(super) fn on_complete(
         &mut self,
         now: SimTime,
@@ -218,24 +223,23 @@ impl Observer {
         response: Duration,
         power: &[PowerState],
     ) {
-        let span = self
-            .spans
-            .as_mut()
-            .and_then(|s| s.close_request(user_id, now));
+        let closed = match &mut self.spans {
+            Some(s) => s.close_request(user_id, now),
+            None => None,
+        };
+        if let Some((span, _)) = closed {
+            self.tracer.span(span);
+        }
         let Some(tel) = &mut self.telemetry else {
             return;
         };
-        let path = span.map(|span| {
-            let path = critical_path(span);
-            if let Some(rec) = &mut tel.exemplars {
-                rec.observe(now, span, &path, power);
-            }
-            path
-        });
+        if let (Some(rec), Some((span, path))) = (&mut tel.exemplars, &closed) {
+            rec.observe(now, span, path, power);
+        }
         tel.hub.add(tel.completions, 1.0);
         tel.hub
             .observe(tel.response_us, response.as_micros() as f64);
-        if let Some(path) = path {
+        if let Some((_, path)) = closed {
             for (i, &us) in path.phase_us.iter().enumerate() {
                 if us > 0 {
                     tel.hub.add(tel.phase_us[i], us as f64);
@@ -257,7 +261,7 @@ impl SimCtx {
         for d in &mut self.disks {
             d.set_record_breakdown(true);
         }
-        self.obs.spans = Some(SpanCollector::new());
+        self.obs.spans = Some(Box::new(SpanCollector::new()));
     }
 
     /// Declares that sub-request `io` serves user request `user` and
@@ -375,20 +379,14 @@ impl SimCtx {
 
     /// Driver hook: detaches everything the run observed — the trace
     /// sink (replaced by a [`NullSink`], so later emits are no-ops), the
-    /// finished spans, the tail exemplars (sealing the open window), the
-    /// SLO alerts and the telemetry snapshot — and, when `rca`,
-    /// attributes every SLO alert window from them.
+    /// span fold and background spans, the tail exemplars (sealing the
+    /// open window), the SLO alerts and the telemetry snapshot — and,
+    /// when `rca`, attributes every SLO alert window from them.
     pub fn take_observations(&mut self, rca: bool) -> RunObservations {
         let obs = &mut self.obs;
         obs.trace_on = false;
         let sink = std::mem::replace(&mut obs.tracer, Box::new(NullSink));
-        let spans = obs.spans.take().map(|c| {
-            let (requests, background) = c.into_finished();
-            SpanSet {
-                requests,
-                background,
-            }
-        });
+        let spans = obs.spans.take().map(|c| c.finish());
         let (telemetry, exemplars) = obs
             .telemetry
             .take()

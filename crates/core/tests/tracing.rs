@@ -3,9 +3,42 @@
 //! perturbing the simulation itself.
 
 use rolo_core::{run_scheme_observed, FaultPlan, Scheme, SimConfig};
-use rolo_obs::{NullSink, Phase, RingSink, SimEvent, TracedEvent};
+use rolo_obs::{NullSink, Phase, RequestSpan, RingSink, SimEvent, TraceSink, TracedEvent};
 use rolo_sim::{Duration, SimTime};
 use rolo_trace::{ReqKind, SyntheticConfig, TraceRecord};
+
+/// A ring sink that also keeps every request span it is offered.
+#[derive(Debug)]
+struct RingKeepingSpans {
+    ring: RingSink,
+    spans: Vec<RequestSpan>,
+}
+
+impl TraceSink for RingKeepingSpans {
+    fn enabled(&self) -> bool {
+        true
+    }
+
+    fn record(&mut self, at: SimTime, event: SimEvent) {
+        self.ring.record(at, event);
+    }
+
+    fn drain(&mut self) -> Vec<TracedEvent> {
+        self.ring.drain()
+    }
+
+    fn span(&mut self, span: &RequestSpan) {
+        self.spans.push(span.clone());
+    }
+
+    fn take_spans(&mut self) -> Vec<RequestSpan> {
+        std::mem::take(&mut self.spans)
+    }
+
+    fn name(&self) -> &'static str {
+        "ring"
+    }
+}
 
 fn small_cfg(scheme: Scheme) -> SimConfig {
     let mut cfg = SimConfig::paper_default(scheme, 4);
@@ -132,7 +165,10 @@ fn a_read_of_a_degraded_primary_is_redirected_once_under_every_scheme() {
         cfg.faults = FaultPlan::single(0, Duration::from_secs(1));
         let mirror = cfg.geometry().expect("geometry").mirror_disk(0);
         let read = TraceRecord::new(SimTime::from_millis(1_001), ReqKind::Read, 0, 4096);
-        let sink = Box::new(RingSink::new(1 << 16));
+        let sink = Box::new(RingKeepingSpans {
+            ring: RingSink::new(1 << 16),
+            spans: Vec::new(),
+        });
         let (report, mut obs) = run_scheme_observed(&cfg, [read], dur, sink, true);
         report
             .consistency
@@ -149,8 +185,9 @@ fn a_read_of_a_degraded_primary_is_redirected_once_under_every_scheme() {
             })
             .collect();
         assert_eq!(redirects, [(0, mirror)], "{scheme}: emitted");
-        let spans = obs.spans.expect("spans on");
-        let legs: Vec<_> = spans.requests.iter().flat_map(|r| &r.legs).collect();
+        assert_eq!(obs.spans.expect("spans on").requests.len(), 1);
+        let spans = obs.sink.take_spans();
+        let legs: Vec<_> = spans.iter().flat_map(|r| &r.legs).collect();
         assert_eq!(legs.len(), 1, "{scheme}: one leg");
         assert_eq!(legs[0].disk, mirror, "{scheme}: served by the mirror");
         let flavored = legs[0]

@@ -117,26 +117,13 @@ pub fn ranks_before(a_response_us: u64, a_rid: u64, b_response_us: u64, b_rid: u
 }
 
 /// The `k` slowest spans of a finished set under [`ranks_before`],
-/// slowest first — the offline (whole-run) form of the recorder's
-/// per-window selection, shared by `inspect spans --top`.
+/// slowest first: the offline sort-and-truncate that the recorder's
+/// per-window selection and [`crate::SlowestSpans`] are tested against.
 pub fn slowest_spans(spans: &[RequestSpan], k: usize) -> Vec<&RequestSpan> {
-    let mut top: Vec<&RequestSpan> = Vec::with_capacity(k.min(spans.len()));
-    for s in spans {
-        let (resp, rid) = (s.duration().as_micros(), s.id);
-        if top.len() == k {
-            match top.last() {
-                Some(last) if ranks_before(resp, rid, last.duration().as_micros(), last.id) => {}
-                _ => continue,
-            }
-        }
-        let at = top
-            .iter()
-            .position(|t| ranks_before(resp, rid, t.duration().as_micros(), t.id))
-            .unwrap_or(top.len());
-        top.insert(at, s);
-        top.truncate(k);
-    }
-    top
+    let mut all: Vec<&RequestSpan> = spans.iter().collect();
+    all.sort_by_key(|s| (std::cmp::Reverse(s.duration().as_micros()), s.id));
+    all.truncate(k);
+    all
 }
 
 /// Bounded per-window top-k recorder of the slowest request spans.

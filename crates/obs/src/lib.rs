@@ -37,7 +37,7 @@ pub use exemplar::{
 };
 pub use profile::RunProfile;
 pub use rca::{Culprit, PhaseBlame, RcaReport, WindowRca};
-pub use sink::{NullSink, RingSink, TraceSink};
+pub use sink::{NullSink, RingSink, SlowestSpans, TraceSink};
 pub use sketch::{QuantileSketch, SketchDigest};
 pub use slo::{
     BurnRatePolicy, Quantile, SloAlert, SloMonitor, SloObjective, SloSignal, SloSpec,

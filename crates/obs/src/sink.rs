@@ -3,9 +3,13 @@
 //! The simulation context owns one `Box<dyn TraceSink>`. Emit points
 //! check [`TraceSink::enabled`] once (cached as a bool on the context),
 //! so with the default [`NullSink`] the hot path pays a single predicted
-//! branch and never constructs the event value.
+//! branch and never constructs the event value. While span recording is
+//! on, the sink is also offered every finished request span
+//! ([`TraceSink::span`]); [`SlowestSpans`] keeps the slowest of them.
 
 use crate::event::{SimEvent, TracedEvent, NUM_EVENT_KINDS};
+use crate::exemplar::ranks_before;
+use crate::span::RequestSpan;
 use rolo_sim::SimTime;
 use std::collections::BTreeMap;
 
@@ -36,6 +40,17 @@ pub trait TraceSink: std::fmt::Debug {
 
     /// Removes and returns the retained events in emission order.
     fn drain(&mut self) -> Vec<TracedEvent> {
+        Vec::new()
+    }
+
+    /// Offered each finished request span, in completion order, while
+    /// span recording is on, whatever [`TraceSink::enabled`] answers.
+    /// The span is lent for the call only: the run keeps no span, so a
+    /// sink that needs one later copies it.
+    fn span(&mut self, _span: &RequestSpan) {}
+
+    /// Removes and returns the request spans the sink kept.
+    fn take_spans(&mut self) -> Vec<RequestSpan> {
         Vec::new()
     }
 
@@ -162,6 +177,52 @@ impl TraceSink for RingSink {
 
     fn name(&self) -> &'static str {
         "ring"
+    }
+}
+
+/// Keeps the `k` slowest request spans it is offered, as copies, in
+/// [`ranks_before`] order (slowest first, ties by ascending request id):
+/// the run-wide top-k that `inspect spans --top` prints. Records no
+/// events.
+#[derive(Debug)]
+pub struct SlowestSpans {
+    k: usize,
+    top: Vec<RequestSpan>,
+}
+
+impl SlowestSpans {
+    /// Creates a sink keeping the `k` slowest spans.
+    pub fn new(k: usize) -> Self {
+        SlowestSpans { k, top: Vec::new() }
+    }
+}
+
+impl TraceSink for SlowestSpans {
+    fn enabled(&self) -> bool {
+        false
+    }
+
+    fn record(&mut self, _at: SimTime, _event: SimEvent) {}
+
+    fn span(&mut self, span: &RequestSpan) {
+        let (resp, rid) = (span.duration().as_micros(), span.id);
+        let outranks = |t: &RequestSpan| ranks_before(resp, rid, t.duration().as_micros(), t.id);
+        if self.top.len() == self.k {
+            match self.top.last() {
+                Some(floor) if outranks(floor) => self.top.pop(),
+                _ => return,
+            };
+        }
+        let at = self.top.iter().position(outranks).unwrap_or(self.top.len());
+        self.top.insert(at, span.clone());
+    }
+
+    fn take_spans(&mut self) -> Vec<RequestSpan> {
+        std::mem::take(&mut self.top)
+    }
+
+    fn name(&self) -> &'static str {
+        "slowest"
     }
 }
 

@@ -16,7 +16,10 @@
 //! sum to the span's duration (walking backwards from completion along
 //! the longest-running legs), and [`SpanAnalysis`] aggregates those
 //! totals across requests into per-phase latency histograms — the data
-//! behind the `inspect spans` attribution table.
+//! behind the `inspect spans` attribution table. The collector folds
+//! each span as it closes and keeps none of them: a caller that needs
+//! individual spans sees each one as it closes
+//! ([`SpanCollector::close_request`], [`crate::TraceSink::span`]).
 
 use crate::sketch::QuantileSketch;
 use rolo_disk::{DiskId, ServiceBreakdown};
@@ -259,7 +262,8 @@ pub struct SpanLeg {
     pub delayed_by: Option<u64>,
 }
 
-// Every retained span holds its legs; keep a leg within 112 bytes.
+// Every open span and every exemplar slot holds its legs; keep a leg
+// within 112 bytes.
 const _: () = assert!(size_of::<SpanLeg>() <= 112);
 
 impl SpanLeg {
@@ -372,9 +376,13 @@ struct OpenSpan {
 /// keyed per disk so interference can be linked to its cause.
 ///
 /// Every key is an id the simulator allocates, so the maps hash with
-/// [`IoMap`]'s multiply hasher rather than SipHash. A finished span's
-/// `legs` is sized to its leg count: the tags a request collected before
-/// its first leg completes say how many legs to make room for.
+/// [`IoMap`]'s multiply hasher rather than SipHash. A span's `legs`
+/// makes room for all its legs at once: the tags a request collected
+/// before its first leg completes say how many.
+///
+/// A closed span is folded into the run's [`SpanAnalysis`] and then
+/// dropped, so the collector holds only the spans still in flight; its
+/// `legs` buffer goes to a later admission.
 ///
 /// The collector is only ever touched when span recording is on; the
 /// simulation itself never reads it, so it cannot perturb outcomes.
@@ -382,7 +390,14 @@ struct OpenSpan {
 pub struct SpanCollector {
     open: IoMap<OpenSpan>,
     io_tags: IoMap<(u64, LegFlavor)>,
-    finished: Vec<RequestSpan>,
+    /// The span closed last, readable until the next close.
+    closed: Option<RequestSpan>,
+    /// Emptied `legs` buffers of closed spans, for the next admissions.
+    spare_legs: Vec<Vec<SpanLeg>>,
+    /// Every closed span, folded by kind; `all` is formed at the end.
+    fold: SpanAnalysis,
+    /// The first invariant a closed span broke.
+    invalid: Option<String>,
     bg_open: IoMap<BgSpan>,
     bg_finished: Vec<BgSpan>,
     /// Id of the background span currently active on each disk, indexed
@@ -407,7 +422,7 @@ impl SpanCollector {
                     kind,
                     begin: at,
                     end: at,
-                    legs: Vec::new(),
+                    legs: self.spare_legs.pop().unwrap_or_default(),
                 },
                 pending_legs: 0,
             },
@@ -491,14 +506,35 @@ impl SpanCollector {
         });
     }
 
-    /// Closes the span of user request `id` at its completion instant
-    /// and moves it to the finished list, returning a view of the
-    /// finished span (e.g. for online per-phase telemetry).
-    pub fn close_request(&mut self, id: u64, at: SimTime) -> Option<&RequestSpan> {
+    /// Closes the span of user request `id` at its completion instant:
+    /// validates it ([`RequestSpan::validate`]), walks its critical path
+    /// once and folds that path into the run's attribution by request
+    /// kind, and counts its delayed legs. Returns the span and its path
+    /// for the caller's own readers (telemetry, exemplars, the trace
+    /// sink); the span stays readable until the next close, which hands
+    /// its `legs` buffer to a later request. `None` when no span is open
+    /// under `id`.
+    pub fn close_request(
+        &mut self,
+        id: u64,
+        at: SimTime,
+    ) -> Option<(&RequestSpan, PathAttribution)> {
         let mut span = self.open.remove(&id)?.span;
         span.end = at;
-        self.finished.push(span);
-        self.finished.last()
+        if let Err(e) = span.validate() {
+            self.invalid.get_or_insert(e);
+        }
+        let path = critical_path(&span);
+        match span.kind {
+            ReqKind::Read => self.fold.reads.record(&path),
+            ReqKind::Write => self.fold.writes.record(&path),
+        }
+        self.fold.delayed_legs += delayed_legs(&span);
+        if let Some(mut prev) = self.closed.replace(span) {
+            prev.legs.clear();
+            self.spare_legs.push(prev.legs);
+        }
+        self.closed.as_ref().map(|span| (span, path))
     }
 
     /// Opens a background span of `kind` covering `disks`, returning its
@@ -539,17 +575,30 @@ impl SpanCollector {
         }
     }
 
-    /// Consumes the collector, returning finished request spans (in
-    /// completion order) and background spans (still-open background
-    /// spans are closed with `end = None` left in place). Requests that
-    /// never completed (e.g. lost to injected faults) are dropped.
-    pub fn into_finished(mut self) -> (Vec<RequestSpan>, Vec<BgSpan>) {
-        let mut bg = std::mem::take(&mut self.bg_finished);
+    /// Consumes the collector: the fold of every closed request span,
+    /// with `all` merged from `reads` and `writes`, and the background
+    /// spans in completion order followed by the still-open ones (their
+    /// `end` left `None`). Requests that never completed (e.g. lost to
+    /// injected faults) are dropped.
+    pub fn finish(self) -> SpanSet {
+        let mut requests = self.fold;
+        requests.all = requests.reads.clone();
+        requests.all.merge(&requests.writes);
+        let mut background = self.bg_finished;
         let mut open: Vec<BgSpan> = self.bg_open.into_values().collect();
         open.sort_by_key(|s| s.id);
-        bg.extend(open);
-        (self.finished, bg)
+        background.extend(open);
+        SpanSet {
+            requests,
+            background,
+            invalid: self.invalid,
+        }
     }
+}
+
+/// Legs of `span` that a background span delayed.
+fn delayed_legs(span: &RequestSpan) -> u64 {
+    span.legs.iter().filter(|l| l.delayed_by.is_some()).count() as u64
 }
 
 /// Per-request critical-path attribution: how much of the span's
@@ -636,7 +685,7 @@ pub fn critical_path(span: &RequestSpan) -> PathAttribution {
 /// quantile sketch of per-request phase totals (only requests where the
 /// phase appears), plus a sketch of whole-span durations — all in
 /// microseconds, at ≤ 1 % relative error ([`QuantileSketch`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseStats {
     /// Requests observed.
     pub requests: u64,
@@ -666,9 +715,9 @@ impl Default for PhaseStats {
 }
 
 impl PhaseStats {
-    /// Folds one span's critical path into the aggregate.
-    pub fn observe(&mut self, span: &RequestSpan) {
-        let path = critical_path(span);
+    /// Folds one span's critical path ([`critical_path`]) into the
+    /// aggregate.
+    pub fn record(&mut self, path: &PathAttribution) {
         self.requests += 1;
         self.total_us += path.total_us;
         self.unattributed_us += path.unattributed_us;
@@ -678,11 +727,13 @@ impl PhaseStats {
                 self.phase_hist[i].record(us as f64);
             }
         }
-        self.span_hist.record(span.duration().as_micros() as f64);
+        self.span_hist.record(path.total_us as f64);
     }
 
-    /// Merges another aggregate into this one (fleet rollups across
-    /// shards or schemes); all underlying sketches merge losslessly.
+    /// Merges another aggregate into this one; all underlying sketches
+    /// merge losslessly, and since every recorded value is a whole
+    /// number of microseconds their sums stay exact, so merging equals
+    /// recording both aggregates' paths into one.
     pub fn merge(&mut self, other: &PhaseStats) {
         self.requests += other.requests;
         self.total_us += other.total_us;
@@ -755,7 +806,11 @@ impl PhaseStats {
 }
 
 /// Critical-path aggregates for one scheme, split by request kind.
-#[derive(Debug, Clone, Default)]
+///
+/// A run's fold is built by [`SpanCollector::close_request`] and
+/// [`SpanCollector::finish`]; [`SpanAnalysis::analyze`] is the offline
+/// form over a set of spans, which the tests hold the fold to.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpanAnalysis {
     /// All requests.
     pub all: PhaseStats,
@@ -763,6 +818,8 @@ pub struct SpanAnalysis {
     pub reads: PhaseStats,
     /// Writes only.
     pub writes: PhaseStats,
+    /// Foreground legs a background span delayed ([`SpanLeg::delayed_by`]).
+    pub delayed_legs: u64,
 }
 
 impl SpanAnalysis {
@@ -777,11 +834,23 @@ impl SpanAnalysis {
 
     /// Folds one span into the aggregates.
     pub fn observe(&mut self, span: &RequestSpan) {
-        self.all.observe(span);
+        let path = critical_path(span);
+        self.all.record(&path);
         match span.kind {
-            ReqKind::Read => self.reads.observe(span),
-            ReqKind::Write => self.writes.observe(span),
+            ReqKind::Read => self.reads.record(&path),
+            ReqKind::Write => self.writes.record(&path),
         }
+        self.delayed_legs += delayed_legs(span);
+    }
+
+    /// Number of spans folded.
+    pub fn len(&self) -> usize {
+        (self.reads.requests + self.writes.requests) as usize
+    }
+
+    /// True when no span was folded.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }
 
@@ -821,20 +890,21 @@ pub struct AttributionSummary {
 /// points.
 #[derive(Debug, Default)]
 pub struct SpanSet {
-    /// Completed user request spans, in completion order.
-    pub requests: Vec<RequestSpan>,
+    /// The critical-path fold of every completed user request span;
+    /// `requests.len()` counts the spans.
+    pub requests: SpanAnalysis,
     /// Background (destage/rebuild) spans, in completion order followed
     /// by still-open spans.
     pub background: Vec<BgSpan>,
+    /// The first invariant a request span broke when it closed.
+    invalid: Option<String>,
 }
 
 impl SpanSet {
-    /// Validates every request span (see [`RequestSpan::validate`]).
+    /// `Err` with the first request span that broke an invariant when it
+    /// closed (see [`RequestSpan::validate`]).
     pub fn validate(&self) -> Result<(), String> {
-        for s in &self.requests {
-            s.validate()?;
-        }
-        Ok(())
+        self.invalid.clone().map_or(Ok(()), Err)
     }
 }
 
@@ -874,12 +944,11 @@ mod tests {
         c.open_request(7, ReqKind::Write, SimTime::from_micros(100));
         c.tag_io(42, 7, LegFlavor::LogAppend);
         c.record_leg(42, 3, &breakdown(42, 100, 150, 300, 0, 0, 0, 0));
-        c.close_request(7, SimTime::from_micros(300));
-        let (spans, _) = c.into_finished();
-        assert_eq!(spans.len(), 1);
-        let span = &spans[0];
+        let (span, _) = c.close_request(7, SimTime::from_micros(300)).expect("open");
+        let span = span.clone();
+        assert_eq!(c.finish().requests.len(), 1);
         span.validate().expect("invariants hold");
-        let path = critical_path(span);
+        let path = critical_path(&span);
         assert_eq!(path.total_us, 200);
         assert_eq!(path.unattributed_us, 0);
         assert_eq!(path.phase_us[Phase::QueueWait.index()], 50);
@@ -895,9 +964,8 @@ mod tests {
         // Primary finishes at 80, mirror at 200: the mirror is critical.
         c.record_leg(10, 0, &breakdown(10, 0, 0, 80, 10, 20, 0, 0));
         c.record_leg(11, 1, &breakdown(11, 0, 120, 200, 30, 40, 0, 120));
-        c.close_request(1, SimTime::from_micros(200));
-        let (spans, _) = c.into_finished();
-        let path = critical_path(&spans[0]);
+        let (span, _) = c.close_request(1, SimTime::from_micros(200)).expect("open");
+        let path = critical_path(span);
         assert_eq!(path.total_us, 200);
         assert_eq!(path.unattributed_us, 0);
         // Only the mirror leg is on the critical path.
@@ -915,10 +983,11 @@ mod tests {
         c.open_request(2, ReqKind::Read, SimTime::from_micros(10));
         c.tag_io(20, 2, LegFlavor::Transfer);
         c.record_leg(20, 5, &breakdown(20, 10, 60, 100, 0, 0, 0, 50));
-        c.close_request(2, SimTime::from_micros(100));
+        let (span, _) = c.close_request(2, SimTime::from_micros(100)).expect("open");
+        let span = span.clone();
         c.end_bg(bg, SimTime::from_micros(500));
-        let (spans, bgs) = c.into_finished();
-        assert_eq!(spans[0].legs[0].delayed_by, Some(bg));
+        let bgs = c.finish().background;
+        assert_eq!(span.legs[0].delayed_by, Some(bg));
         let bg_span = bgs.iter().find(|s| s.id == bg).unwrap();
         assert_eq!(bg_span.delayed, vec![2]);
         assert_eq!(bg_span.end, Some(SimTime::from_micros(500)));
@@ -931,13 +1000,14 @@ mod tests {
         c.open_request(4, ReqKind::Read, SimTime::from_micros(10));
         c.tag_io(40, 4, LegFlavor::Transfer);
         c.record_leg(40, 2, &breakdown(40, 10, 60, 100, 0, 0, 0, 50));
-        c.close_request(4, SimTime::from_micros(100));
+        let (span, _) = c.close_request(4, SimTime::from_micros(100)).expect("open");
+        let span = span.clone();
         c.end_bg(bg, SimTime::from_micros(200));
-        let (spans, bgs) = c.into_finished();
-        let path = critical_path(&spans[0]);
+        let bgs = c.finish().background;
+        let path = critical_path(&span);
         assert_eq!(path.phase_us[Phase::Compaction.index()], 50);
         assert_eq!(path.phase_us[Phase::DestageInterference.index()], 0);
-        assert_eq!(spans[0].legs[0].delayed_by, Some(bg));
+        assert_eq!(span.legs[0].delayed_by, Some(bg));
         let bg_span = bgs.iter().find(|s| s.id == bg).unwrap();
         assert_eq!(bg_span.delayed, vec![4]);
     }
@@ -951,9 +1021,8 @@ mod tests {
         c.tag_io(31, 3, LegFlavor::Transfer);
         c.record_leg(30, 0, &breakdown(30, 0, 0, 100, 0, 0, 0, 0));
         c.record_leg(31, 1, &breakdown(31, 140, 140, 220, 0, 0, 0, 0));
-        c.close_request(3, SimTime::from_micros(220));
-        let (spans, _) = c.into_finished();
-        let path = critical_path(&spans[0]);
+        let (span, _) = c.close_request(3, SimTime::from_micros(220)).expect("open");
+        let path = critical_path(span);
         assert_eq!(path.unattributed_us, 40);
         assert_eq!(path.attributed_us(), 180);
         assert_eq!(path.attributed_us() + path.unattributed_us, path.total_us);
@@ -962,6 +1031,7 @@ mod tests {
     #[test]
     fn analysis_aggregates_shares() {
         let mut c = SpanCollector::new();
+        let mut spans = Vec::new();
         for id in 0..10u64 {
             c.open_request(
                 id,
@@ -978,9 +1048,11 @@ mod tests {
                 0,
                 &breakdown(100 + id, 0, 500, 1000, 100, 200, 0, 0),
             );
-            c.close_request(id, SimTime::from_micros(1000));
+            let (span, _) = c
+                .close_request(id, SimTime::from_micros(1000))
+                .expect("open");
+            spans.push(span.clone());
         }
-        let (spans, _) = c.into_finished();
         let a = SpanAnalysis::analyze(&spans);
         assert_eq!(a.all.requests, 10);
         assert_eq!(a.reads.requests, 5);
@@ -1013,10 +1085,46 @@ mod tests {
         c.tag_io(51, 5, LegFlavor::MirrorCopy);
         c.record_leg(50, 0, &breakdown(50, 0, 0, 100, 10, 20, 0, 0));
         c.record_leg(51, 1, &breakdown(51, 0, 0, 120, 10, 20, 0, 0));
-        c.close_request(5, SimTime::from_micros(120));
-        let (spans, _) = c.into_finished();
-        assert_eq!(spans[0].legs.len(), 2);
-        assert_eq!(spans[0].legs.capacity(), 2);
+        let (span, _) = c.close_request(5, SimTime::from_micros(120)).expect("open");
+        assert_eq!(span.legs.len(), 2);
+        assert_eq!(span.legs.capacity(), 2);
+    }
+
+    #[test]
+    fn a_closed_spans_legs_buffer_serves_a_later_request() {
+        let mut c = SpanCollector::new();
+        c.open_request(1, ReqKind::Write, SimTime::ZERO);
+        c.tag_io(10, 1, LegFlavor::Transfer);
+        c.tag_io(11, 1, LegFlavor::MirrorCopy);
+        c.record_leg(10, 0, &breakdown(10, 0, 0, 100, 10, 20, 0, 0));
+        c.record_leg(11, 1, &breakdown(11, 0, 0, 120, 10, 20, 0, 0));
+        c.close_request(1, SimTime::from_micros(120));
+        // Closing request 2 retires request 1's two-leg buffer, which
+        // request 3 then fills without growing it.
+        c.open_request(2, ReqKind::Read, SimTime::ZERO);
+        c.close_request(2, SimTime::from_micros(50));
+        c.open_request(3, ReqKind::Read, SimTime::from_micros(200));
+        c.tag_io(30, 3, LegFlavor::Transfer);
+        c.record_leg(30, 0, &breakdown(30, 200, 200, 300, 10, 20, 0, 0));
+        let (span, _) = c.close_request(3, SimTime::from_micros(300)).expect("open");
+        assert_eq!(span.legs.len(), 1);
+        assert_eq!(span.legs.capacity(), 2);
+        assert_eq!(span.legs[0].io, 30);
+        assert_eq!(c.finish().requests.len(), 3);
+    }
+
+    #[test]
+    fn the_set_reports_the_first_invalid_span() {
+        let mut c = SpanCollector::new();
+        for (id, submit) in [(1, 100), (2, 50), (3, 10)] {
+            // Requests 2 and 3 claim legs submitted before admission.
+            c.open_request(id, ReqKind::Read, SimTime::from_micros(100));
+            c.tag_io(id, id, LegFlavor::Transfer);
+            c.record_leg(id, 0, &breakdown(id, submit, 150, 200, 0, 0, 0, 0));
+            c.close_request(id, SimTime::from_micros(200));
+        }
+        let err = c.finish().validate().expect_err("span 2 is not nested");
+        assert!(err.starts_with("span 2: leg 2"), "{err}");
     }
 
     #[test]
@@ -1088,7 +1196,10 @@ mod tests {
         c.open_request(9, ReqKind::Write, SimTime::ZERO);
         c.tag_io(90, 9, LegFlavor::Transfer);
         c.untag_io(90);
-        let (spans, _) = c.into_finished();
-        assert!(spans.is_empty(), "never-completed span must not leak");
+        let spans = c.finish();
+        assert!(
+            spans.requests.is_empty(),
+            "never-completed span must not leak"
+        );
     }
 }

@@ -1,13 +1,16 @@
-//! Property tests for the span machinery (ISSUE 5 satellite): every
-//! completed span tree must have `end ≥ begin`, leg intervals nested
-//! within the span, per-leg slices summing exactly to the leg interval,
-//! and critical-path attribution conserving the span's duration
-//! (`attributed + unattributed == end − begin`).
+//! Property tests for the span machinery: every completed span tree
+//! must have `end ≥ begin`, leg intervals nested within the span,
+//! per-leg slices summing exactly to the leg interval, and critical-path
+//! attribution conserving the span's duration
+//! (`attributed + unattributed == end − begin`). The fold the collector
+//! streams as spans close must equal the offline fold over the same
+//! spans, and the `--top` keeper the offline top-k.
 
 use proptest::prelude::*;
 use rolo_disk::ServiceBreakdown;
 use rolo_obs::{
-    critical_path, BgSpan, BgSpanKind, LegFlavor, Phase, RequestSpan, SpanAnalysis, SpanCollector,
+    critical_path, slowest_spans, BgSpan, BgSpanKind, LegFlavor, Phase, RequestSpan, SlowestSpans,
+    SpanAnalysis, SpanCollector, SpanSet, TraceSink,
 };
 use rolo_sim::{Duration, SimTime};
 use rolo_trace::ReqKind;
@@ -49,17 +52,38 @@ fn build_span_under(kind: BgSpanKind, begin: u64, legs: &[LegDraw]) -> (RequestS
     let mut c = SpanCollector::new();
     let disks: Vec<usize> = (0..legs.len()).collect();
     let bg = c.begin_bg(kind, &disks, SimTime::from_micros(begin));
-    c.open_request(1, ReqKind::Write, SimTime::from_micros(begin));
+    let close_at = record_request(&mut c, 1, ReqKind::Write, begin, legs);
+    let (span, _) = c
+        .close_request(1, SimTime::from_micros(close_at))
+        .expect("span is open");
+    let span = span.clone();
+    c.end_bg(bg, SimTime::from_micros(close_at));
+    let set = c.finish();
+    assert_eq!(set.requests.len(), 1);
+    (span, set.background)
+}
+
+/// Opens request `id` at `begin` and records its drawn legs (leg `i` on
+/// disk `i`, I/O ids unique per request), the way the simulation driver
+/// does; returns the instant its last leg ends.
+fn record_request(
+    c: &mut SpanCollector,
+    id: u64,
+    kind: ReqKind,
+    begin: u64,
+    legs: &[LegDraw],
+) -> u64 {
+    c.open_request(id, kind, SimTime::from_micros(begin));
     let mut close_at = begin;
     for (i, &(submit_delta, stall, interference, queue, (seek, rotation, transfer), flavor)) in
         legs.iter().enumerate()
     {
-        let io = 100 + i as u64;
+        let io = 100 * (id + 1) + i as u64;
         let submit = begin + submit_delta;
         let start = submit + stall + interference + queue;
         let end = start + seek + rotation + transfer;
         close_at = close_at.max(end);
-        c.tag_io(io, 1, FLAVORS[flavor]);
+        c.tag_io(io, id, FLAVORS[flavor]);
         c.record_leg(
             io,
             i, // one disk per leg
@@ -77,11 +101,54 @@ fn build_span_under(kind: BgSpanKind, begin: u64, legs: &[LegDraw]) -> (RequestS
             },
         );
     }
-    c.close_request(1, SimTime::from_micros(close_at));
-    c.end_bg(bg, SimTime::from_micros(close_at));
-    let (mut spans, bgs) = c.into_finished();
-    assert_eq!(spans.len(), 1);
-    (spans.pop().unwrap(), bgs)
+    close_at
+}
+
+/// One drawn request of a run: write or read, admission instant, legs,
+/// and a key that orders the completions.
+type RequestDraw = (bool, u64, Vec<LegDraw>, u64);
+
+/// Admits every drawn request into one collector, under a destage span
+/// covering every disk, and closes them in ascending key order; returns
+/// clones of the closed spans in admission order and the run's set.
+fn close_all(draws: &[RequestDraw]) -> (Vec<RequestSpan>, SpanSet) {
+    let mut c = SpanCollector::new();
+    let bg = c.begin_bg(BgSpanKind::Destage, &[0, 1, 2, 3], SimTime::ZERO);
+    let mut ends = Vec::new();
+    for (id, (write, begin, legs, _)) in draws.iter().enumerate() {
+        let kind = if *write {
+            ReqKind::Write
+        } else {
+            ReqKind::Read
+        };
+        ends.push(record_request(&mut c, id as u64, kind, *begin, legs));
+    }
+    let mut order: Vec<usize> = (0..draws.len()).collect();
+    order.sort_by_key(|&i| (draws[i].3, i));
+    let mut spans = vec![None; draws.len()];
+    for i in order {
+        let at = SimTime::from_micros(ends[i]);
+        let (span, path) = c.close_request(i as u64, at).expect("span is open");
+        assert_eq!(path, critical_path(span), "the returned path is the span's");
+        spans[i] = Some(span.clone());
+    }
+    c.end_bg(
+        bg,
+        SimTime::from_micros(ends.iter().copied().max().unwrap_or(0)),
+    );
+    (
+        spans.into_iter().map(|s| s.expect("closed")).collect(),
+        c.finish(),
+    )
+}
+
+fn request_strategy() -> impl Strategy<Value = RequestDraw> {
+    (
+        any::<bool>(),
+        0u64..100_000,
+        prop::collection::vec(leg_strategy(), 1..4),
+        any::<u64>(),
+    )
 }
 
 proptest! {
@@ -185,5 +252,58 @@ proptest! {
         let path_d = critical_path(&span_d);
         prop_assert_eq!(path_d.phase_us[Phase::DestageInterference.index()], leg.2);
         prop_assert_eq!(path_d.phase_us[Phase::Compaction.index()], 0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Spans folded as they close, in any completion order, equal the
+    /// offline fold of the same spans, and the whole-run fold is the
+    /// merge of its read and write folds.
+    #[test]
+    fn prop_streamed_fold_equals_offline_fold(
+        draws in prop::collection::vec(request_strategy(), 1..12),
+    ) {
+        let (spans, set) = close_all(&draws);
+        set.validate().map_err(TestCaseError::fail)?;
+        let fold = &set.requests;
+        let offline = SpanAnalysis::analyze(&spans);
+        prop_assert_eq!(fold.len(), spans.len());
+        for (streamed, oracle) in [
+            (&fold.all, &offline.all),
+            (&fold.reads, &offline.reads),
+            (&fold.writes, &offline.writes),
+        ] {
+            prop_assert_eq!(streamed.requests, oracle.requests);
+            prop_assert_eq!(streamed.total_us, oracle.total_us);
+            prop_assert_eq!(streamed.unattributed_us, oracle.unattributed_us);
+            prop_assert_eq!(streamed.phase_us, oracle.phase_us);
+            prop_assert_eq!(&streamed.phase_hist, &oracle.phase_hist);
+            prop_assert_eq!(&streamed.span_hist, &oracle.span_hist);
+        }
+        prop_assert_eq!(fold.delayed_legs, offline.delayed_legs);
+        let mut merged = fold.reads.clone();
+        merged.merge(&fold.writes);
+        prop_assert_eq!(&fold.all, &merged);
+        prop_assert_eq!(fold, &offline);
+    }
+
+    /// The `--top` keeper, offered spans in completion order, keeps
+    /// exactly the offline top-k.
+    #[test]
+    fn prop_slowest_spans_sink_keeps_the_offline_top_k(
+        draws in prop::collection::vec(request_strategy(), 1..12),
+        k in 0usize..6,
+    ) {
+        let (spans, _) = close_all(&draws);
+        let mut order: Vec<&RequestSpan> = spans.iter().collect();
+        order.sort_by_key(|s| draws[s.id as usize].3);
+        let mut keeper = SlowestSpans::new(k);
+        for s in order {
+            keeper.span(s);
+        }
+        let want: Vec<RequestSpan> = slowest_spans(&spans, k).into_iter().cloned().collect();
+        prop_assert_eq!(keeper.take_spans(), want);
     }
 }

@@ -18,7 +18,7 @@
 mod common;
 
 use rolo::core::{run_scheme_observed, RunObservations, Scheme, SimConfig, SimReport};
-use rolo::obs::{BgSpanKind, RingSink, SimEvent, TraceSink, TracedEvent};
+use rolo::obs::{BgSpanKind, RequestSpan, RingSink, SimEvent, TraceSink, TracedEvent};
 use rolo::sim::{Duration, SimTime};
 use rolo::trace::profiles;
 use std::cell::RefCell;
@@ -30,9 +30,11 @@ use std::rc::Rc;
 const RING: usize = 4096;
 
 /// A ring sink the test keeps a handle on, because the per-kind drop
-/// roll-up is not part of the `TraceSink` trait.
+/// roll-up is not part of the `TraceSink` trait. It also keeps every
+/// request span it is offered, in completion order, since the run keeps
+/// none.
 #[derive(Debug)]
-struct SharedRing(Rc<RefCell<RingSink>>);
+struct SharedRing(Rc<RefCell<RingSink>>, Vec<RequestSpan>);
 
 impl TraceSink for SharedRing {
     fn enabled(&self) -> bool {
@@ -55,6 +57,14 @@ impl TraceSink for SharedRing {
         self.0.borrow_mut().drain()
     }
 
+    fn span(&mut self, span: &RequestSpan) {
+        self.1.push(span.clone());
+    }
+
+    fn take_spans(&mut self) -> Vec<RequestSpan> {
+        std::mem::take(&mut self.1)
+    }
+
     fn name(&self) -> &'static str {
         "ring"
     }
@@ -64,6 +74,8 @@ struct Observed {
     report: SimReport,
     obs: RunObservations,
     ring: Rc<RefCell<RingSink>>,
+    /// The request spans, in completion order.
+    spans: Vec<RequestSpan>,
 }
 
 fn observe(cfg: &SimConfig, trace: &str, dur: Duration) -> Observed {
@@ -72,9 +84,15 @@ fn observe(cfg: &SimConfig, trace: &str, dur: Duration) -> Observed {
         .generator(dur, 42)
         .collect();
     let ring = Rc::new(RefCell::new(RingSink::new(RING)));
-    let sink = Box::new(SharedRing(Rc::clone(&ring)));
-    let (report, obs) = run_scheme_observed(cfg, records, dur, sink, true);
-    Observed { report, obs, ring }
+    let sink = Box::new(SharedRing(Rc::clone(&ring), Vec::new()));
+    let (report, mut obs) = run_scheme_observed(cfg, records, dur, sink, true);
+    let spans = obs.sink.take_spans();
+    Observed {
+        report,
+        obs,
+        ring,
+        spans,
+    }
 }
 
 /// Digests every export of one run, keyed `<run>/<export>`.
@@ -99,10 +117,7 @@ fn digest_into(out: &mut BTreeMap<String, String>, run: &str, o: &Observed) {
         .collect();
     put("jsonl", &jsonl.join("\n"));
     let spans = o.obs.spans.as_ref().expect("spans were on");
-    put(
-        "spans.requests",
-        &json(serde_json::to_string(&spans.requests)),
-    );
+    put("spans.requests", &json(serde_json::to_string(&o.spans)));
     put(
         "spans.background",
         &json(serde_json::to_string(&spans.background)),
