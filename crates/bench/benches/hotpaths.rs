@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rolo_core::logspace::LoggerSpace;
+use rolo_core::segment::{SegmentStore, RECORD_HEADER_BYTES};
 use rolo_core::{dirty::DirtyMap, Scheme, SimConfig, SimCtx};
 use rolo_disk::{DiskParams, IoKind, PowerState, Priority, ServiceBreakdown, ServiceModel};
 use rolo_obs::{ExemplarRecorder, LegFlavor, SpanCollector};
@@ -131,6 +132,25 @@ fn bench_logspace(c: &mut Criterion) {
                 for p in 0..8 {
                     ls.reclaim(|s| s.pair() == p);
                 }
+            },
+            BatchSize::SmallInput,
+        );
+    });
+}
+
+/// A logged write's journal work: append a record, commit it at a
+/// fresh LSN (checksum stamp and live-index claim), and seal the
+/// segment every 64 records, which trims its record buffer.
+fn bench_segment(c: &mut Criterion) {
+    c.bench_function("segment_append_commit_1k", |b| {
+        b.iter_batched(
+            || SegmentStore::new(64 * (RECORD_HEADER_BYTES + 4096)),
+            |mut s| {
+                for i in 0..1000u64 {
+                    let out = s.append((i % 8) as usize, 1, (i % 512) * 4096, 4096);
+                    s.commit(out.rid, i + 1);
+                }
+                s
             },
             BatchSize::SmallInput,
         );
@@ -268,6 +288,7 @@ criterion_group!(
     bench_event_queue,
     bench_dispatch,
     bench_logspace,
+    bench_segment,
     bench_dirty_map,
     bench_extent_map,
     bench_span_exemplar,

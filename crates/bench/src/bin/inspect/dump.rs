@@ -159,21 +159,16 @@ pub fn run(inv: &Invocation) {
         let mut tallies: BTreeMap<String, SloTally> = BTreeMap::new();
         for ev in &events {
             match &ev.event {
-                SimEvent::SloBurnWarning {
-                    slo,
-                    window,
-                    burn_short_x100,
-                    ..
-                } => {
-                    let t = tallies.entry(slo.clone()).or_default();
+                SimEvent::SloBurnWarning(w) => {
+                    let t = tallies.entry(w.slo.clone()).or_default();
                     t.warnings += 1;
-                    t.first_warn.get_or_insert(*window);
-                    t.peak_burn_x100 = t.peak_burn_x100.max(*burn_short_x100);
+                    t.first_warn.get_or_insert(w.window);
+                    t.peak_burn_x100 = t.peak_burn_x100.max(w.burn_short_x100);
                 }
-                SimEvent::SloBreach { slo, window, .. } => {
-                    let t = tallies.entry(slo.clone()).or_default();
+                SimEvent::SloBreach(b) => {
+                    let t = tallies.entry(b.slo.clone()).or_default();
                     t.breaches += 1;
-                    t.first_breach.get_or_insert(*window);
+                    t.first_breach.get_or_insert(b.window);
                 }
                 _ => {}
             }
@@ -355,17 +350,14 @@ fn check(inv: &Invocation, events: &[TracedEvent], path: &str) {
                 let msg = format!("ScrubComplete pass {pass} on disk {disk} {msg}");
                 complain(&mut scrub, i, msg);
             }
-            SimEvent::SloBurnWarning {
-                slo: name, window, ..
-            } => {
+            SimEvent::SloBurnWarning(w) => {
                 slo_events += 1;
-                warned.insert((name.clone(), *window));
+                warned.insert((w.slo.clone(), w.window));
             }
-            SimEvent::SloBreach {
-                slo: name, window, ..
-            } => {
+            SimEvent::SloBreach(b) => {
                 slo_events += 1;
-                if !warned.contains(&(name.clone(), *window)) {
+                let (name, window) = (&b.slo, b.window);
+                if !warned.contains(&(name.clone(), window)) {
                     let msg = format!(
                         "SloBreach({name}, w{window}) with no preceding warning in its window"
                     );

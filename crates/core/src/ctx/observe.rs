@@ -17,7 +17,10 @@ use rolo_obs::{
     BurnRatePolicy, Phase, Quantile, RollupValue, SeriesId, SloAlert, SloMonitor, SloSignal,
     SloSpec, Telemetry, TelemetrySnapshot, WindowObservation,
 };
-use rolo_obs::{ExemplarRecorder, ExemplarSet, NullSink, RcaReport, SimEvent, SpanSet, TraceSink};
+use rolo_obs::{
+    ExemplarRecorder, ExemplarSet, NullSink, RcaReport, SimEvent, SloBreach, SloBurnWarning,
+    SpanSet, TraceSink,
+};
 use rolo_sim::{Duration, SimTime};
 use rolo_trace::ReqKind;
 use std::collections::HashMap;
@@ -360,18 +363,18 @@ impl SimCtx {
         }
         for a in &alerts {
             self.emit(|| match a.signal {
-                SloSignal::Warning => SimEvent::SloBurnWarning {
+                SloSignal::Warning => SimEvent::SloBurnWarning(Box::new(SloBurnWarning {
                     slo: a.slo.clone(),
                     window: a.window,
                     burn_short_x100: (a.burn_short * 100.0).round() as u64,
                     burn_long_x100: (a.burn_long * 100.0).round() as u64,
-                },
-                SloSignal::Breach => SimEvent::SloBreach {
+                })),
+                SloSignal::Breach => SimEvent::SloBreach(Box::new(SloBreach {
                     slo: a.slo.clone(),
                     window: a.window,
                     observed_x1000: (a.observed * 1000.0).round() as u64,
                     target_x1000: (a.target * 1000.0).round() as u64,
-                },
+                })),
             });
         }
         self.obs.slo_alerts.extend(alerts);

@@ -249,9 +249,9 @@ impl Policy for GraidPolicy {
                 for ext in exts {
                     let logged = self.log.alloc(ext.bytes, ext.pair, self.period, |seg| {
                         let tag = self.tags.insert(Tag::User(user));
-                        let (extent, flavor) = ((seg.offset, seg.bytes), LegFlavor::LogAppend);
+                        let (extent, flavor) = ((seg.offset(), seg.bytes()), LegFlavor::LogAppend);
                         ctx.submit_user(user, tag, log_disk, IoKind::Write, extent, flavor);
-                        self.stats.log_appended_bytes += seg.bytes;
+                        self.stats.log_appended_bytes += seg.bytes();
                     });
                     if logged {
                         let rid = self.journal.append(

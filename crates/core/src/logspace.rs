@@ -18,30 +18,130 @@
 
 use rolo_sim::ExtentMap;
 
-/// A live segment of logged data within a logger region. A region keeps
-/// one per allocated piece until its pair reclaims it, so the tags are
-/// narrowed to 32 bits.
+/// A live piece of logged data within a logger region. A region keeps
+/// one per allocated piece until its pair reclaims it, so the piece is
+/// 16 bytes: the length is narrowed to 32 bits and the tags to 16, each
+/// with a checked conversion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LogSegment {
-    pair: u32,
-    period: u32,
-    /// Absolute byte offset on the disk.
-    pub offset: u64,
-    /// Segment length in bytes.
-    pub bytes: u64,
+    offset: u64,
+    bytes: u32,
+    pair: u16,
+    period: u16,
 }
 
-const _: () = assert!(std::mem::size_of::<LogSegment>() <= 24);
+const _: () = assert!(std::mem::size_of::<LogSegment>() <= 16);
 
 impl LogSegment {
-    /// Mirrored pair whose second copies this segment holds.
-    pub fn pair(&self) -> usize {
-        self.pair as usize
+    /// Absolute byte offset on the disk.
+    pub fn offset(&self) -> u64 {
+        self.offset
     }
 
-    /// Logging period during which the segment was written.
+    /// Piece length in bytes.
+    pub fn bytes(&self) -> u64 {
+        u64::from(self.bytes)
+    }
+
+    /// Mirrored pair whose second copies this piece holds.
+    pub fn pair(&self) -> usize {
+        usize::from(self.pair)
+    }
+
+    /// Logging period during which the piece was written.
     pub fn period(&self) -> u64 {
         u64::from(self.period)
+    }
+}
+
+/// `log2` of the pieces per chunk of a [`PieceList`]: 2,048 pieces,
+/// 32 KiB.
+const CHUNK_SHIFT: u32 = 11;
+const CHUNK: usize = 1 << CHUNK_SHIFT;
+
+/// The live pieces in fixed-size chunks: every chunk but the last is
+/// full and none is empty, so the list's capacity exceeds its length by
+/// less than one chunk, where a doubling `Vec` may leave half its slots
+/// empty. [`Self::swap_remove`] fills the hole with the last piece, so
+/// the list holds its pieces in the order a `Vec` with `swap_remove`
+/// would.
+#[derive(Debug, Clone, Default)]
+struct PieceList {
+    chunks: Vec<Vec<LogSegment>>,
+    len: usize,
+}
+
+impl PieceList {
+    /// Index of the first piece at or after `from` that matches
+    /// `pred`, scanning chunk by chunk.
+    fn position_from(
+        &self,
+        from: usize,
+        mut pred: impl FnMut(&LogSegment) -> bool,
+    ) -> Option<usize> {
+        let mut start = from;
+        while start < self.len {
+            let chunk = &self.chunks[start >> CHUNK_SHIFT];
+            if let Some(at) = chunk[start & (CHUNK - 1)..].iter().position(&mut pred) {
+                return Some(start + at);
+            }
+            start = (start | (CHUNK - 1)) + 1;
+        }
+        None
+    }
+
+    fn push(&mut self, piece: LogSegment) {
+        match self.chunks.last_mut() {
+            Some(last) if last.len() < CHUNK => last.push(piece),
+            _ => {
+                let mut chunk = Vec::with_capacity(CHUNK);
+                chunk.push(piece);
+                self.chunks.push(chunk);
+            }
+        }
+        self.len += 1;
+    }
+
+    /// Removes and returns piece `i`, moving the last piece into its
+    /// place; a chunk is freed as soon as it empties.
+    fn swap_remove(&mut self, i: usize) -> LogSegment {
+        assert!(i < self.len, "piece index out of range");
+        let last_chunk = self
+            .chunks
+            .last_mut()
+            .expect("a non-empty list has a chunk");
+        let last = last_chunk.pop().expect("no chunk is empty");
+        if last_chunk.is_empty() {
+            self.chunks.pop();
+        }
+        self.len -= 1;
+        if i == self.len {
+            last
+        } else {
+            std::mem::replace(&mut self.chunks[i >> CHUNK_SHIFT][i & (CHUNK - 1)], last)
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &LogSegment> + '_ {
+        self.chunks.iter().flatten()
+    }
+
+    /// Every chunk but the last is full, none is empty, and `len`
+    /// counts them.
+    fn check_invariants(&self) -> Result<(), String> {
+        let counted: usize = self.chunks.iter().map(Vec::len).sum();
+        let (last, full) = match self.chunks.split_last() {
+            Some((last, full)) => (last.len(), full),
+            None => (CHUNK, &[][..]),
+        };
+        if counted != self.len || last == 0 || full.iter().any(|c| c.len() != CHUNK) {
+            return Err(format!(
+                "piece list of {} pieces in chunks of {:?}",
+                self.len,
+                self.chunks.iter().map(Vec::len).collect::<Vec<_>>()
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -54,7 +154,7 @@ impl LogSegment {
 ///
 /// let mut ls = LoggerSpace::new(1 << 30, 8 << 20); // region at 1 GiB, 8 MiB long
 /// let mut allocated = 0;
-/// assert!(ls.alloc(64 * 1024, 0, 1, |piece| allocated += piece.bytes));
+/// assert!(ls.alloc(64 * 1024, 0, 1, |piece| allocated += piece.bytes()));
 /// assert_eq!(allocated, 64 * 1024);
 /// assert_eq!(ls.used_bytes(), 64 * 1024);
 /// let freed = ls.reclaim(|seg| seg.pair() == 0);
@@ -67,8 +167,8 @@ pub struct LoggerSpace {
     size: u64,
     /// Free regions, coalesced.
     free: ExtentMap<()>,
-    /// Live segments, unordered.
-    used: Vec<LogSegment>,
+    /// Live pieces, unordered.
+    used: PieceList,
 }
 
 impl LoggerSpace {
@@ -85,7 +185,7 @@ impl LoggerSpace {
             base,
             size,
             free,
-            used: Vec::new(),
+            used: PieceList::default(),
         }
     }
 
@@ -114,9 +214,10 @@ impl LoggerSpace {
         self.used_bytes() as f64 / self.size as f64
     }
 
-    /// Live segments (unordered).
-    pub fn segments(&self) -> &[LogSegment] {
-        &self.used
+    /// Live pieces, in the list's order: allocation order until a
+    /// reclaim moves the last piece into each freed slot.
+    pub fn segments(&self) -> impl Iterator<Item = &LogSegment> + '_ {
+        self.used.iter()
     }
 
     /// Allocates `bytes` for `pair` during `period`, lowest-address-first,
@@ -126,8 +227,8 @@ impl LoggerSpace {
     ///
     /// # Panics
     ///
-    /// Panics if `bytes` is zero, or if `pair` or `period` does not fit
-    /// in 32 bits.
+    /// Panics if `bytes` is zero or does not fit in 32 bits, or if
+    /// `pair` or `period` does not fit in 16 bits.
     #[must_use]
     pub fn alloc(
         &mut self,
@@ -140,19 +241,20 @@ impl LoggerSpace {
         if bytes > self.free_bytes() {
             return false;
         }
-        let pair = u32::try_from(pair).expect("pair index fits in 32 bits");
-        let period = u32::try_from(period).expect("logging period fits in 32 bits");
-        let mut remaining = bytes;
+        let mut remaining = u32::try_from(bytes).expect("log allocation fits in 32 bits");
+        let pair = u16::try_from(pair).expect("pair index fits in 16 bits");
+        let period = u16::try_from(period).expect("logging period fits in 16 bits");
         while remaining > 0 {
             let (offset, take, ()) = self
                 .free
-                .pop_front(remaining)
+                .pop_front(u64::from(remaining))
                 .expect("free accounting out of sync");
+            let take = u32::try_from(take).expect("a piece is no longer than its allocation");
             let seg = LogSegment {
-                pair,
-                period,
                 offset,
                 bytes: take,
+                pair,
+                period,
             };
             self.used.push(seg);
             piece(seg);
@@ -161,26 +263,25 @@ impl LoggerSpace {
         true
     }
 
-    /// Frees every live segment matching `stale`, coalescing the freed
+    /// Frees every live piece matching `stale`, coalescing the freed
     /// space. Returns the number of bytes reclaimed.
     ///
     /// The unused region list is minimal (one fragment per maximal free
     /// run) on return, regardless of the order in which the stale
-    /// segments were visited: the free list is an [`ExtentMap`], which
+    /// pieces were visited: the free list is an [`ExtentMap`], which
     /// merges touching extents on every insertion.
     pub fn reclaim<F: FnMut(&LogSegment) -> bool>(&mut self, mut stale: F) -> u64 {
         let mut freed = 0;
-        let mut i = 0;
-        while i < self.used.len() {
-            if stale(&self.used[i]) {
-                let seg = self.used.swap_remove(i);
-                freed += seg.bytes;
-                self.free.assign(seg.offset, seg.bytes, (), |_, _| {
-                    debug_assert!(false, "freed a free region")
-                });
-            } else {
-                i += 1;
-            }
+        let mut from = 0;
+        // The piece moved into a freed slot is tested next, as a
+        // `swap_remove` loop over a `Vec` would.
+        while let Some(at) = self.used.position_from(from, &mut stale) {
+            let seg = self.used.swap_remove(at);
+            freed += seg.bytes();
+            self.free.assign(seg.offset, seg.bytes(), (), |_, _| {
+                debug_assert!(false, "freed a free region")
+            });
+            from = at;
         }
         debug_assert_eq!(self.free.check_invariants(), Ok(()));
         freed
@@ -193,15 +294,17 @@ impl LoggerSpace {
     }
 
     /// Debug invariant check: free regions are disjoint, within bounds,
-    /// non-adjacent, and free plus used bytes fill the region.
+    /// non-adjacent, and free plus used bytes fill the region; the piece
+    /// list keeps no empty chunk and no partly filled one but its last.
     pub fn check_invariants(&self) -> Result<(), String> {
+        self.used.check_invariants()?;
         self.free.check_invariants()?;
         for (off, len, ()) in self.free.iter() {
             if off < self.base || off + len > self.base + self.size {
                 return Err(format!("free region [{off}, {}) out of bounds", off + len));
             }
         }
-        let used_total: u64 = self.used.iter().map(|s| s.bytes).sum();
+        let used_total: u64 = self.used.iter().map(LogSegment::bytes).sum();
         if self.free.bytes() + used_total != self.size {
             return Err(format!(
                 "space leak: free {} + used {used_total} != size {}",
@@ -209,11 +312,11 @@ impl LoggerSpace {
                 self.size
             ));
         }
-        // Used segments must not overlap free regions or each other.
+        // Used pieces must not overlap free regions or each other.
         let mut spans: Vec<(u64, u64)> = self
             .used
             .iter()
-            .map(|s| (s.offset, s.bytes))
+            .map(|s| (s.offset, s.bytes()))
             .chain(self.free.iter().map(|(o, l, ())| (o, l)))
             .collect();
         spans.sort_unstable();
@@ -333,19 +436,70 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "logging period fits in 32 bits")]
+    #[should_panic(expected = "logging period fits in 16 bits")]
     fn oversized_period_panics_instead_of_wrapping() {
         let mut ls = LoggerSpace::new(0, 100);
-        let last = u64::from(u32::MAX);
+        let last = u64::from(u16::MAX);
         assert_eq!(pieces(&mut ls, 1, 0, last).unwrap()[0].period(), last);
         pieces(&mut ls, 1, 0, last + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "pair index fits in 16 bits")]
+    fn oversized_pair_panics_instead_of_wrapping() {
+        let mut ls = LoggerSpace::new(0, 100);
+        let last = usize::from(u16::MAX);
+        assert_eq!(pieces(&mut ls, 1, last, 0).unwrap()[0].pair(), last);
+        pieces(&mut ls, 1, last + 1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "log allocation fits in 32 bits")]
+    fn oversized_allocation_panics_instead_of_wrapping() {
+        let mut ls = LoggerSpace::new(0, 16 << 30);
+        let last = u64::from(u32::MAX);
+        assert_eq!(pieces(&mut ls, last, 0, 0).unwrap()[0].bytes(), last);
+        pieces(&mut ls, last + 1, 0, 0);
+    }
+
+    /// Pieces cross chunk boundaries both ways: the list keeps `Vec`'s
+    /// `swap_remove` order, and frees a chunk as soon as it empties.
+    #[test]
+    fn piece_list_spans_chunks_in_vec_order() {
+        let mut list = PieceList::default();
+        let mut reference = Vec::new();
+        for i in 0..2 * CHUNK as u64 + 3 {
+            let piece = LogSegment {
+                offset: i,
+                bytes: 1,
+                pair: (i % 5) as u16,
+                period: 0,
+            };
+            list.push(piece);
+            reference.push(piece);
+        }
+        assert_eq!(list.chunks.len(), 3);
+        // The first and last of each chunk, a middle piece, and the
+        // list's own last piece.
+        for i in [0, CHUNK - 1, CHUNK, 2 * CHUNK - 1, 7, 2 * CHUNK - 3] {
+            assert_eq!(list.swap_remove(i), reference.swap_remove(i));
+            assert!(list.iter().eq(reference.iter()));
+            list.check_invariants().unwrap();
+        }
+        assert_eq!(list.chunks.len(), 2, "the emptied third chunk is freed");
+        while list.len > 0 {
+            let i = list.len / 3;
+            assert_eq!(list.swap_remove(i), reference.swap_remove(i));
+        }
+        assert!(list.chunks.is_empty());
+        list.check_invariants().unwrap();
     }
 
     /// Minimal fragment count for the current layout: one fragment per
     /// maximal gap between live segments (reference model for the
     /// minimality regression below).
     fn minimal_fragments(ls: &LoggerSpace) -> usize {
-        let mut segs: Vec<(u64, u64)> = ls.segments().iter().map(|s| (s.offset, s.bytes)).collect();
+        let mut segs: Vec<(u64, u64)> = ls.segments().map(|s| (s.offset, s.bytes())).collect();
         segs.sort_unstable();
         let mut frags = 0;
         let mut pos = ls.base();
@@ -376,6 +530,61 @@ mod tests {
         ls.reclaim(|_| true);
         assert_eq!(ls.free_fragments(), 1);
         ls.check_invariants().unwrap();
+    }
+
+    /// The live list as a `Vec` with `swap_remove` would hold it: the
+    /// order the list held before it was chunked, which
+    /// `RoloPolicy::pump_compaction` reads (the first piece of a pair).
+    #[derive(Default)]
+    struct VecReference(Vec<LogSegment>);
+
+    impl VecReference {
+        fn reclaim(&mut self, mut stale: impl FnMut(&LogSegment) -> bool) {
+            let mut i = 0;
+            while i < self.0.len() {
+                if stale(&self.0[i]) {
+                    self.0.swap_remove(i);
+                } else {
+                    i += 1;
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// Thousands of pieces, so allocations and reclaims cross chunk
+        /// boundaries both ways; after every operation the list holds
+        /// the reference's pieces in the reference's order.
+        #[test]
+        fn prop_piece_list_keeps_vec_swap_remove_order(ops in proptest::collection::vec((0u8..7, 1usize..600, 1u64..96, 0usize..5, 0u64..4), 1..24)) {
+            let mut ls = LoggerSpace::new(512, 1 << 20);
+            let mut reference = VecReference::default();
+            for (op, count, bytes, pair, period) in ops {
+                match op {
+                    0..=2 => {
+                        for k in 0..count as u64 {
+                            let period = (period + k / 64) % 4;
+                            let _ = ls.alloc(bytes, pair, period, |seg| reference.0.push(seg));
+                        }
+                    }
+                    3 | 4 => {
+                        ls.reclaim(|s| s.pair() == pair);
+                        reference.reclaim(|s| s.pair() == pair);
+                    }
+                    5 => {
+                        ls.reclaim(|s| s.pair() == pair && s.period() <= period);
+                        reference.reclaim(|s| s.pair() == pair && s.period() <= period);
+                    }
+                    _ => {
+                        ls.reclaim(|_| true);
+                        reference.reclaim(|_| true);
+                    }
+                }
+                prop_assert!(ls.segments().eq(reference.0.iter()));
+                prop_assert!(ls.check_invariants().is_ok(), "{:?}", ls.check_invariants());
+            }
+        }
     }
 
     proptest! {
@@ -419,7 +628,7 @@ mod tests {
             let mut ls = LoggerSpace::new(0, total);
             for (i, s) in sizes.iter().enumerate() {
                 let segs = pieces(&mut ls, *s, i, 0).unwrap();
-                let got: u64 = segs.iter().map(|x| x.bytes).sum();
+                let got: u64 = segs.iter().map(|x| x.bytes()).sum();
                 prop_assert_eq!(got, *s);
             }
             prop_assert_eq!(ls.free_bytes(), 0);

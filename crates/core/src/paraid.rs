@@ -255,9 +255,9 @@ impl ParaidPolicy {
         self.shadow_cursor = (target + 1) % self.pairs;
         let shadowed = self.shadows[target].alloc(ext.bytes, ext.pair, 0, |seg| {
             let tag = self.tags.insert(Tag::User(user));
-            let (extent, flavor) = ((seg.offset, seg.bytes), LegFlavor::LogAppend);
+            let (extent, flavor) = ((seg.offset(), seg.bytes()), LegFlavor::LogAppend);
             ctx.submit_user(user, tag, target, IoKind::Write, extent, flavor);
-            self.stats.log_appended_bytes += seg.bytes;
+            self.stats.log_appended_bytes += seg.bytes();
         });
         if shadowed {
             meta.marks.push((ext.pair, off, len));

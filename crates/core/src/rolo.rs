@@ -291,9 +291,8 @@ impl RoloPolicy {
         // gives the seek model a representative position).
         let src_off = self.spaces[&disk]
             .segments()
-            .iter()
             .find(|g| g.pair() == pair)
-            .map(|g| g.offset)
+            .map(|g| g.offset())
             .unwrap_or(self.logger_base);
         let tag = self.tags.insert(Tag::CompactRead { gen });
         ctx.submit(disk, IoKind::Read, src_off, len, Priority::Background, tag);
@@ -320,7 +319,7 @@ impl RoloPolicy {
             // A target without room gets no copy.
             let _ = space.alloc(len, pair, period, |g| {
                 let tag = self.tags.insert(Tag::CompactWrite { gen });
-                let (off, len) = (g.offset, g.bytes);
+                let (off, len) = (g.offset(), g.bytes());
                 ctx.submit(target, IoKind::Write, off, len, Priority::Background, tag);
                 writes += 1;
             });
@@ -440,7 +439,7 @@ impl RoloPolicy {
         let mut out: Vec<usize> = self
             .spaces
             .iter()
-            .filter(|(_, space)| space.segments().iter().any(|seg| seg.pair() == pair))
+            .filter(|(_, space)| space.segments().any(|seg| seg.pair() == pair))
             .map(|(&disk, _)| {
                 if disk >= self.pairs {
                     disk - self.pairs
@@ -766,9 +765,9 @@ impl Policy for RoloPolicy {
                             let logged = space.alloc(ext.bytes, ext.pair, self.period, |seg| {
                                 let tag = self.tags.insert(Tag::User(user));
                                 let (extent, flavor) =
-                                    ((seg.offset, seg.bytes), LegFlavor::LogAppend);
+                                    ((seg.offset(), seg.bytes()), LegFlavor::LogAppend);
                                 ctx.submit_user(user, tag, target, IoKind::Write, extent, flavor);
-                                self.stats.log_appended_bytes += seg.bytes;
+                                self.stats.log_appended_bytes += seg.bytes();
                             });
                             assert!(logged, "rotation guaranteed space");
                             let rid = self.journal.append(
@@ -977,7 +976,7 @@ impl Policy for RoloPolicy {
             } else if self
                 .spaces
                 .values()
-                .any(|s| s.segments().iter().any(|g| g.pair() == pair))
+                .any(|s| s.segments().any(|g| g.pair() == pair))
             {
                 // Segments without dirtiness: every covered block is
                 // already consistent; reclaim directly — journals and

@@ -425,10 +425,10 @@ impl Policy for RoloEPolicy {
                         let logged = self.log.alloc(ext.bytes, ext.pair, self.period, |seg| {
                             for (d, flavor) in targets.into_iter().zip(flavors) {
                                 let tag = self.tags.insert(Tag::User(user));
-                                let extent = (seg.offset, seg.bytes);
+                                let extent = (seg.offset(), seg.bytes());
                                 ctx.submit_user(user, tag, d, IoKind::Write, extent, flavor);
                             }
-                            self.stats.log_appended_bytes += seg.bytes;
+                            self.stats.log_appended_bytes += seg.bytes();
                         });
                         assert!(logged, "free space checked above");
                         let mark = meta.marks.len() as u32;

@@ -60,15 +60,23 @@ fn compressed_size(payload: u64) -> u64 {
 /// whole words (with a shift to diffuse the high bits the multiply
 /// alone leaves weak) keeps the stamp off the commit path's critical
 /// nanoseconds; torn-record detection only needs any-field sensitivity,
-/// not cryptographic strength.
-fn record_checksum(rid: u64, pair: u32, period: u64, lba: u64, len: u64, lsn: u64) -> u64 {
+/// not cryptographic strength. The stamp keeps the low 32 bits, which
+/// the last shift has already folded the high half into.
+fn record_checksum(rid: u64, pair: u16, period: u16, lba: u64, len: u32, lsn: u64) -> u32 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for word in [rid, u64::from(pair), period, lba, len, lsn] {
+    for word in [
+        rid,
+        u64::from(pair),
+        u64::from(period),
+        lba,
+        u64::from(len),
+        lsn,
+    ] {
         h ^= word;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
         h ^= h >> 32;
     }
-    h
+    h as u32
 }
 
 /// Lifecycle state of one segment in a chain.
@@ -88,31 +96,45 @@ pub enum SegmentState {
 /// consecutive ids, so record `i` has id [`Segment::first_rid`]` + i`
 /// ([`Segment::records_with_ids`]). A segment keeps its records until
 /// it archives, so this struct is the journal's heap cost per logged
-/// write (DESIGN.md §10).
+/// write, 32 bytes (DESIGN.md §10): the length is narrowed to 32 bits
+/// and the tags to 16, each with a checked conversion at
+/// [`SegmentStore::append`], and the checksum is 32 bits.
 #[derive(Debug, Clone)]
 pub struct AppendRecord {
-    /// Mirrored pair whose write this record logs.
-    pub pair: u32,
-    /// Logging period the write belonged to.
-    pub period: u64,
     /// Logical byte offset of the logged write.
     pub lba: u64,
-    /// Length of the logged write in bytes.
-    pub len: u64,
     /// Commit LSN; `None` while the user request is in flight (a crash
     /// now leaves this record torn). LSNs start at 1.
     pub lsn: Option<NonZeroU64>,
+    bytes: u32,
     /// Checksum over the header fields and the record's id; valid only
     /// once committed.
-    pub checksum: u64,
+    checksum: u32,
+    pair: u16,
+    period: u16,
     /// True if the request was aborted (e.g. lost to a disk failure)
     /// and the record will never commit.
     pub abandoned: bool,
 }
 
-const _: () = assert!(std::mem::size_of::<AppendRecord>() <= 48);
+const _: () = assert!(std::mem::size_of::<AppendRecord>() <= 32);
 
 impl AppendRecord {
+    /// Mirrored pair whose write this record logs.
+    pub fn pair(&self) -> usize {
+        usize::from(self.pair)
+    }
+
+    /// Logging period the write belonged to.
+    pub fn period(&self) -> u64 {
+        u64::from(self.period)
+    }
+
+    /// Length of the logged write in bytes.
+    pub fn bytes(&self) -> u64 {
+        u64::from(self.bytes)
+    }
+
     /// True if the record, whose id is `rid`, committed and its
     /// checksum validates — the test a recovery scan applies; anything
     /// else is torn.
@@ -121,13 +143,13 @@ impl AppendRecord {
             .is_some_and(|lsn| self.checksum == self.checksum_at(rid, lsn.get()))
     }
 
-    fn checksum_at(&self, rid: u64, lsn: u64) -> u64 {
-        record_checksum(rid, self.pair, self.period, self.lba, self.len, lsn)
+    fn checksum_at(&self, rid: u64, lsn: u64) -> u32 {
+        record_checksum(rid, self.pair, self.period, self.lba, self.bytes, lsn)
     }
 
     /// Modeled on-media footprint: header plus payload.
     pub fn footprint(&self) -> u64 {
-        RECORD_HEADER_BYTES + self.len
+        RECORD_HEADER_BYTES + self.bytes()
     }
 }
 
@@ -299,9 +321,12 @@ impl SegmentStore {
     ///
     /// # Panics
     ///
-    /// Panics if `pair` does not fit in 32 bits.
+    /// Panics if `len` does not fit in 32 bits, or if `pair` or
+    /// `period` does not fit in 16 bits.
     pub fn append(&mut self, pair: usize, period: u64, lba: u64, len: u64) -> AppendOutcome {
-        let pair = u32::try_from(pair).expect("pair index fits in 32 bits");
+        let bytes = u32::try_from(len).expect("record length fits in 32 bits");
+        let pair = u16::try_from(pair).expect("pair index fits in 16 bits");
+        let period = u16::try_from(period).expect("logging period fits in 16 bits");
         let footprint = RECORD_HEADER_BYTES + len;
         let mut sealed = None;
         let mut opened = None;
@@ -336,12 +361,12 @@ impl SegmentStore {
         self.next_rid += 1;
         let seg = &mut self.segments[slot];
         seg.records.push(AppendRecord {
+            lba,
+            lsn: None,
+            bytes,
+            checksum: 0,
             pair,
             period,
-            lba,
-            len,
-            lsn: None,
-            checksum: 0,
             abandoned: false,
         });
         seg.used += footprint;
@@ -404,7 +429,7 @@ impl SegmentStore {
             rec.lsn = Some(NonZeroU64::new(lsn).expect("LSNs start at 1"));
             rec.checksum = rec.checksum_at(rid, lsn);
             seg.pending -= 1;
-            (rec.pair as usize, rec.lba, rec.len)
+            (rec.pair(), rec.lba, rec.bytes())
         };
         self.stats.committed_records += 1;
         self.claim_live(pair, lba, len, slot);
@@ -606,7 +631,7 @@ impl SegmentStore {
             }
             for (rid, rec) in seg.records_with_ids() {
                 if let Some(lsn) = rec.lsn.filter(|_| rec.verify(rid)) {
-                    out.push((lsn.get(), rec.pair as usize));
+                    out.push((lsn.get(), rec.pair()));
                 }
             }
         }
@@ -638,7 +663,7 @@ impl SegmentStore {
         if rec.lsn.is_none() || rec.abandoned {
             return false;
         }
-        rec.checksum ^= 0xdead_beef_dead_beef;
+        rec.checksum ^= 0xdead_beef;
         true
     }
 
@@ -663,7 +688,7 @@ impl SegmentStore {
             outcome.segments_scanned += 1;
             for (rid, rec) in seg.records_with_ids() {
                 outcome.records_scanned += 1;
-                let pair = rec.pair as usize;
+                let pair = rec.pair();
                 if !rec.verify(rid) {
                     match rec.lsn {
                         Some(lsn) if !rec.abandoned => {
@@ -675,7 +700,7 @@ impl SegmentStore {
                     continue;
                 }
                 let lsn = rec.lsn.expect("verified record has an LSN").get();
-                merged.entry(lsn).or_insert((pair, rec.lba, rec.len));
+                merged.entry(lsn).or_insert((pair, rec.lba, rec.bytes()));
             }
         }
     }
@@ -1277,6 +1302,42 @@ mod tests {
         assert_eq!(out.applied_appends, 5);
         let dirty: Vec<u64> = out.maps.iter().map(DirtyMap::bytes).collect();
         assert_eq!(dirty, [100, 100, 100, 0, 0, 100, 100, 0]);
+    }
+
+    /// The record's last (only) copy in `s`.
+    fn last_record(s: &SegmentStore) -> &AppendRecord {
+        let seg = s.segments().last().expect("a segment");
+        seg.records.last().expect("a record")
+    }
+
+    #[test]
+    #[should_panic(expected = "record length fits in 32 bits")]
+    fn oversized_record_length_panics_instead_of_wrapping() {
+        let mut s = SegmentStore::new(1 << 20);
+        let last = u64::from(u32::MAX);
+        s.append(0, 1, 0, last);
+        assert_eq!(last_record(&s).bytes(), last);
+        s.append(0, 1, 0, last + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "pair index fits in 16 bits")]
+    fn oversized_record_pair_panics_instead_of_wrapping() {
+        let mut s = SegmentStore::new(1 << 20);
+        let last = usize::from(u16::MAX);
+        s.append(last, 1, 0, 100);
+        assert_eq!(last_record(&s).pair(), last);
+        s.append(last + 1, 1, 0, 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "logging period fits in 16 bits")]
+    fn oversized_record_period_panics_instead_of_wrapping() {
+        let mut s = SegmentStore::new(1 << 20);
+        let last = u64::from(u16::MAX);
+        s.append(0, last, 0, 100);
+        assert_eq!(last_record(&s).period(), last);
+        s.append(0, last + 1, 0, 100);
     }
 
     #[test]

@@ -88,14 +88,16 @@ fn warning_precedes_breach_in_alerts_and_event_stream() {
     let mut saw_breach_event = false;
     for t in &events {
         match &t.event {
-            SimEvent::SloBurnWarning { slo, window, .. } => {
-                seen_warn.push((slo.clone(), *window));
+            SimEvent::SloBurnWarning(w) => {
+                seen_warn.push((w.slo.clone(), w.window));
             }
-            SimEvent::SloBreach { slo, window, .. } => {
+            SimEvent::SloBreach(b) => {
                 saw_breach_event = true;
                 assert!(
-                    seen_warn.contains(&(slo.clone(), *window)),
-                    "SloBreach({slo}, w{window}) emitted before its warning"
+                    seen_warn.contains(&(b.slo.clone(), b.window)),
+                    "SloBreach({}, w{}) emitted before its warning",
+                    b.slo,
+                    b.window
                 );
             }
             _ => {}

@@ -293,33 +293,43 @@ pub enum SimEvent {
         bytes: u64,
     },
     /// An SLO's short-lookback burn rate crossed the warning threshold
-    /// when a telemetry window closed (DESIGN.md §12).
-    SloBurnWarning {
-        /// Name of the SLO objective (e.g. `latency_p95`).
-        slo: String,
-        /// Telemetry window index whose close fired the alert.
-        window: u64,
-        /// Burn rate over the short lookback, in hundredths.
-        burn_short_x100: u64,
-        /// Burn rate over the long lookback, in hundredths.
-        burn_long_x100: u64,
-    },
+    /// when a telemetry window closed (DESIGN.md §12). Boxed, like
+    /// [`SimEvent::SloBreach`]: the name's `String` would otherwise set
+    /// the size of every event a ring sink holds.
+    SloBurnWarning(Box<SloBurnWarning>),
     /// An SLO's burn rate crossed the breach threshold on both
     /// lookbacks; within a window a breach always follows its
     /// [`SimEvent::SloBurnWarning`].
-    SloBreach {
-        /// Name of the SLO objective (e.g. `latency_p95`).
-        slo: String,
-        /// Telemetry window index whose close fired the alert.
-        window: u64,
-        /// The window's observed value in milli-units (ns for latency
-        /// objectives, mW for energy objectives).
-        observed_x1000: u64,
-        /// The objective's bound, in the same milli-units.
-        target_x1000: u64,
-    },
+    SloBreach(Box<SloBreach>),
     /// The trace ran out; the driver began draining in-flight work.
     TraceEnded,
+}
+
+/// The payload of [`SimEvent::SloBurnWarning`].
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct SloBurnWarning {
+    /// Name of the SLO objective (e.g. `latency_p95`).
+    pub slo: String,
+    /// Telemetry window index whose close fired the alert.
+    pub window: u64,
+    /// Burn rate over the short lookback, in hundredths.
+    pub burn_short_x100: u64,
+    /// Burn rate over the long lookback, in hundredths.
+    pub burn_long_x100: u64,
+}
+
+/// The payload of [`SimEvent::SloBreach`].
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct SloBreach {
+    /// Name of the SLO objective (e.g. `latency_p95`).
+    pub slo: String,
+    /// Telemetry window index whose close fired the alert.
+    pub window: u64,
+    /// The window's observed value in milli-units (ns for latency
+    /// objectives, mW for energy objectives).
+    pub observed_x1000: u64,
+    /// The objective's bound, in the same milli-units.
+    pub target_x1000: u64,
 }
 
 /// Number of [`SimEvent`] variants ([`SimEvent::KIND_NAMES`] has one
@@ -411,8 +421,8 @@ impl SimEvent {
             SimEvent::ScrubRepair { .. } => 33,
             SimEvent::ScrubComplete { .. } => 34,
             SimEvent::ExtentLost { .. } => 35,
-            SimEvent::SloBurnWarning { .. } => 36,
-            SimEvent::SloBreach { .. } => 37,
+            SimEvent::SloBurnWarning(_) => 36,
+            SimEvent::SloBreach(_) => 37,
             SimEvent::TraceEnded => 38,
         }
     }
@@ -467,6 +477,9 @@ pub struct TracedEvent {
     pub event: SimEvent,
 }
 
+// A ring sink holds a buffer of these (DESIGN.md §9.2).
+const _: () = assert!(std::mem::size_of::<TracedEvent>() <= 48);
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -489,6 +502,18 @@ mod tests {
 
         let unit = serde_json::to_string(&SimEvent::TraceEnded).unwrap();
         assert_eq!(unit, "\"TraceEnded\"");
+
+        // A boxed payload serializes as the struct variant it replaced.
+        let breach = SimEvent::SloBreach(Box::new(SloBreach {
+            slo: "latency_p95".into(),
+            window: 3,
+            observed_x1000: 7,
+            target_x1000: 5,
+        }));
+        assert_eq!(
+            serde_json::to_string(&breach).unwrap(),
+            r#"{"SloBreach":{"slo":"latency_p95","window":3,"observed_x1000":7,"target_x1000":5}}"#
+        );
     }
 
     #[test]

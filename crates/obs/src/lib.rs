@@ -31,7 +31,7 @@ pub mod span;
 pub mod timeline;
 pub mod timeseries;
 
-pub use event::{SimEvent, TracedEvent};
+pub use event::{SimEvent, SloBreach, SloBurnWarning, TracedEvent};
 pub use exemplar::{
     ranks_before, slowest_spans, ExemplarRecorder, ExemplarSet, ExemplarSpan, WindowExemplars,
 };

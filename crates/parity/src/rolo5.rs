@@ -223,9 +223,9 @@ impl Rolo5Policy {
         for (pd, len) in entries {
             let logged = self.spaces[target].alloc(len, pd, self.period, |seg| {
                 let tag = self.tags.insert(Tag::NvramFlush);
-                let (off, len) = (seg.offset, seg.bytes);
+                let (off, len) = (seg.offset(), seg.bytes());
                 ctx.submit(target, IoKind::Write, off, len, Priority::Background, tag);
-                self.stats.log_appended_bytes += seg.bytes;
+                self.stats.log_appended_bytes += seg.bytes();
             });
             assert!(logged, "picked logger has space");
         }
@@ -564,10 +564,10 @@ impl Policy for Rolo5Policy {
                     let mut writes = 1;
                     let logged = self.spaces[log_target].alloc(len, pd, self.period, |seg| {
                         let tag = self.tags.insert(Tag::ChainWrite(chain_id));
-                        let (off, len) = (seg.offset, seg.bytes);
+                        let (off, len) = (seg.offset(), seg.bytes());
                         let prio = Priority::Foreground;
                         ctx.submit(log_target, IoKind::Write, off, len, prio, tag);
-                        self.stats.log_appended_bytes += seg.bytes;
+                        self.stats.log_appended_bytes += seg.bytes();
                         writes += 1;
                     });
                     assert!(logged, "free space checked above");
