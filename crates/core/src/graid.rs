@@ -8,17 +8,18 @@
 //! parallel from the primaries; the log is then reclaimed wholesale and
 //! the mirrors spun back down.
 //!
-//! During a destage period incoming writes go directly to primary +
-//! mirror (the mirrors are up anyway), which both matches Fig. 1(c) and
-//! guarantees the destage terminates.
+//! During a destage period incoming writes keep logging while the log
+//! has room, so the cycle also destages what they mark; only a write
+//! the full log cannot take goes directly to primary + mirror.
 
 use crate::ctx::SimCtx;
+use crate::destage::DestageChains;
 use crate::intervals::Phase;
-use crate::journal::{JournalSet, PendingAppend};
+use crate::journal::{Committed, JournalSet, LoggedWrite};
 use crate::logspace::LoggerSpace;
 use crate::policy::{Policy, PolicyStats};
 use crate::recovery::recovery_plan;
-use rolo_disk::{DiskId, DiskRequest, IoKind, IoOutcome, Priority};
+use rolo_disk::{DiskId, DiskRequest, IoKind, IoOutcome};
 use rolo_obs::{BgSpanKind, LegFlavor, SimEvent};
 use rolo_sim::{Duration, IoSlab, IoSlot, SlotTable};
 use rolo_trace::{ReqKind, TraceRecord};
@@ -32,28 +33,7 @@ enum Mode {
 #[derive(Debug, Clone, Copy)]
 enum Tag {
     User(IoSlot),
-    DestageRead { pair: usize, off: u64, len: u64 },
-    DestageWrite { pair: usize, len: u64 },
-}
-
-#[derive(Debug, Default)]
-struct UserMeta {
-    /// Extents to mark stale on the mirror at completion.
-    marks: Vec<(usize, u64, u64)>,
-    /// Extents freshly written in place on the mirror at completion.
-    clears: Vec<(usize, u64, u64)>,
-    /// Log-disk journal records of `marks`, committed with a fresh LSN
-    /// when the request acks.
-    appends: Vec<PendingAppend>,
-}
-
-impl UserMeta {
-    /// Empties the buffers, keeping their capacity for the next request.
-    fn clear(&mut self) {
-        self.marks.clear();
-        self.clears.clear();
-        self.appends.clear();
-    }
+    Destage(usize),
 }
 
 /// The GRAID controller.
@@ -69,13 +49,13 @@ pub struct GraidPolicy {
     /// reclaims every segment wholesale, so fragmentation never
     /// accumulates between cycles.
     journal: JournalSet,
-    chain_active: Vec<bool>,
+    chains: DestageChains,
     mode: Mode,
     period: u64,
     /// Per sub-request, under the slot its `DiskRequest` carries.
     tags: IoSlab<Tag>,
     /// Per user request, under the context's user slot.
-    meta: SlotTable<UserMeta>,
+    meta: SlotTable<LoggedWrite>,
     stats: PolicyStats,
     draining: bool,
 }
@@ -103,7 +83,7 @@ impl GraidPolicy {
             chunk,
             log: LoggerSpace::new(0, log_capacity),
             journal: JournalSet::new(pairs, [log_disk]),
-            chain_active: vec![false; pairs],
+            chains: DestageChains::new(pairs),
             mode: Mode::Logging,
             period: 0,
             tags: IoSlab::new(),
@@ -111,11 +91,6 @@ impl GraidPolicy {
             stats: PolicyStats::default(),
             draining: false,
         }
-    }
-
-    /// Total stale bytes across all mirrors.
-    pub fn dirty_bytes(&self) -> u64 {
-        self.journal.dirty_bytes()
     }
 
     /// Tunes the journal geometry (before the run starts); resets the
@@ -158,15 +133,14 @@ impl GraidPolicy {
     }
 
     fn pump(&mut self, ctx: &mut SimCtx, pair: usize) {
-        if self.mode != Mode::Destaging || self.chain_active[pair] {
+        if self.mode != Mode::Destaging || self.chains.is_busy(pair) {
             return;
         }
         match self.journal.take_next(pair, self.chunk) {
-            Some((off, len)) => {
-                self.chain_active[pair] = true;
-                let p = ctx.geometry().primary_disk(pair);
-                let tag = self.tags.insert(Tag::DestageRead { pair, off, len });
-                ctx.submit(p, IoKind::Read, off, len, Priority::Background, tag);
+            Some(run) => {
+                let (p, m) = (ctx.geometry().primary_disk(pair), self.mirror(ctx, pair));
+                let tag = self.tags.insert(Tag::Destage(pair));
+                self.chains.start(ctx, pair, run, (p, run.0), &[m], tag);
             }
             None => self.check_destage_done(ctx),
         }
@@ -176,7 +150,7 @@ impl GraidPolicy {
         if self.mode != Mode::Destaging {
             return;
         }
-        if self.chain_active.iter().any(|&b| b) || !self.journal.all_clean() {
+        if self.chains.any_busy() || !self.journal.all_clean() {
             return;
         }
         // Cycle complete: reclaim the whole log, resume logging. Every
@@ -291,32 +265,23 @@ impl Policy for GraidPolicy {
         match self.tags.remove(req.tag).expect("unknown sub-request") {
             Tag::User(user) => {
                 if ctx.user_sub_done(user) {
+                    // The ack instant is the commit point.
                     let mut meta = self.meta.take(user);
-                    for (i, &(pair, off, len)) in meta.marks.iter().enumerate() {
-                        // The ack instant is the commit point.
-                        self.journal.mark(pair, off, len, &meta.appends, i as u32);
+                    while let Some(step) = self.journal.commit_next(&mut meta) {
                         // Newly stale data may arrive mid-destage; keep the
                         // pump moving.
-                        if self.mode == Mode::Destaging {
+                        if let (Committed::Marked(pair), Mode::Destaging) = (step, self.mode) {
                             self.pump(ctx, pair);
                         }
                     }
-                    for &(pair, off, len) in &meta.clears {
-                        self.journal.clear(pair, off, len);
-                    }
-                    meta.clear();
                     self.meta.put(user, meta);
                 }
             }
-            Tag::DestageRead { pair, off, len } => {
-                let m = ctx.geometry().mirror_disk(pair);
-                let tag = self.tags.insert(Tag::DestageWrite { pair, len });
-                ctx.submit(m, IoKind::Write, off, len, Priority::Background, tag);
-            }
-            Tag::DestageWrite { pair, len } => {
-                self.stats.destaged_bytes += len;
-                self.chain_active[pair] = false;
-                self.pump(ctx, pair);
+            Tag::Destage(pair) => {
+                let slot = || self.tags.insert(Tag::Destage(pair));
+                if self.chains.complete(ctx, pair, slot) {
+                    self.pump(ctx, pair);
+                }
             }
         }
     }
@@ -352,7 +317,7 @@ impl Policy for GraidPolicy {
             self.log.reclaim(|_| true);
             ctx.log_timeline.push(ctx.now, 0.0);
             ctx.begin_rebuild(&plan, 0);
-            if self.dirty_bytes() > 0 {
+            if !self.journal.all_clean() {
                 self.start_destage(ctx);
             }
             return;
@@ -385,7 +350,7 @@ impl Policy for GraidPolicy {
 
     fn begin_drain(&mut self, ctx: &mut SimCtx) {
         self.draining = true;
-        if self.log.used_bytes() > 0 || self.dirty_bytes() > 0 {
+        if self.log.used_bytes() > 0 || !self.journal.all_clean() {
             self.start_destage(ctx);
         }
     }
@@ -398,7 +363,7 @@ impl Policy for GraidPolicy {
     }
 
     fn stats(&self) -> PolicyStats {
-        self.journal.fold_stats(self.stats)
+        self.chains.fold_stats(self.journal.fold_stats(self.stats))
     }
 
     fn check_consistency(&self, _ctx: &SimCtx) -> Result<(), String> {

@@ -1,9 +1,8 @@
 //! The journaling core every logging controller shares (DESIGN.md §10).
 //!
 //! GRAID, RoLo-P/R and RoLo-E differ in *where* a second copy lands
-//! (placement, rotation, destage chains, compaction policy), not in
-//! what makes the log crash-consistent. [`JournalSet`] owns that part
-//! once:
+//! (placement, rotation, compaction policy), not in what makes the log
+//! crash-consistent. [`JournalSet`] owns that part once:
 //!
 //! * the per-pair [`DirtyMap`]s — the stale-block lists the paper keeps
 //!   in controller NVRAM (§III-E);
@@ -22,9 +21,10 @@ use crate::ctx::SimCtx;
 use crate::dirty::DirtyMap;
 use crate::policy::PolicyStats;
 use crate::segment::{replay_journals, LogManifest, SegmentStore};
-use rolo_disk::DiskId;
-use rolo_obs::SimEvent;
-use rolo_sim::Duration;
+use rolo_disk::{DiskId, IoKind};
+use rolo_obs::{LegFlavor, SimEvent};
+use rolo_raid::PhysExtent;
+use rolo_sim::{Duration, IoSlot};
 use std::collections::{BTreeMap, HashSet};
 
 /// Default log-segment size ([`SimConfig::log_segment`](crate::SimConfig)).
@@ -40,8 +40,59 @@ pub type PairExtent = (usize, u64, u64);
 
 /// A journal record awaiting its commit: `(mark index, journal disk,
 /// record id)`. The records of a request's mark `i` commit together,
-/// under one LSN, when [`JournalSet::mark`] applies that mark.
+/// under one LSN, when [`JournalSet::commit_next`] applies that mark.
 pub type PendingAppend = (u32, DiskId, u64);
+
+/// A user write from its submission to its acknowledgement: the
+/// extents it marks stale, the extents it writes in place on both disks
+/// (clears), and its marks' journal records, each tagged with its
+/// mark's index. [`JournalSet::commit_next`] applies it at the ack and
+/// empties it, keeping its buffers for the user slot's next request.
+#[derive(Debug, Default)]
+pub struct LoggedWrite {
+    pub(crate) marks: Vec<PairExtent>,
+    pub(crate) clears: Vec<PairExtent>,
+    pub(crate) appends: Vec<PendingAppend>,
+    /// Steps applied so far: the marks, then the clears.
+    applied: usize,
+}
+
+impl LoggedWrite {
+    /// Writes `ext` in place on its pair's primary and mirror, as legs
+    /// of `user` under slots from `slot`, and queues its clear.
+    pub(crate) fn write_direct(
+        &mut self,
+        ctx: &mut SimCtx,
+        user: IoSlot,
+        ext: PhysExtent,
+        mut slot: impl FnMut() -> IoSlot,
+    ) {
+        let p = ctx.geometry().primary_disk(ext.pair);
+        let m = ctx.geometry().mirror_disk(ext.pair);
+        let extent = (ext.offset, ext.bytes);
+        for (d, flavor) in [(p, LegFlavor::Transfer), (m, LegFlavor::MirrorCopy)] {
+            ctx.submit_user(user, slot(), d, IoKind::Write, extent, flavor);
+        }
+        self.clears.push((ext.pair, ext.offset, ext.bytes));
+    }
+
+    /// Empties the write, keeping its buffers' capacity.
+    pub(crate) fn reset(&mut self) {
+        self.marks.clear();
+        self.clears.clear();
+        self.appends.clear();
+        self.applied = 0;
+    }
+}
+
+/// One applied step of a [`LoggedWrite`], naming the pair it touched.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Committed {
+    /// A mark grew the pair's dirty map and committed its records.
+    Marked(usize),
+    /// A clear shrank the pair's dirty map.
+    Cleared(usize),
+}
 
 /// The crash-consistent state of one logging controller: NVRAM dirty
 /// maps, per-disk segment journals, manifest and LSNs.
@@ -94,11 +145,6 @@ impl JournalSet {
         self.dirty.iter().all(DirtyMap::is_clean)
     }
 
-    /// Total stale bytes across all pairs.
-    pub fn dirty_bytes(&self) -> u64 {
-        self.dirty.iter().map(DirtyMap::bytes).sum()
-    }
-
     /// Appends an uncommitted record for `pair`'s `[lba, lba+len)` to
     /// `disk`'s journal, emitting `SegmentSealed`/`SegmentAllocated` as
     /// the chain grows, and returns the record id to commit later.
@@ -133,20 +179,32 @@ impl JournalSet {
         out.rid
     }
 
-    /// Applies a request's mark `i` at its acknowledgement: commits
-    /// every record of `appends` tagged `i` under one fresh LSN, then
-    /// marks `[off, off+len)` of `pair` stale. A record id handed out
-    /// before its journal restarted matches nothing and commits nothing.
-    pub fn mark(&mut self, pair: usize, off: u64, len: u64, appends: &[PendingAppend], i: u32) {
-        let lsn = self.alloc_lsn();
-        for &(mi, disk, rid) in appends {
-            if mi == i {
+    /// Applies `w`'s next step at its request's ack, so the controller
+    /// reacts to each before the next: a reaction's `take_next` takes
+    /// from the map the next mark would grow. Mark `i` commits the
+    /// records tagged `i` under one fresh LSN (an id handed out before
+    /// its journal restarted commits nothing), then marks its extent;
+    /// clears follow the marks. `None`, with `w` emptied, at the end.
+    pub fn commit_next(&mut self, w: &mut LoggedWrite) -> Option<Committed> {
+        let step = w.applied;
+        w.applied += 1;
+        if let Some(&(pair, off, len)) = w.marks.get(step) {
+            let lsn = self.alloc_lsn();
+            for &(_, disk, rid) in w.appends.iter().filter(|a| a.0 as usize == step) {
                 if let Some(j) = self.journals.get_mut(&disk) {
                     j.commit(rid, lsn);
                 }
             }
+            self.dirty[pair].mark(off, len);
+            Some(Committed::Marked(pair))
+        } else if let Some(&(pair, off, len)) = w.clears.get(step - w.marks.len()) {
+            self.log_clear(pair, off, len);
+            self.dirty[pair].clear_range(off, len);
+            Some(Committed::Cleared(pair))
+        } else {
+            w.reset();
+            None
         }
-        self.dirty[pair].mark(off, len);
     }
 
     /// Journals a clear of `pair`'s `[off, off+len)`: the manifest gets
@@ -157,13 +215,6 @@ impl JournalSet {
         for j in self.journals.values_mut() {
             j.clear_extent(pair, off, len);
         }
-    }
-
-    /// Clears `[off, off+len)` of `pair` (the mirror was just written
-    /// in place) and journals the clear.
-    pub fn clear(&mut self, pair: usize, off: u64, len: u64) {
-        self.log_clear(pair, off, len);
-        self.dirty[pair].clear_range(off, len);
     }
 
     /// Extracts `pair`'s next destage run of at most `max_bytes`; the
@@ -371,6 +422,52 @@ mod tests {
         SimCtx::new(&cfg, geo, &standby)
     }
 
+    /// A write of one mark of `extent`, committing `records` (disk, id).
+    fn logged(extent: PairExtent, records: &[(DiskId, u64)]) -> LoggedWrite {
+        LoggedWrite {
+            marks: vec![extent],
+            appends: records.iter().map(|&(disk, rid)| (0, disk, rid)).collect(),
+            ..LoggedWrite::default()
+        }
+    }
+
+    /// Applies every step of `w`, as an acknowledgement does.
+    fn commit(js: &mut JournalSet, mut w: LoggedWrite) {
+        while js.commit_next(&mut w).is_some() {}
+    }
+
+    fn committed(js: &JournalSet, disk: DiskId) -> u64 {
+        js.journals[&disk].stats().committed_records
+    }
+
+    #[test]
+    fn commit_next_applies_one_step_at_a_time() {
+        let mut ctx = ctx();
+        let mut js = JournalSet::new(2, [2, 3]);
+        // Marks on pairs 0, 1 and 0 again, then a clear on pair 1.
+        let mut w = LoggedWrite::default();
+        for (i, (pair, lba)) in [(0, 0), (1, 0), (0, 4096)].into_iter().enumerate() {
+            w.marks.push((pair, lba, 4096));
+            let rid = js.append(&mut ctx, 2 + pair, pair, 0, lba, 4096);
+            w.appends.push((i as u32, 2 + pair, rid));
+        }
+        w.clears.push((1, 0, 4096));
+        assert_eq!(js.commit_next(&mut w), Some(Committed::Marked(0)));
+        // A destage reacting here takes the first extent alone.
+        assert_eq!((committed(&js, 2), committed(&js, 3)), (1, 0));
+        assert_eq!(js.take_next(0, 1 << 20), Some((0, 4096)));
+        assert_eq!(js.commit_next(&mut w), Some(Committed::Marked(1)));
+        assert_eq!(js.commit_next(&mut w), Some(Committed::Marked(0)));
+        assert_eq!((committed(&js, 2), committed(&js, 3)), (2, 1));
+        assert_eq!(js.commit_next(&mut w), Some(Committed::Cleared(1)));
+        assert!(js.is_clean(1));
+        assert_eq!(js.commit_next(&mut w), None);
+        assert_eq!(js.take_next(0, 1 << 20), Some((4096, 4096)));
+        // The ack emptied the write for its slot's next request.
+        assert_eq!(js.commit_next(&mut w), None);
+        assert!(js.all_clean());
+    }
+
     #[test]
     fn fail_applies_the_lost_pair_rule_and_restarts_the_dead_journal() {
         let mut ctx = ctx();
@@ -378,30 +475,29 @@ mod tests {
         let mut js = JournalSet::new(2, [2, 3]);
         // Pair 0 is logged on disk 2 only; pair 1 on disks 2 and 3.
         let a = js.append(&mut ctx, 2, 0, 0, 0, 4096);
-        js.mark(0, 0, 4096, &[(0, 2, a)], 0);
+        commit(&mut js, logged((0, 0, 4096), &[(2, a)]));
         let b2 = js.append(&mut ctx, 2, 1, 0, 8192, 4096);
         let b3 = js.append(&mut ctx, 3, 1, 0, 8192, 4096);
-        js.mark(1, 8192, 4096, &[(0, 2, b2), (0, 3, b3)], 0);
+        commit(&mut js, logged((1, 8192, 4096), &[(2, b2), (3, b3)]));
         // A request still in flight when disk 2 dies.
         let in_flight = [
-            (0, 2, js.append(&mut ctx, 2, 1, 0, 0, 512)),
-            (0, 3, js.append(&mut ctx, 3, 1, 0, 0, 512)),
+            (2, js.append(&mut ctx, 2, 1, 0, 0, 512)),
+            (3, js.append(&mut ctx, 3, 1, 0, 0, 512)),
         ];
-        let committed = |js: &JournalSet, disk| js.journals[&disk].stats().committed_records;
         let before = (committed(&js, 2), committed(&js, 3));
         js.fail(&mut ctx, 2, &mut stats);
         assert_eq!((stats.log_replays, stats.torn_records), (1, 1));
         // Pair 0 is lost (its only copy died) and keeps its NVRAM map;
         // pair 1 replays from disk 3 without divergence.
         assert_eq!(stats.replay_divergence, 0);
-        assert_eq!(js.dirty_bytes(), 2 * 4096);
+        assert_eq!(js.dirty[0].bytes() + js.dirty[1].bytes(), 2 * 4096);
         // The replacement journal on disk 2 takes new records before the
         // in-flight request acks; the request's pre-failure id there
         // matches none of them, and its copy on disk 3 still commits.
         for lba in [0, 4096, 8192] {
             js.append(&mut ctx, 2, 0, 1, lba, 4096);
         }
-        js.mark(1, 0, 512, &in_flight, 0);
+        commit(&mut js, logged((1, 0, 512), &in_flight));
         assert_eq!(committed(&js, 2), before.0);
         assert_eq!(committed(&js, 3), before.1 + 1);
         // A disk without a journal: no replay.

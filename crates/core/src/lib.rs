@@ -28,6 +28,7 @@
 pub mod cache;
 pub mod config;
 pub mod ctx;
+pub mod destage;
 pub mod dirty;
 pub mod driver;
 pub mod faults;

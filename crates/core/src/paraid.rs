@@ -23,10 +23,12 @@
 //! load), where RoLo touches one logger at a time.
 
 use crate::ctx::SimCtx;
+use crate::destage::DestageChains;
 use crate::dirty::DirtyMap;
+use crate::journal::LoggedWrite;
 use crate::logspace::LoggerSpace;
 use crate::policy::{Policy, PolicyStats};
-use rolo_disk::{DiskId, DiskRequest, IoKind, Priority};
+use rolo_disk::{DiskId, DiskRequest, IoKind};
 use rolo_obs::{BgSpanKind, LegFlavor};
 use rolo_sim::{Duration, IoSlab, IoSlot, SimTime, SlotTable};
 use rolo_trace::{ReqKind, TraceRecord};
@@ -40,22 +42,7 @@ enum Gear {
 #[derive(Debug, Clone, Copy)]
 enum Tag {
     User(IoSlot),
-    SyncRead { pair: usize, off: u64, len: u64 },
-    SyncWrite { pair: usize, len: u64 },
-}
-
-#[derive(Debug, Default)]
-struct UserMeta {
-    marks: Vec<(usize, u64, u64)>,
-    clears: Vec<(usize, u64, u64)>,
-}
-
-impl UserMeta {
-    /// Empties the buffers, keeping their capacity for the next request.
-    fn clear(&mut self) {
-        self.marks.clear();
-        self.clears.clear();
-    }
+    Sync(usize),
 }
 
 /// Timer token for the gear-down hold check.
@@ -70,13 +57,14 @@ pub struct ParaidPolicy {
     shadows: Vec<LoggerSpace>,
     shadow_cursor: usize,
     dirty: Vec<DirtyMap>,
-    chain_active: Vec<bool>,
+    chains: DestageChains,
     gear: Gear,
     syncing: bool,
     /// Per sub-request, under the slot its `DiskRequest` carries.
     tags: IoSlab<Tag>,
-    /// Per user request, under the context's user slot.
-    meta: SlotTable<UserMeta>,
+    /// Per user request, under the context's user slot. PARAID keeps no
+    /// journal, so it applies the marks and clears to its own maps.
+    meta: SlotTable<LoggedWrite>,
     /// EWMA arrival rate (requests/s) and its last update instant.
     rate: f64,
     rate_at: SimTime,
@@ -121,7 +109,7 @@ impl ParaidPolicy {
                 .collect(),
             shadow_cursor: 0,
             dirty: (0..pairs).map(|_| DirtyMap::new()).collect(),
-            chain_active: vec![false; pairs],
+            chains: DestageChains::new(pairs),
             gear: Gear::Low,
             syncing: false,
             tags: IoSlab::new(),
@@ -203,17 +191,14 @@ impl ParaidPolicy {
     }
 
     fn pump(&mut self, ctx: &mut SimCtx, pair: usize) {
-        if !self.syncing || self.chain_active[pair] {
+        let (p, m) = (ctx.geometry().primary_disk(pair), self.mirror(ctx, pair));
+        // The chain starts on the mirror's spin-up completion.
+        if !self.syncing || self.chains.is_busy(pair) || !ctx.disk(m).is_spun_up() {
             return;
         }
-        if !ctx.disk(self.mirror(ctx, pair)).is_spun_up() {
-            return; // chain starts on its spin-up completion
-        }
-        if let Some((off, len)) = self.dirty[pair].take_next(self.chunk) {
-            self.chain_active[pair] = true;
-            let p = ctx.geometry().primary_disk(pair);
-            let tag = self.tags.insert(Tag::SyncRead { pair, off, len });
-            ctx.submit(p, IoKind::Read, off, len, Priority::Background, tag);
+        if let Some(run) = self.dirty[pair].take_next(self.chunk) {
+            let tag = self.tags.insert(Tag::Sync(pair));
+            self.chains.start(ctx, pair, run, (p, run.0), &[m], tag);
         }
     }
 
@@ -221,7 +206,7 @@ impl ParaidPolicy {
         if !self.syncing {
             return;
         }
-        if self.chain_active.iter().any(|&c| c) || self.dirty.iter().any(|d| !d.is_clean()) {
+        if self.chains.any_busy() || self.dirty.iter().any(|d| !d.is_clean()) {
             return;
         }
         self.syncing = false;
@@ -239,7 +224,7 @@ impl ParaidPolicy {
         &mut self,
         ctx: &mut SimCtx,
         user: IoSlot,
-        meta: &mut UserMeta,
+        meta: &mut LoggedWrite,
         ext: rolo_raid::PhysExtent,
     ) {
         let p = ctx.geometry().primary_disk(ext.pair);
@@ -322,13 +307,7 @@ impl Policy for ParaidPolicy {
                         rolo_disk::PowerState::Active | rolo_disk::PowerState::Idle
                     );
                     if self.gear == Gear::High && ready && !ctx.disk(m).is_park_pending() {
-                        let p = ctx.geometry().primary_disk(ext.pair);
-                        let extent = (ext.offset, ext.bytes);
-                        for (d, flavor) in [(p, LegFlavor::Transfer), (m, LegFlavor::MirrorCopy)] {
-                            let tag = self.tags.insert(Tag::User(user));
-                            ctx.submit_user(user, tag, d, IoKind::Write, extent, flavor);
-                        }
-                        meta.clears.push((ext.pair, ext.offset, ext.bytes));
+                        meta.write_direct(ctx, user, ext, || self.tags.insert(Tag::User(user)));
                     } else {
                         self.write_shadowed(ctx, user, &mut meta, ext);
                     }
@@ -355,22 +334,15 @@ impl Policy for ParaidPolicy {
                             self.check_sync_done(ctx);
                         }
                     }
-                    meta.clear();
+                    meta.reset();
                     self.meta.put(user, meta);
                 }
             }
-            Tag::SyncRead { pair, off, len } => {
-                let m = ctx.geometry().mirror_disk(pair);
-                let tag = self.tags.insert(Tag::SyncWrite { pair, len });
-                ctx.submit(m, IoKind::Write, off, len, Priority::Background, tag);
-            }
-            Tag::SyncWrite { pair, len } => {
-                self.stats.destaged_bytes += len;
-                self.chain_active[pair] = false;
-                if self.dirty[pair].is_clean() {
-                    self.check_sync_done(ctx);
-                } else {
+            Tag::Sync(pair) => {
+                let slot = || self.tags.insert(Tag::Sync(pair));
+                if self.chains.complete(ctx, pair, slot) {
                     self.pump(ctx, pair);
+                    self.check_sync_done(ctx);
                 }
             }
         }
@@ -412,7 +384,7 @@ impl Policy for ParaidPolicy {
         }
         self.start_sync(ctx);
         // Shadow segments without dirtiness are already consistent.
-        if self.dirty.iter().all(|d| d.is_clean()) && !self.chain_active.iter().any(|&c| c) {
+        if self.dirty.iter().all(|d| d.is_clean()) && !self.chains.any_busy() {
             for shadow in &mut self.shadows {
                 shadow.reclaim(|_| true);
             }
@@ -422,14 +394,14 @@ impl Policy for ParaidPolicy {
     }
 
     fn is_drained(&self, _ctx: &SimCtx) -> bool {
+        // A busy chain holds a tag, so no chain runs either.
         self.tags.is_empty()
             && self.dirty.iter().all(|d| d.is_clean())
             && self.shadow_used_bytes() == 0
-            && !self.chain_active.iter().any(|&c| c)
     }
 
     fn stats(&self) -> PolicyStats {
-        self.stats
+        self.chains.fold_stats(self.stats)
     }
 
     fn check_consistency(&self, _ctx: &SimCtx) -> Result<(), String> {

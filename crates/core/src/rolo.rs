@@ -30,8 +30,9 @@
 //! logging space pool.
 
 use crate::ctx::SimCtx;
+use crate::destage::DestageChains;
 use crate::intervals::Phase;
-use crate::journal::{JournalSet, PendingAppend, DEFAULT_COMPACT_FRAC};
+use crate::journal::{Committed, JournalSet, LoggedWrite, DEFAULT_COMPACT_FRAC};
 use crate::logspace::LoggerSpace;
 use crate::policy::{Policy, PolicyStats};
 use crate::recovery::recovery_plan;
@@ -64,29 +65,9 @@ pub enum RoloFlavor {
 #[derive(Debug, Clone, Copy)]
 enum Tag {
     User(IoSlot),
-    DestageRead { pair: usize, off: u64, len: u64 },
-    DestageWrite { pair: usize, len: u64 },
+    Destage(usize),
     CompactRead { gen: u64 },
     CompactWrite { gen: u64 },
-}
-
-#[derive(Debug, Default)]
-struct UserMeta {
-    marks: Vec<(usize, u64, u64)>,
-    clears: Vec<(usize, u64, u64)>,
-    /// Journal records awaiting commit, flat so a recycled meta needs
-    /// no allocation. The copies of `marks[i]` commit at a shared LSN
-    /// when the request acknowledges.
-    appends: Vec<PendingAppend>,
-}
-
-impl UserMeta {
-    /// Empties the buffers, keeping their capacity for the next request.
-    fn clear(&mut self) {
-        self.marks.clear();
-        self.clears.clear();
-        self.appends.clear();
-    }
 }
 
 /// One in-flight background compaction: the relocation of a sealed
@@ -139,12 +120,12 @@ pub struct RoloPolicy {
     compaction: Option<CompactState>,
     compaction_gen: u64,
     destage_active: Vec<bool>,
-    chain_active: Vec<bool>,
+    chains: DestageChains,
     destage_tokens: Vec<Option<u64>>,
     /// Per sub-request, under the slot its `DiskRequest` carries.
     tags: IoSlab<Tag>,
     /// Per user request, under the context's user slot.
-    meta: SlotTable<UserMeta>,
+    meta: SlotTable<LoggedWrite>,
     deactivated: bool,
     draining: bool,
     stats: PolicyStats,
@@ -201,7 +182,7 @@ impl RoloPolicy {
             compaction: None,
             compaction_gen: 0,
             destage_active: vec![false; pairs],
-            chain_active: vec![false; pairs],
+            chains: DestageChains::new(pairs),
             destage_tokens: vec![None; pairs],
             tags: IoSlab::new(),
             meta: SlotTable::default(),
@@ -426,11 +407,6 @@ impl RoloPolicy {
         self.spaces.values().map(|s| s.used_bytes()).sum()
     }
 
-    /// Total stale bytes awaiting destage.
-    pub fn dirty_bytes(&self) -> u64 {
-        self.journal.dirty_bytes()
-    }
-
     /// The pairs whose logger spaces still hold un-reclaimed second
     /// copies of `pair`'s data — exactly the mirrors §III-C must awaken
     /// to recover a failure of `pair`'s primary (feed this to
@@ -600,7 +576,7 @@ impl RoloPolicy {
     }
 
     fn pump(&mut self, ctx: &mut SimCtx, pair: usize) {
-        if !self.destage_active[pair] || self.chain_active[pair] {
+        if !self.destage_active[pair] || self.chains.is_busy(pair) {
             return;
         }
         // RoLo-R: the on-duty pair's primary carries every write's log
@@ -619,18 +595,17 @@ impl RoloPolicy {
             return;
         }
         match self.journal.take_next(pair, self.chunk) {
-            Some((off, len)) => {
-                self.chain_active[pair] = true;
-                let p = ctx.geometry().primary_disk(pair);
-                let tag = self.tags.insert(Tag::DestageRead { pair, off, len });
-                ctx.submit(p, IoKind::Read, off, len, Priority::Background, tag);
+            Some(run) => {
+                let (p, m) = (ctx.geometry().primary_disk(pair), self.mirror(ctx, pair));
+                let tag = self.tags.insert(Tag::Destage(pair));
+                self.chains.start(ctx, pair, run, (p, run.0), &[m], tag);
             }
             None => self.complete_destage(ctx, pair),
         }
     }
 
     fn complete_destage(&mut self, ctx: &mut SimCtx, pair: usize) {
-        if !self.destage_active[pair] || self.chain_active[pair] || !self.journal.is_clean(pair) {
+        if !self.destage_active[pair] || self.chains.is_busy(pair) || !self.journal.is_clean(pair) {
             return;
         }
         self.destage_active[pair] = false;
@@ -665,7 +640,7 @@ impl RoloPolicy {
 
     fn after_dirty_change(&mut self, ctx: &mut SimCtx, pair: usize) {
         if self.destage_active[pair] {
-            if self.chain_active[pair] {
+            if self.chains.is_busy(pair) {
                 return;
             }
             if self.journal.is_clean(pair) {
@@ -678,17 +653,10 @@ impl RoloPolicy {
         }
     }
 
-    fn write_direct(&mut self, ctx: &mut SimCtx, user: IoSlot, meta: &mut UserMeta, exts: Split) {
+    fn write_direct(&mut self, ctx: &mut SimCtx, user: IoSlot, w: &mut LoggedWrite, exts: Split) {
         self.stats.direct_writes += 1;
         for ext in exts {
-            let p = ctx.geometry().primary_disk(ext.pair);
-            let m = ctx.geometry().mirror_disk(ext.pair);
-            let extent = (ext.offset, ext.bytes);
-            for (d, flavor) in [(p, LegFlavor::Transfer), (m, LegFlavor::MirrorCopy)] {
-                let tag = self.tags.insert(Tag::User(user));
-                ctx.submit_user(user, tag, d, IoKind::Write, extent, flavor);
-            }
-            meta.clears.push((ext.pair, ext.offset, ext.bytes));
+            w.write_direct(ctx, user, ext, || self.tags.insert(Tag::User(user)));
         }
     }
 }
@@ -808,33 +776,21 @@ impl Policy for RoloPolicy {
         match self.tags.remove(req.tag).expect("unknown sub-request") {
             Tag::User(user) => {
                 if ctx.user_sub_done(user) {
+                    // The mirrored copies commit under one shared LSN at
+                    // the instant the dirty map mutates.
                     let mut meta = self.meta.take(user);
-                    for (i, &(pair, off, len)) in meta.marks.iter().enumerate() {
-                        // The mirrored copies commit under one shared LSN
-                        // at the instant the dirty map mutates.
-                        self.journal.mark(pair, off, len, &meta.appends, i as u32);
+                    while let Some(Committed::Marked(pair) | Committed::Cleared(pair)) =
+                        self.journal.commit_next(&mut meta)
+                    {
                         self.after_dirty_change(ctx, pair);
                     }
-                    for &(pair, off, len) in &meta.clears {
-                        self.journal.clear(pair, off, len);
-                        self.after_dirty_change(ctx, pair);
-                    }
-                    meta.clear();
                     self.meta.put(user, meta);
                 }
             }
-            Tag::DestageRead { pair, off, len } => {
-                let m = ctx.geometry().mirror_disk(pair);
-                let tag = self.tags.insert(Tag::DestageWrite { pair, len });
-                ctx.submit(m, IoKind::Write, off, len, Priority::Background, tag);
-            }
-            Tag::DestageWrite { pair, len } => {
-                self.stats.destaged_bytes += len;
-                self.chain_active[pair] = false;
-                if self.journal.is_clean(pair) {
-                    self.complete_destage(ctx, pair);
-                } else {
-                    self.pump(ctx, pair);
+            Tag::Destage(pair) => {
+                let slot = || self.tags.insert(Tag::Destage(pair));
+                if self.chains.complete(ctx, pair, slot) {
+                    self.after_dirty_change(ctx, pair);
                 }
             }
             Tag::CompactRead { gen } => self.on_compact_read(ctx, gen),
@@ -991,14 +947,12 @@ impl Policy for RoloPolicy {
     }
 
     fn is_drained(&self, _ctx: &SimCtx) -> bool {
-        self.tags.is_empty()
-            && self.journal.all_clean()
-            && self.log_used_bytes() == 0
-            && !self.chain_active.iter().any(|&c| c)
+        // A busy chain holds a tag, so no chain runs either.
+        self.tags.is_empty() && self.journal.all_clean() && self.log_used_bytes() == 0
     }
 
     fn stats(&self) -> PolicyStats {
-        self.journal.fold_stats(self.stats)
+        self.chains.fold_stats(self.journal.fold_stats(self.stats))
     }
 
     fn check_consistency(&self, _ctx: &SimCtx) -> Result<(), String> {

@@ -15,8 +15,9 @@
 
 use crate::cache::BlockCache;
 use crate::ctx::SimCtx;
+use crate::destage::DestageChains;
 use crate::intervals::Phase;
-use crate::journal::{JournalSet, PendingAppend};
+use crate::journal::{Committed, JournalSet, LoggedWrite};
 use crate::logspace::LoggerSpace;
 use crate::policy::{Policy, PolicyStats};
 use crate::recovery::recovery_plan;
@@ -37,34 +38,17 @@ enum Mode {
 enum Tag {
     User(IoSlot),
     CacheFill,
-    DestageRead { pair: usize, off: u64, len: u64 },
-    DestageWrite { pair: usize, len: u64 },
+    Destage(usize),
 }
 
 #[derive(Debug, Default)]
 struct UserMeta {
-    marks: Vec<(usize, u64, u64)>,
-    clears: Vec<(usize, u64, u64)>,
-    /// Journal records, flat so a recycled meta needs no allocation.
-    /// The two mirrored copies of `marks[i]` commit with one shared LSN
-    /// when the request acks.
-    appends: Vec<PendingAppend>,
+    /// A write's marks, clears and journal records.
+    write: LoggedWrite,
     /// Cache blocks a read miss inserts at completion.
     cache_fill: Range<u64>,
     /// Charge a background cache-fill write of this many bytes.
     fill_bytes: u64,
-}
-
-impl UserMeta {
-    /// Empties the meta, keeping its buffers' capacity for the next
-    /// request.
-    fn clear(&mut self) {
-        self.marks.clear();
-        self.clears.clear();
-        self.appends.clear();
-        self.cache_fill = 0..0;
-        self.fill_bytes = 0;
-    }
 }
 
 /// The RoLo-E controller.
@@ -90,9 +74,7 @@ pub struct RoloEPolicy {
     /// whole log, killing every segment wholesale (DESIGN.md §10).
     journal: JournalSet,
     cache: BlockCache,
-    /// Remaining destage writes of the in-flight chain per pair (0 = no
-    /// chain).
-    chain_writes: Vec<u8>,
+    chains: DestageChains,
     /// Per sub-request, under the slot its `DiskRequest` carries.
     tags: IoSlab<Tag>,
     /// Per user request, under the context's user slot.
@@ -142,18 +124,13 @@ impl RoloEPolicy {
             log: LoggerSpace::new(logger_base, log_share),
             journal: JournalSet::new(pairs, 0..2 * pairs),
             cache: BlockCache::new((cache_bytes / stripe_unit) as usize),
-            chain_writes: vec![0; pairs],
+            chains: DestageChains::new(pairs),
             tags: IoSlab::new(),
             meta: SlotTable::default(),
             round_robin: 0,
             draining: false,
             stats: PolicyStats::default(),
         }
-    }
-
-    /// The first on-duty logger pair.
-    pub fn logger_pair(&self) -> usize {
-        self.logger_pairs[0]
     }
 
     /// Sets the number of simultaneously on-duty logger pairs (before the
@@ -244,25 +221,19 @@ impl RoloEPolicy {
         self.check_destage_done(ctx);
     }
 
-    fn pair_ready(&self, ctx: &SimCtx, pair: usize) -> bool {
-        let p = ctx.geometry().primary_disk(pair);
-        let m = ctx.geometry().mirror_disk(pair);
-        ctx.disk(p).is_spun_up() && ctx.disk(m).is_spun_up()
-    }
-
     fn pump(&mut self, ctx: &mut SimCtx, pair: usize) {
-        if self.mode != Mode::Destaging || self.chain_writes[pair] > 0 {
+        let geo = ctx.geometry();
+        let targets = [geo.primary_disk(pair), geo.mirror_disk(pair)];
+        // The chain starts when both disks' spin-ups land.
+        let ready = targets.iter().all(|&d| ctx.disk(d).is_spun_up());
+        if self.mode != Mode::Destaging || self.chains.is_busy(pair) || !ready {
             return;
         }
-        if !self.pair_ready(ctx, pair) {
-            return; // chain starts when the pair's spin-ups land
-        }
         if let Some((off, len)) = self.journal.take_next(pair, self.chunk) {
-            self.chain_writes[pair] = u8::MAX; // sentinel: read in flight
-            let src = self.next_logger_disk(ctx);
-            let read_off = self.log_read_offset(off / self.stripe_unit, len);
-            let tag = self.tags.insert(Tag::DestageRead { pair, off, len });
-            ctx.submit(src, IoKind::Read, read_off, len, Priority::Background, tag);
+            let disk = self.next_logger_disk(ctx);
+            let src = (disk, self.log_read_offset(off / self.stripe_unit, len));
+            let tag = self.tags.insert(Tag::Destage(pair));
+            self.chains.start(ctx, pair, (off, len), src, &targets, tag);
         }
     }
 
@@ -270,7 +241,7 @@ impl RoloEPolicy {
         if self.mode != Mode::Destaging {
             return;
         }
-        if self.chain_writes.iter().any(|&c| c > 0) || !self.journal.all_clean() {
+        if self.chains.any_busy() || !self.journal.all_clean() {
             return;
         }
         // Reclaim the whole log, rotate the logger pair, park the rest.
@@ -313,17 +284,10 @@ impl RoloEPolicy {
         }
     }
 
-    fn write_direct(&mut self, ctx: &mut SimCtx, user: IoSlot, meta: &mut UserMeta, exts: Split) {
+    fn write_direct(&mut self, ctx: &mut SimCtx, user: IoSlot, w: &mut LoggedWrite, exts: Split) {
         self.stats.direct_writes += 1;
         for ext in exts {
-            let p = ctx.geometry().primary_disk(ext.pair);
-            let m = ctx.geometry().mirror_disk(ext.pair);
-            let extent = (ext.offset, ext.bytes);
-            for (d, flavor) in [(p, LegFlavor::Transfer), (m, LegFlavor::MirrorCopy)] {
-                let tag = self.tags.insert(Tag::User(user));
-                ctx.submit_user(user, tag, d, IoKind::Write, extent, flavor);
-            }
-            meta.clears.push((ext.pair, ext.offset, ext.bytes));
+            w.write_direct(ctx, user, ext, || self.tags.insert(Tag::User(user)));
         }
     }
 }
@@ -409,7 +373,7 @@ impl Policy for RoloEPolicy {
                     // Log exhausted: destage must run; fall back to direct
                     // writes until space is reclaimed.
                     self.start_destage(ctx);
-                    self.write_direct(ctx, user, &mut meta, exts);
+                    self.write_direct(ctx, user, &mut meta.write, exts);
                 } else {
                     for ext in exts {
                         // Two copies, on one on-duty pair (round-robin
@@ -431,7 +395,7 @@ impl Policy for RoloEPolicy {
                             self.stats.log_appended_bytes += seg.bytes();
                         });
                         assert!(logged, "free space checked above");
-                        let mark = meta.marks.len() as u32;
+                        let mark = meta.write.marks.len() as u32;
                         for d in targets {
                             let rid = self.journal.append(
                                 ctx,
@@ -441,9 +405,9 @@ impl Policy for RoloEPolicy {
                                 ext.offset,
                                 ext.bytes,
                             );
-                            meta.appends.push((mark, d, rid));
+                            meta.write.appends.push((mark, d, rid));
                         }
-                        meta.marks.push((ext.pair, ext.offset, ext.bytes));
+                        meta.write.marks.push((ext.pair, ext.offset, ext.bytes));
                     }
                     ctx.log_timeline.push(ctx.now, self.log.used_bytes() as f64);
                     // The threshold leaves headroom so writes keep landing
@@ -464,19 +428,15 @@ impl Policy for RoloEPolicy {
                 if !ctx.user_sub_done(user) {
                     return;
                 }
+                // The ack instant is the commit point: both mirrored
+                // copies get one shared LSN.
                 let mut meta = self.meta.take(user);
-                for (i, &(pair, off, len)) in meta.marks.iter().enumerate() {
-                    // The ack instant is the commit point: both
-                    // mirrored copies get one shared LSN.
-                    self.journal.mark(pair, off, len, &meta.appends, i as u32);
+                while let Some(step) = self.journal.commit_next(&mut meta.write) {
                     if self.mode == Mode::Destaging {
-                        self.pump(ctx, pair);
-                    }
-                }
-                for &(pair, off, len) in &meta.clears {
-                    self.journal.clear(pair, off, len);
-                    if self.mode == Mode::Destaging {
-                        self.check_destage_done(ctx);
+                        match step {
+                            Committed::Marked(pair) => self.pump(ctx, pair),
+                            Committed::Cleared(_) => self.check_destage_done(ctx),
+                        }
                     }
                 }
                 if self.mode == Mode::Logging && !meta.cache_fill.is_empty() {
@@ -494,23 +454,14 @@ impl Policy for RoloEPolicy {
                         ctx.submit(d, IoKind::Write, off, len, Priority::Background, tag);
                     }
                 }
-                meta.clear();
+                meta.cache_fill = 0..0;
+                meta.fill_bytes = 0;
                 self.meta.put(user, meta);
             }
             Tag::CacheFill => {}
-            Tag::DestageRead { pair, off, len } => {
-                let p = ctx.geometry().primary_disk(pair);
-                let m = ctx.geometry().mirror_disk(pair);
-                self.chain_writes[pair] = 2;
-                for d in [p, m] {
-                    let tag = self.tags.insert(Tag::DestageWrite { pair, len });
-                    ctx.submit(d, IoKind::Write, off, len, Priority::Background, tag);
-                }
-            }
-            Tag::DestageWrite { pair, len } => {
-                self.chain_writes[pair] -= 1;
-                if self.chain_writes[pair] == 0 {
-                    self.stats.destaged_bytes += len;
+            Tag::Destage(pair) => {
+                let slot = || self.tags.insert(Tag::Destage(pair));
+                if self.chains.complete(ctx, pair, slot) {
                     self.pump(ctx, pair);
                     self.check_destage_done(ctx);
                 }
@@ -532,20 +483,16 @@ impl Policy for RoloEPolicy {
                     self.on_io_complete(ctx, disk, req);
                 }
             }
-            Some(Tag::DestageRead { off, len, .. }) => {
-                // Re-fetch the chunk from a surviving logger copy; the
-                // chain must make progress or the destage never ends.
-                let src = self.next_logger_disk(ctx);
-                let read_off = self.log_read_offset(off / self.stripe_unit, len);
-                ctx.submit(
-                    src,
-                    IoKind::Read,
-                    read_off,
-                    len,
-                    Priority::Background,
-                    req.tag,
-                );
-            }
+            Some(Tag::Destage(pair)) => match self.chains.reading(pair) {
+                // Re-fetch the run from a surviving logger copy; the chain
+                // must make progress or the destage never ends.
+                Some((off, len)) => {
+                    let src = self.next_logger_disk(ctx);
+                    let src_off = self.log_read_offset(off / self.stripe_unit, len);
+                    self.chains.read_from(ctx, pair, (src, src_off), req.tag);
+                }
+                None => self.on_io_complete(ctx, disk, req),
+            },
             // Failed destage/cache-fill writes and write sub-requests just
             // close their accounting: the rebuild restores the slot.
             _ => self.on_io_complete(ctx, disk, req),
@@ -637,7 +584,7 @@ impl Policy for RoloEPolicy {
     }
 
     fn stats(&self) -> PolicyStats {
-        self.journal.fold_stats(self.stats)
+        self.chains.fold_stats(self.journal.fold_stats(self.stats))
     }
 
     fn check_consistency(&self, _ctx: &SimCtx) -> Result<(), String> {

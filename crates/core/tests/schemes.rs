@@ -6,8 +6,10 @@
 //! cache behaviour.
 
 use rolo_core::{driver, RoloFlavor, RoloPolicy, Scheme, SimConfig, SimReport};
+use rolo_disk::IoKind;
+use rolo_obs::{RingSink, SimEvent};
 use rolo_sim::Duration;
-use rolo_trace::{Burstiness, SizeDist, SyntheticConfig};
+use rolo_trace::{Burstiness, ReqKind, SizeDist, SyntheticConfig, TraceRecord};
 
 /// A small-logger configuration so tests rotate/destage quickly.
 fn small_cfg(scheme: Scheme, pairs: usize) -> SimConfig {
@@ -419,4 +421,72 @@ fn sstf_scheduling_consistent_and_not_slower() {
         sstf.mean_response_ms(),
         fifo.mean_response_ms()
     );
+}
+
+/// The first background read dispatched once the run's last request
+/// has completed, on 2 pairs with 256 KB destage runs: `(disk, offset,
+/// bytes)`. A 256 KB write at offset 0 lands as four 64 KB extents:
+/// pair 0 at 0, pair 1 at 0, pair 0 at 64 KB and pair 1 at 64 KB.
+fn first_read_after_last_ack(
+    scheme: Scheme,
+    records: Vec<TraceRecord>,
+    secs: u64,
+) -> (usize, u64, u64) {
+    let mut cfg = SimConfig::paper_default(scheme, 2);
+    cfg.destage_chunk = 256 << 10;
+    cfg.logger_region = 4 << 20;
+    cfg.graid_log_capacity = 1 << 20;
+    cfg.destage_threshold = 0.1;
+    let dur = Duration::from_secs(secs);
+    let sink = Box::new(RingSink::new(1 << 12));
+    let (report, mut obs) = driver::run_scheme_observed(&cfg, records, dur, sink, false);
+    report.consistency.as_ref().expect("consistent");
+    assert_eq!(obs.sink.dropped(), 0, "the ring kept every event");
+    let events = obs.sink.drain();
+    let last_ack = events
+        .iter()
+        .rposition(|e| matches!(e.event, SimEvent::RequestComplete { .. }))
+        .expect("the requests complete");
+    events[last_ack..]
+        .iter()
+        .find_map(|e| match e.event {
+            SimEvent::RequestDispatch {
+                disk,
+                kind: IoKind::Read,
+                offset,
+                bytes,
+                background: true,
+                ..
+            } => Some((disk, offset, bytes)),
+            _ => None,
+        })
+        .expect("the ack starts a destage chain")
+}
+
+/// A request's marks commit one at a time at its acknowledgement, and
+/// the controller reacts to each before the next: the reaction takes
+/// a run from the map the next mark would grow. So when a request's
+/// first mark starts its pair's destage chain, the chain's first read
+/// covers that extent alone, not the pair's two adjacent extents.
+#[test]
+fn a_chain_started_between_two_marks_reads_only_the_first() {
+    let write = |ms: u64, offset: u64, bytes: u64| {
+        let at = rolo_sim::SimTime::ZERO + Duration::from_millis(ms);
+        TraceRecord::new(at, ReqKind::Write, offset, bytes)
+    };
+    // GRAID and RoLo-E: a 64 KB write keeps pair 1 dirty, so the cycle
+    // the 256 KB write's submission starts is still running at its
+    // ack. RoLo-E's logger pair 0 is up; GRAID pumps in destaging mode.
+    let mid_cycle = || vec![write(0, 17 << 16, 64 << 10), write(1000, 0, 256 << 10)];
+    let (disk, offset, bytes) = first_read_after_last_ack(Scheme::Graid, mid_cycle(), 60);
+    assert_eq!((disk, offset, bytes), (0, 0, 64 << 10), "GRAID");
+    // RoLo-E reads the run from a copy on logger pair 0's disk 0 or 2.
+    let (disk, _, bytes) = first_read_after_last_ack(Scheme::RoloE, mid_cycle(), 60);
+    assert!(disk == 0 || disk == 2, "RoLo-E read disk {disk}");
+    assert_eq!(bytes, 64 << 10, "RoLo-E");
+    // RoLo-P: the write acks during the drain, so its first mark
+    // activates pair 0's destage with the on-duty mirror up.
+    let during_drain = vec![write(9_999, 0, 256 << 10)];
+    let (disk, offset, bytes) = first_read_after_last_ack(Scheme::RoloP, during_drain, 10);
+    assert_eq!((disk, offset, bytes), (0, 0, 64 << 10), "RoLo-P");
 }

@@ -12,6 +12,7 @@
 
 use crate::geometry::Raid5Geometry;
 use rolo_core::ctx::SimCtx;
+use rolo_core::destage::DestageChains;
 use rolo_core::dirty::DirtyMap;
 use rolo_core::logspace::LoggerSpace;
 use rolo_core::policy::{Policy, PolicyStats};
@@ -28,15 +29,7 @@ enum Tag {
     ChainWrite(IoSlot),
     /// Background flush of NVRAM-staged deltas to the log.
     NvramFlush,
-    DestageRead {
-        disk: usize,
-        off: u64,
-        len: u64,
-    },
-    DestageWrite {
-        disk: usize,
-        len: u64,
-    },
+    Destage(usize),
 }
 
 #[derive(Debug)]
@@ -81,7 +74,8 @@ pub struct Rolo5Policy {
     draining: Vec<DirtyMap>,
     watermark: Vec<u64>,
     destage_active: Vec<bool>,
-    chain_busy: Vec<bool>,
+    /// Each parity disk's destage chain reads and rewrites that disk.
+    destage: DestageChains,
     /// Per sub-request, under the slot its `DiskRequest` carries.
     tags: IoSlab<Tag>,
     chains: IoSlab<Chain>,
@@ -156,7 +150,7 @@ impl Rolo5Policy {
             draining: (0..disks).map(|_| DirtyMap::new()).collect(),
             watermark: vec![0; disks],
             destage_active: vec![false; disks],
-            chain_busy: vec![false; disks],
+            destage: DestageChains::new(disks),
             tags: IoSlab::new(),
             chains: IoSlab::new(),
             deactivated: false,
@@ -258,12 +252,6 @@ impl Rolo5Policy {
         self.spaces.iter().map(|s| s.used_bytes()).sum()
     }
 
-    /// Stale parity bytes awaiting destage (accumulating + in-round).
-    pub fn dirty_bytes(&self) -> u64 {
-        self.dirty.iter().map(|d| d.bytes()).sum::<u64>()
-            + self.draining.iter().map(|d| d.bytes()).sum::<u64>()
-    }
-
     /// Replaces the fullest on-duty logger with an off-duty disk whose
     /// logging region is *fully reclaimed* — appending into an empty
     /// region is what keeps log writes sequential (a partially reclaimed
@@ -344,7 +332,7 @@ impl Rolo5Policy {
     }
 
     fn pump(&mut self, ctx: &mut SimCtx, disk: usize) {
-        if !self.destage_active[disk] || self.chain_busy[disk] {
+        if !self.destage_active[disk] || self.destage.is_busy(disk) {
             return;
         }
         // Never run parity RMW on an on-duty logger (except while
@@ -353,17 +341,18 @@ impl Rolo5Policy {
             return;
         }
         match self.draining[disk].take_next(self.chunk) {
-            Some((off, len)) => {
-                self.chain_busy[disk] = true;
-                let tag = self.tags.insert(Tag::DestageRead { disk, off, len });
-                ctx.submit(disk, IoKind::Read, off, len, Priority::Background, tag);
+            Some(run) => {
+                let tag = self.tags.insert(Tag::Destage(disk));
+                self.destage
+                    .start(ctx, disk, run, (disk, run.0), &[disk], tag);
             }
             None => self.complete_destage(ctx, disk),
         }
     }
 
     fn complete_destage(&mut self, ctx: &mut SimCtx, disk: usize) {
-        if !self.destage_active[disk] || self.chain_busy[disk] || !self.draining[disk].is_clean() {
+        // Both callers reach here with the disk's chain idle.
+        if !self.destage_active[disk] || !self.draining[disk].is_clean() {
             return;
         }
         self.destage_active[disk] = false;
@@ -591,7 +580,7 @@ impl Policy for Rolo5Policy {
                         self.dirty[pd].clear_range(moff, mlen);
                         if self.destage_active[pd]
                             && self.dirty[pd].is_clean()
-                            && !self.chain_busy[pd]
+                            && !self.destage.is_busy(pd)
                         {
                             self.complete_destage(ctx, pd);
                         }
@@ -605,16 +594,13 @@ impl Policy for Rolo5Policy {
                     }
                 }
             }
-            Tag::DestageRead { disk, off, len } => {
-                let tag = self.tags.insert(Tag::DestageWrite { disk, len });
-                ctx.submit(disk, IoKind::Write, off, len, Priority::Background, tag);
-            }
-            Tag::DestageWrite { disk, len } => {
-                self.stats.destaged_bytes += len;
-                self.chain_busy[disk] = false;
-                // `pump` continues the round or completes it when the
-                // draining snapshot is empty.
-                self.pump(ctx, disk);
+            Tag::Destage(disk) => {
+                let slot = || self.tags.insert(Tag::Destage(disk));
+                if self.destage.complete(ctx, disk, slot) {
+                    // `pump` continues the round or completes it when the
+                    // draining snapshot is empty.
+                    self.pump(ctx, disk);
+                }
             }
         }
     }
@@ -643,7 +629,7 @@ impl Policy for Rolo5Policy {
     }
 
     fn stats(&self) -> PolicyStats {
-        self.stats
+        self.destage.fold_stats(self.stats)
     }
 
     fn check_consistency(&self, _ctx: &SimCtx) -> Result<(), String> {
